@@ -16,10 +16,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import VerificationError
 from .geometry import DEFAULT_TOL, Ball, as_vector
 from .sphere_cover import CoverParams, greedy_cover
+
+# Distance entries evaluated at once by the blocked kernels below; bounds
+# their scratch memory whatever the number of points or balls.
+_BLOCK = 1 << 16
+# Relative band around the radius inside which cdist distances are
+# recomputed with the exact formula of cover_points_by_balls.
+_RECHECK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,46 +201,78 @@ def pierce_large(n: int, config: PiercingConfig | None = None) -> np.ndarray:
     return 2.0 * cover.centers
 
 
-def cover_points_by_balls(points, radius: float, seed: int = 0) -> np.ndarray:
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of a (k, i, n) difference array.
+
+    Every ``<= radius`` decision of ``cover_points_by_balls`` is taken on
+    these values. Each norm depends only on its own n differences, not
+    on the array's other axes, so slicing the work never moves a bit.
+    """
+    return np.sqrt(np.einsum("kij,kij->ki", diff, diff))
+
+
+def cover_points_by_balls(points, radius: float) -> np.ndarray:
     """Greedy center cover: every input point ends within ``radius`` of
     some returned center.
 
-    Candidates are the points themselves plus their pairwise midpoints.
-    Repeatedly serve the uncovered point farthest from the chosen
-    centers (ties by index) with the candidate covering the most
-    uncovered points (ties by index). Deterministic; the seed is
-    accepted for interface uniformity but the greedy never draws.
+    Candidates are the points themselves plus, for at most 600 points,
+    their pairwise midpoints. Repeatedly serve the uncovered point
+    farthest from the chosen centers (ties by index) with the candidate
+    covering the most uncovered points (ties by index). Deterministic.
+
+    Memory is O(candidates * n + _BLOCK): no candidates x points array
+    is built. The target's candidate column and the chosen center's row
+    come from ``_norms``. Gains are counted over blocks of ``_BLOCK``
+    candidate-point distances from ``cdist``, whose sum of squares runs
+    in another order and may differ from ``_norms`` in the last bits;
+    every block entry within a relative ``_RECHECK`` of ``radius`` (or
+    4 n machine epsilons, if larger, which bounds that difference) is
+    recomputed with ``_norms``. So every decision, and the cover, is the
+    one the full ``_norms`` tensor would give.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty (m, n) array")
     if not radius > 0:
         raise ValueError("radius must be positive")
-    m = pts.shape[0]
+    m, n = pts.shape
     if m == 1:
         return pts.copy()
     if m <= 600:
         iu, ju = np.triu_indices(m, k=1)
         candidates = np.concatenate([pts, 0.5 * (pts[iu] + pts[ju])])
     else:
-        # Midpoints grow quadratically; past this size the points alone
-        # still yield a valid cover.
+        # Midpoints grow quadratically, and the greedy's time with them
+        # (O(m^3) per step); past this size the points alone still yield
+        # a valid cover. Memory no longer depends on this switch, but
+        # moving it would change the covers, and so the artifacts.
         candidates = pts
-    # Distance matrix candidates x points.
-    diff = candidates[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
+    band = radius * max(_RECHECK, 4.0 * n * np.finfo(float).eps)
     covered = np.zeros(m, dtype=bool)
     nearest = np.full(m, np.inf)
     centers = []
     while not covered.all():
         open_idx = np.flatnonzero(~covered)
         target = open_idx[int(np.argmax(nearest[open_idx]))]
-        able = np.flatnonzero(dist[:, target] <= radius)
-        gains = (dist[able][:, ~covered] <= radius).sum(axis=1)
+        column = _norms(candidates[:, None, :] - pts[None, [target], :])[:, 0]
+        able = np.flatnonzero(column <= radius)
+        free = pts[open_idx]
+        step = max(1, _BLOCK // free.shape[0])
+        gains = np.empty(able.size, dtype=np.intp)
+        for s in range(0, able.size, step):
+            block = candidates[able[s : s + step]]
+            dist = cdist(block, free)
+            inside = dist <= radius
+            near = np.abs(dist - radius) <= band
+            if near.any():
+                r, c = np.nonzero(near)
+                inside[r, c] = _norms((block[r] - free[c])[:, None, :])[:, 0] <= radius
+            gains[s : s + step] = inside.sum(axis=1)
         pick = able[int(np.argmax(gains))]
+        row = _norms(candidates[pick][None, None, :] - pts[None, :, :])[0]
         centers.append(candidates[pick])
-        covered |= dist[pick] <= radius
-        np.minimum(nearest, dist[pick], out=nearest)
+        covered |= row <= radius
+        np.minimum(nearest, row, out=nearest)
     return np.array(centers)
 
 
@@ -326,7 +366,7 @@ def pierce(family: BallFamily, config: PiercingConfig | None = None) -> Piercing
     scale_counts = []
     for k in sorted(buckets):
         xk = centers[buckets[k]]
-        ball_centers = cover_points_by_balls(xk, lam**k, cfg.seed)
+        ball_centers = cover_points_by_balls(xk, lam**k)
         scale_counts.append((k, ball_centers.shape[0]))
         for z in ball_centers:
             points.append(refine_ball_cover(z, lam**k))
@@ -360,7 +400,9 @@ def verify_piercing(
     """Exact check that every ball contains at least one point.
 
     Accepts a PiercingSet or a raw (m, n) array. Returns (True, None)
-    or (False, index of the first unpierced ball).
+    or (False, index of the first unpierced ball). Balls are checked in
+    blocks of about ``_BLOCK`` ball-point distances, so memory stays
+    bounded for any family and point count.
     """
     pts = piercing.points if isinstance(piercing, PiercingSet) else np.asarray(
         piercing, dtype=float
@@ -369,8 +411,12 @@ def verify_piercing(
         raise ValueError(f"points must have shape (m, {family.dimension})")
     if pts.shape[0] == 0:
         return False, 0
-    for i, b in enumerate(family.balls):
-        gaps = np.linalg.norm(pts - b.center, axis=1)
-        if not (gaps <= b.radius + tol).any():
-            return False, i
+    centers = family.centers()
+    limits = family.radii() + tol
+    step = max(1, _BLOCK // pts.shape[0])
+    for s in range(0, centers.shape[0], step):
+        gaps = np.linalg.norm(pts[None, :, :] - centers[s : s + step, None, :], axis=-1)
+        missed = np.flatnonzero(~(gaps <= limits[s : s + step, None]).any(axis=1))
+        if missed.size:
+            return False, s + int(missed[0])
     return True, None

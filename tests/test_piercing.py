@@ -1,6 +1,8 @@
 """Tests for the piercing pipeline and its helper operations."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,57 @@ from gallai import (
 from gallai.sampling import ball_points, cap_points, rng_from
 
 from conftest import circle_cover_optimum, random_intersecting_family
+
+
+def dense_reference_cover(points, radius):
+    """The greedy cover over the full candidates x points distance tensor.
+
+    Same candidates, order and tie-breaks as ``cover_points_by_balls``,
+    with every distance computed up front; memory grows as m^3 n.
+    """
+    pts = np.asarray(points, dtype=float)
+    m = pts.shape[0]
+    if m == 1:
+        return pts.copy()
+    if m <= 600:
+        iu, ju = np.triu_indices(m, k=1)
+        candidates = np.concatenate([pts, 0.5 * (pts[iu] + pts[ju])])
+    else:
+        candidates = pts
+    diff = candidates[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
+    covered = np.zeros(m, dtype=bool)
+    nearest = np.full(m, np.inf)
+    centers = []
+    while not covered.all():
+        open_idx = np.flatnonzero(~covered)
+        target = open_idx[int(np.argmax(nearest[open_idx]))]
+        able = np.flatnonzero(dist[:, target] <= radius)
+        gains = (dist[able][:, ~covered] <= radius).sum(axis=1)
+        pick = able[int(np.argmax(gains))]
+        centers.append(candidates[pick])
+        covered |= dist[pick] <= radius
+        np.minimum(nearest, dist[pick], out=nearest)
+    return np.array(centers)
+
+
+def loop_reference_verify(family, points, tol):
+    """One ball at a time: (True, None) or (False, first unpierced index)."""
+    if points.shape[0] == 0:
+        return False, 0
+    for i, b in enumerate(family.balls):
+        gaps = np.linalg.norm(points - b.center, axis=1)
+        if not (gaps <= b.radius + tol).any():
+            return False, i
+    return True, None
+
+
+def assert_same_cover(points, radius):
+    got = cover_points_by_balls(points, radius)
+    want = dense_reference_cover(points, radius)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return got
 
 
 class TestBallFamily:
@@ -139,9 +192,47 @@ class TestCoverPointsByBalls:
     def test_deterministic(self):
         rng = rng_from(23)
         pts = ball_points(rng, 3, 60, radius=3.0)
-        assert np.array_equal(
-            cover_points_by_balls(pts, 1.0, seed=0), cover_points_by_balls(pts, 1.0, seed=0)
-        )
+        assert np.array_equal(cover_points_by_balls(pts, 1.0), cover_points_by_balls(pts, 1.0))
+
+    @pytest.mark.parametrize(
+        "n, m, spread, radius",
+        [
+            (2, 200, 0.999, 1.2),  # midpoint candidates, one center
+            (3, 120, 0.999, 1.44),
+            (4, 90, 3.0, 1.0),  # midpoint candidates, several centers
+            (2, 650, 0.999, 1.2),  # points only, past the m <= 600 switch
+            (3, 700, 4.0, 1.0),  # points only, several centers
+        ],
+    )
+    def test_matches_dense_reference(self, n, m, spread, radius):
+        for seed in range(3):
+            pts = ball_points(rng_from(1000 * n + seed), n, m, radius=spread)
+            assert_same_cover(pts, radius)
+
+    def test_many_centers_match_dense_reference(self):
+        pts = rng_from(31).uniform(-5.0, 5.0, (150, 3))
+        centers = assert_same_cover(pts, 0.6)
+        assert len(centers) > 20
+
+    @pytest.mark.parametrize("radius", [1.0, math.sqrt(2.0), 0.5, 2.0])
+    @pytest.mark.parametrize("n, side", [(2, 7), (3, 4)])
+    def test_lattice_ties_match_dense_reference(self, n, side, radius):
+        # Grid points and their midpoints sit at distances exactly equal
+        # to these radii, so every tie must fall as in the dense tensor.
+        grid = np.array(list(itertools.product(range(side), repeat=n)), dtype=float)
+        for pts in (grid, grid[::-1].copy(), 3.0 * grid):
+            assert_same_cover(pts, radius)
+
+    def test_memory_bounded(self):
+        # The dense tensor alone would take 31375 x 250 x 3 doubles (188 MB).
+        pts = ball_points(rng_from(5), 3, 250, radius=0.999)
+        tracemalloc.start()
+        try:
+            cover_points_by_balls(pts, 1.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestRefineBallCover:
@@ -262,6 +353,33 @@ class TestVerifyPiercing:
         out = pierce(family, PiercingConfig(seed=9))
         ok, _ = verify_piercing(family, out)
         assert ok
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_ball_loop(self, seed):
+        n = 2 + seed % 4
+        family = random_intersecting_family(n, 80, seed=seed)
+        rng = rng_from(50 + seed)
+        candidates = [
+            family.centers(),
+            pierce(family).points,
+            rng.standard_normal((3, n)),  # several balls unpierced
+            rng.standard_normal((2000, n)),  # more than one block of balls
+            np.empty((0, n)),
+        ]
+        for pts in candidates:
+            for tol in (0.0, 1e-9):
+                assert verify_piercing(family, pts, tol) == loop_reference_verify(
+                    family, pts, tol
+                )
+
+    def test_first_of_several_unpierced(self):
+        family = BallFamily(
+            2, (Ball([0, 0], 2), Ball([1, 0], 2), Ball([3, 0], 2), Ball([1, 1], 3))
+        )
+        # Balls 1 and 2 miss the point; ball 1 is reported.
+        pts = np.array([[-1.5, 0.0]])
+        assert loop_reference_verify(family, pts, 1e-9) == (False, 1)
+        assert verify_piercing(family, pts) == (False, 1)
 
     def test_dimension_mismatch(self):
         family = BallFamily(2, (Ball([0, 0], 1),))
