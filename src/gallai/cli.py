@@ -18,12 +18,14 @@ import numpy as np
 
 from . import files
 from .bounds import exponent_report, solve_alpha
-from .errors import VerificationError
+from .errors import PairwiseError, VerificationError
 from .geometry import DEFAULT_TOL
+
+# is_cap_body and first_non_intersecting_pair are not called here; they stay
+# attributes of this module because perfbench/tracer.py patches them here.
 from .illumination import (
     CapBody,
     DirectionSet,
-    SpikyBall,
     illuminate_cap_body,
     is_cap_body,
     sweep_alpha,
@@ -78,11 +80,6 @@ def _certificate_dict(cert) -> dict:
 
 def cmd_pierce(args) -> int:
     dim, balls = files.parse_ball_family(files.load_document(args.input))
-    pair = first_non_intersecting_pair(balls, args.tol)
-    if pair is not None:
-        _emit({"error": "precondition", "detail": "family is not pairwise intersecting",
-               "pair": list(pair)})
-        return EXIT_PRECONDITION
     family = BallFamily(dim, tuple(balls))
     config = PiercingConfig(seed=args.seed, tol=args.tol)
     verified = True
@@ -130,12 +127,12 @@ def cmd_pierce(args) -> int:
 
 def cmd_illuminate(args) -> int:
     body = files.parse_spiky_body(files.load_document(args.input))
-    ok, pair = is_cap_body(body, args.tol)
-    if not ok and not args.skip_cap_check:
-        _emit({"error": "precondition", "detail": "input is not a cap body",
-               "pair": list(pair)})
-        return EXIT_PRECONDITION
-    target = CapBody(body) if ok else body
+    try:
+        target = CapBody(body)
+    except PairwiseError:
+        if not args.skip_cap_check:
+            raise
+        target = body
     alpha = args.alpha if args.alpha is not None else solve_alpha(1e-9)
     verified = True
     witness = None
@@ -274,8 +271,8 @@ def cmd_verify(args) -> int:
         _emit({"report": {"passed": ok, "witness": witness}})
         return EXIT_OK if ok else EXIT_VERIFICATION
 
-    dirs = files.parse_direction_set(files.load_document(args.cover))
     doc = files.load_document(args.cover)
+    dirs = files.parse_direction_set(doc)
     theta = args.theta
     if theta is None:
         theta = (doc.get("meta") or {}).get("angular_radius")
@@ -299,7 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, output=True):
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="comparison tolerance (default 1e-9)")
+                       help="verification tolerance (default 1e-9); input "
+                       "preconditions always use 1e-9")
         if output:
             p.add_argument("--output", help="write the artifact to this path")
 
@@ -379,7 +377,10 @@ def main(argv=None) -> int:
         _emit({"error": "verification", "detail": str(exc), "witness": exc.witness})
         return EXIT_VERIFICATION
     except ValueError as exc:
-        _emit({"error": "precondition", "detail": str(exc)})
+        report = {"error": "precondition", "detail": str(exc)}
+        if isinstance(exc, PairwiseError):
+            report["pair"] = list(exc.pair)
+        _emit(report)
         return EXIT_PRECONDITION
 
 

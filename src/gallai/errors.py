@@ -13,3 +13,12 @@ class VerificationError(RuntimeError):
         super().__init__(message)
         self.witness = witness
         self.result = result
+
+
+class PairwiseError(ValueError):
+    """A pairwise precondition failed; ``pair`` is the first violating
+    index pair ``(i, j)``, ``i < j``, in row-major order."""
+
+    def __init__(self, message, pair):
+        super().__init__(message)
+        self.pair = pair

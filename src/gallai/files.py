@@ -2,9 +2,11 @@
 
 One self-describing document per artifact: a "kind" discriminator, a
 "dimension" field, and the payload. Numbers round-trip losslessly
-(shortest-repr doubles). Structural problems raise FileFormatError;
-semantic preconditions (e.g. non-intersecting families) are left to the
-domain constructors.
+(shortest-repr doubles). Structural problems raise FileFormatError.
+Meaning (radii, vertex norms, unit directions) is checked only by the
+domain constructors; a parser reports their ValueError as a
+FileFormatError. Pairwise preconditions (e.g. non-intersecting
+families) are left to the caller's constructor.
 """
 
 from __future__ import annotations
@@ -94,6 +96,14 @@ def _numeric_matrix(rows, dim: int, what: str) -> np.ndarray:
     return out
 
 
+def _construct(what: str, cls, *args):
+    """``cls(*args)``, with its ValueError reported as a FileFormatError."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise FileFormatError(f"{what}: {exc}") from exc
+
+
 def _provenance(doc: dict, count: int) -> tuple[str, ...]:
     tags = doc.get("provenance")
     if tags is None:
@@ -120,9 +130,9 @@ def parse_ball_family(doc: dict) -> tuple[int, list[Ball]]:
             raise FileFormatError(f"balls[{i}] must be an object")
         center = _numeric_matrix([_require(entry, "center", "ball")], dim, f"balls[{i}].center")[0]
         radius = _require(entry, "radius", "ball")
-        if not isinstance(radius, (int, float)) or isinstance(radius, bool) or not radius > 0:
-            raise FileFormatError(f"balls[{i}].radius must be a positive number")
-        balls.append(Ball(center, float(radius)))
+        if not isinstance(radius, (int, float)) or isinstance(radius, bool):
+            raise FileFormatError(f"balls[{i}].radius must be a number")
+        balls.append(_construct(f"balls[{i}]", Ball, center, float(radius)))
     return dim, balls
 
 
@@ -142,14 +152,7 @@ def ball_family_document(dimension: int, balls) -> dict:
 def parse_spiky_body(doc: dict) -> SpikyBall:
     dim = _check_kind(doc, KIND_SPIKY_BODY)
     vertices = _numeric_matrix(_require(doc, "vertices", KIND_SPIKY_BODY), dim, "vertices")
-    norms = np.linalg.norm(vertices, axis=1)
-    if np.any(norms <= 1.0):
-        bad = int(np.argmin(norms))
-        raise FileFormatError(f"vertices[{bad}] has norm {norms[bad]!r}; must exceed 1")
-    try:
-        return SpikyBall(dim, vertices)
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from exc
+    return _construct(KIND_SPIKY_BODY, SpikyBall, dim, vertices)
 
 
 def spiky_body_document(body, meta: dict | None = None) -> dict:
@@ -172,11 +175,8 @@ def parse_direction_set(doc: dict) -> DirectionSet:
     directions = _numeric_matrix(
         _require(doc, "directions", KIND_DIRECTION_SET), dim, "directions"
     )
-    norms = np.linalg.norm(directions, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        bad = int(np.argmax(np.abs(norms - 1.0)))
-        raise FileFormatError(f"directions[{bad}] is not unit norm ({norms[bad]!r})")
-    return DirectionSet(dim, directions, _provenance(doc, directions.shape[0]))
+    provenance = _provenance(doc, directions.shape[0])
+    return _construct(KIND_DIRECTION_SET, DirectionSet, dim, directions, provenance)
 
 
 def direction_set_document(d: DirectionSet, meta: dict | None = None) -> dict:

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 # Global slack for geometric comparisons.
 DEFAULT_TOL = 1e-9
@@ -48,6 +49,44 @@ def as_unit_vector(coords, dim: int | None = None, tol: float = UNIT_TOL) -> np.
     if abs(norm - 1.0) > tol:
         raise ValueError(f"not a unit vector (norm {norm!r})")
     return v
+
+
+def as_unit_rows(rows, dim: int, what: str) -> np.ndarray:
+    """Validate an (m, dim) array of unit rows (norms within ``DEFAULT_TOL``)."""
+    a = np.asarray(rows, dtype=float)
+    if a.ndim != 2 or a.shape[1] != dim:
+        raise ValueError(f"{what} must have shape (m, {dim})")
+    norms = np.linalg.norm(a, axis=1)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > DEFAULT_TOL)
+    if bad.size:
+        raise ValueError(f"{what}[{bad[0]}] is not a unit vector (norm {norms[bad[0]]!r})")
+    return a
+
+
+def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False):
+    """First pair ``(i, j)``, i < j in row-major order, whose distance lies
+    outside [low, high]; None if every pair is inside.
+
+    Distances come from coordinate differences (``cdist``), never from
+    the expansion |a|^2 + |b|^2 - 2 a.b, so translating the rows moves
+    them only by the rounding of the coordinates. With ``angles`` the
+    rows are unit vectors and the distance is their angle, taken as the
+    half-chord 2 asin(|a - b| / 2), which keeps full precision near 0,
+    where arccos(a.b) loses ~1e-8. ``low`` and ``high`` are scalars or
+    symmetric (m, m) arrays.
+    """
+    rows = np.asarray(rows, dtype=float)
+    m = rows.shape[0]
+    if m < 2:
+        return None
+    d = cdist(rows, rows)
+    if angles:
+        d = 2.0 * np.arcsin(np.minimum(0.5 * d, 1.0))
+    bad = np.triu((d < low) | (d > high), k=1)
+    if not bad.any():
+        return None
+    i, j = divmod(int(np.argmax(bad)), m)
+    return i, j
 
 
 def unit(coords) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .bounds import solve_alpha
-from .errors import VerificationError
-from .geometry import DEFAULT_TOL, SphericalCap, as_vector
+from .errors import PairwiseError, VerificationError
+from .geometry import DEFAULT_TOL, SphericalCap, as_unit_rows, as_vector, first_pair_outside
 from .sphere_cover import CoverParams, greedy_cover
 
 # A vertex must clear the unit sphere by at least this much.
@@ -58,8 +58,8 @@ class CapBody:
     def __post_init__(self):
         ok, pair = is_cap_body(self.spiky)
         if not ok:
-            raise ValueError(
-                f"not a cap body: caps of vertices {pair[0]} and {pair[1]} overlap"
+            raise PairwiseError(
+                f"not a cap body: caps of vertices {pair[0]} and {pair[1]} overlap", pair
             )
 
     @classmethod
@@ -87,12 +87,7 @@ class DirectionSet:
     provenance: tuple[str, ...] = ()
 
     def __post_init__(self):
-        d = np.asarray(self.directions, dtype=float)
-        if d.ndim != 2 or d.shape[1] != self.dimension:
-            raise ValueError(f"directions must have shape (k, {self.dimension})")
-        norms = np.linalg.norm(d, axis=1)
-        if d.shape[0] and np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("directions must be unit vectors")
+        d = as_unit_rows(self.directions, self.dimension, "directions")
         if self.provenance and len(self.provenance) != d.shape[0]:
             raise ValueError("one provenance tag per direction required")
         object.__setattr__(self, "directions", d)
@@ -141,19 +136,12 @@ def is_cap_body(s, tol: float = DEFAULT_TOL) -> tuple[bool, tuple[int, int] | No
     with the first violating pair in row-major order.
     """
     v = _vertices_of(s)
-    m = v.shape[0]
-    if m < 2:
-        return True, None
     norms = np.linalg.norm(v, axis=1)
-    axes = v / norms[:, None]
     radii = np.arccos(np.clip(1.0 / norms, -1.0, 1.0))
-    angles = np.arccos(np.clip(axes @ axes.T, -1.0, 1.0))
-    required = radii[:, None] + radii[None, :]
-    bad = np.triu(angles < required - tol, k=1)
-    if not bad.any():
-        return True, None
-    i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return False, (int(i), int(j))
+    pair = first_pair_outside(
+        v / norms[:, None], low=radii[:, None] + radii[None, :] - tol, angles=True
+    )
+    return pair is None, pair
 
 
 def positive_hull_full(directions, tol: float = 1e-9) -> bool:
@@ -273,11 +261,7 @@ def u1_separation_check(body, alpha: float, tol: float = DEFAULT_TOL) -> bool:
     norms = np.linalg.norm(v, axis=1)
     far = norms >= 1.0 / math.cos(alpha) - 1e-12
     axes = v[far] / norms[far][:, None]
-    if axes.shape[0] < 2:
-        return True
-    angles = np.arccos(np.clip(axes @ axes.T, -1.0, 1.0))
-    np.fill_diagonal(angles, math.pi)
-    return bool(angles.min() >= 2.0 * alpha - tol)
+    return first_pair_outside(axes, low=2.0 * alpha - tol, angles=True) is None
 
 
 def sweep_alpha(

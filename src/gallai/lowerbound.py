@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling
-from .errors import VerificationError
-from .geometry import DEFAULT_TOL
+from .errors import PairwiseError, VerificationError
+from .geometry import DEFAULT_TOL, as_unit_rows, first_pair_outside
 from .illumination import CapBody
 
 # Acceptance window for pairwise angular distances.
@@ -28,33 +28,25 @@ ANGLE_MAX = 2 * math.pi / 3
 VERTEX_SCALE = 2.0 / math.sqrt(3.0)
 
 
-def _pairwise_angles(points: np.ndarray) -> np.ndarray:
-    a = np.arccos(np.clip(points @ points.T, -1.0, 1.0))
-    np.fill_diagonal(a, math.nan)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class SeparatedSet:
     """Unit vectors with pairwise angles inside [pi/3, 2pi/3]."""
 
     dimension: int
     points: np.ndarray
-    epsilon: float = 0.0
     reached_target: bool = True
 
     def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
-        if p.ndim != 2 or p.shape[1] != self.dimension or p.shape[0] == 0:
-            raise ValueError(f"points must have shape (m, {self.dimension}), m >= 1")
-        if p.shape[0] > 1:
-            angles = _pairwise_angles(p)
-            lo = np.nanmin(angles)
-            hi = np.nanmax(angles)
-            if lo < ANGLE_MIN - DEFAULT_TOL or hi > ANGLE_MAX + DEFAULT_TOL:
-                raise ValueError(
-                    f"pairwise angles [{lo!r}, {hi!r}] leave the separation window"
-                )
+        p = as_unit_rows(self.points, self.dimension, "points")
+        if p.shape[0] == 0:
+            raise ValueError("points must be non-empty")
+        pair = first_pair_outside(
+            p, ANGLE_MIN - DEFAULT_TOL, ANGLE_MAX + DEFAULT_TOL, angles=True
+        )
+        if pair is not None:
+            raise PairwiseError(
+                f"points {pair[0]} and {pair[1]} leave the separation window", pair
+            )
         object.__setattr__(self, "points", p)
 
     def __len__(self):
@@ -69,9 +61,9 @@ class SymmetricSeparatedSet:
     points: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
-        if p.ndim != 2 or p.shape[1] != self.dimension or p.shape[0] == 0:
-            raise ValueError(f"points must have shape (m, {self.dimension}), m >= 1")
+        p = as_unit_rows(self.points, self.dimension, "points")
+        if p.shape[0] == 0:
+            raise ValueError("points must be non-empty")
         # Negation closure is exact: flipping signs is lossless in
         # floats. Adding 0.0 first collapses -0.0 onto 0.0 so the byte
         # comparison matches mathematical equality.
@@ -79,10 +71,9 @@ class SymmetricSeparatedSet:
         missing = [i for i, row in enumerate(-p + 0.0) if row.tobytes() not in have]
         if missing:
             raise ValueError(f"set is not negation-closed (point {missing[0]})")
-        if p.shape[0] > 1:
-            lo = np.nanmin(_pairwise_angles(p))
-            if lo < ANGLE_MIN - DEFAULT_TOL:
-                raise ValueError(f"pairwise separation {lo!r} below pi/3")
+        pair = first_pair_outside(p, low=ANGLE_MIN - DEFAULT_TOL, angles=True)
+        if pair is not None:
+            raise PairwiseError(f"points {pair[0]} and {pair[1]} are closer than pi/3", pair)
         object.__setattr__(self, "points", p)
 
     def __len__(self):
@@ -94,7 +85,6 @@ def construct_separated_set(
     target_size: int,
     seed: int = 0,
     max_draws: int | None = None,
-    epsilon: float = 0.0,
     stall_limit: int = 600,
 ) -> SeparatedSet:
     """Seeded rejection sampling of a separated set.
@@ -134,12 +124,7 @@ def construct_separated_set(
             stall = 0
         if len(accepted) > len(best):
             best = accepted
-    return SeparatedSet(
-        n,
-        np.array(best),
-        epsilon=epsilon,
-        reached_target=len(best) >= target_size,
-    )
+    return SeparatedSet(n, np.array(best), reached_target=len(best) >= target_size)
 
 
 def symmetrize(x: SeparatedSet) -> SymmetricSeparatedSet:

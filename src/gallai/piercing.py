@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import VerificationError
-from .geometry import DEFAULT_TOL, Ball, as_vector
+from .errors import PairwiseError, VerificationError
+from .geometry import DEFAULT_TOL, Ball, as_vector, first_pair_outside
 from .sphere_cover import CoverParams, greedy_cover
 
 # Distance entries evaluated at once by the blocked kernels below; bounds
@@ -76,7 +76,7 @@ class BallFamily:
                 )
         bad = first_non_intersecting_pair(balls)
         if bad is not None:
-            raise ValueError(f"balls {bad[0]} and {bad[1]} do not intersect")
+            raise PairwiseError(f"balls {bad[0]} and {bad[1]} do not intersect", bad)
 
     def centers(self) -> np.ndarray:
         return np.array([b.center for b in self.balls])
@@ -90,16 +90,10 @@ class BallFamily:
 
 def first_non_intersecting_pair(balls, tol: float = DEFAULT_TOL):
     """Index pair of the first disjoint pair, or None if all intersect."""
-    centers = np.array([b.center for b in balls])
     radii = np.array([b.radius for b in balls])
-    sq = np.einsum("ij,ij->i", centers, centers)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * centers @ centers.T, 0.0)
-    allowed = (radii[:, None] + radii[None, :] + tol) ** 2
-    bad = np.triu(d2 > allowed, k=1)
-    if not bad.any():
-        return None
-    i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return int(i), int(j)
+    return first_pair_outside(
+        [b.center for b in balls], high=radii[:, None] + radii[None, :] + tol
+    )
 
 
 @dataclass(frozen=True)

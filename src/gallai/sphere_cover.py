@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling
-from .errors import VerificationError
-from .geometry import DEFAULT_TOL
+from .errors import PairwiseError, VerificationError
+from .geometry import DEFAULT_TOL, as_unit_rows, first_pair_outside
 
 # Hard ceiling on exact-net sizes; nets grow exponentially with the
 # dimension, so past this the sampled certificate is the only option.
@@ -53,14 +53,9 @@ class Cover:
     certificate: CoverCertificate | None = None
 
     def __post_init__(self):
-        c = np.asarray(self.centers, dtype=float)
-        if c.ndim != 2 or c.shape[1] != self.dimension:
-            raise ValueError(f"centers must have shape (m, {self.dimension})")
+        c = as_unit_rows(self.centers, self.dimension, "centers")
         if not 0.0 < self.angular_radius <= math.pi / 2:
             raise ValueError("angular radius must lie in (0, pi/2]")
-        norms = np.linalg.norm(c, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("cover centers must be unit vectors")
         object.__setattr__(self, "centers", c)
 
     def __len__(self):
@@ -77,19 +72,14 @@ class Packing:
     saturated: bool = True
 
     def __post_init__(self):
-        c = np.asarray(self.centers, dtype=float)
-        if c.ndim != 2 or c.shape[1] != self.dimension:
-            raise ValueError(f"centers must have shape (m, {self.dimension})")
+        c = as_unit_rows(self.centers, self.dimension, "centers")
         if not 0.0 < self.separation < math.pi:
             raise ValueError("separation must lie in (0, pi)")
-        norms = np.linalg.norm(c, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("packing centers must be unit vectors")
         object.__setattr__(self, "centers", c)
-        worst = min_pairwise_angle(c)
-        if worst < self.separation - DEFAULT_TOL:
-            raise ValueError(
-                f"packing separation violated: min pairwise angle {worst!r}"
+        pair = first_pair_outside(c, low=self.separation - DEFAULT_TOL, angles=True)
+        if pair is not None:
+            raise PairwiseError(
+                f"packing separation violated by centers {pair[0]} and {pair[1]}", pair
             )
 
     def __len__(self):
@@ -118,16 +108,6 @@ class PackParams:
     polish_candidates: int = 256
     polish_steps: int = 60
     extra_rounds: int = 1
-
-
-def min_pairwise_angle(points: np.ndarray) -> float:
-    """Smallest angular distance among rows; inf for fewer than two."""
-    p = np.asarray(points, dtype=float)
-    if p.shape[0] < 2:
-        return math.inf
-    gram = p @ p.T
-    np.fill_diagonal(gram, -2.0)
-    return float(math.acos(min(1.0, max(-1.0, float(gram.max())))))
 
 
 def net_size(dim: int, m: int) -> int:

@@ -165,6 +165,17 @@ class TestExitCodes:
         assert out["error"] == "precondition"
         assert out["pair"] == [0, 1]
 
+    def test_near_miss_family_reports_pair_under_loose_tol(self, tmp_path, capsys):
+        # --tol loosens verification only; the 1e-6 gap still fails the
+        # precondition, which names the pair.
+        doc = files.ball_family_document(2, [Ball([0, 0], 1), Ball([2 + 1e-6, 0], 1)])
+        path = tmp_path / "near.json"
+        files.write_document(doc, path)
+        assert self.run("pierce", str(path), "--tol", "1e-5") == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "precondition"
+        assert out["pair"] == [0, 1]
+
     def test_verify_tampered_piercing(self, family_file, tmp_path, capsys):
         out = str(tmp_path / "points.json")
         assert self.run("pierce", family_file, "--output", out) == 0
@@ -194,6 +205,17 @@ class TestExitCodes:
         path = tmp_path / "spiky.json"
         files.write_document(files.spiky_body_document(SpikyBall(3, v)), path)
         assert self.run("illuminate", str(path)) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "precondition"
+        assert out["pair"] == [0, 1]
+
+    def test_overlapping_caps_report_pair_under_loose_tol(self, tmp_path, capsys):
+        # Two pi/4 caps whose axes are 5e-8 rad short of tangency.
+        gap = math.pi / 2 - 5e-8
+        v = math.sqrt(2.0) * np.array([[1.0, 0.0, 0.0], [math.cos(gap), math.sin(gap), 0.0]])
+        path = tmp_path / "overlap.json"
+        files.write_document(files.spiky_body_document(SpikyBall(3, v)), path)
+        assert self.run("illuminate", str(path), "--tol", "1e-5") == 3
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "precondition"
         assert out["pair"] == [0, 1]

@@ -1,5 +1,6 @@
 """Unit tests for the core geometric primitives."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,13 +8,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gallai import (
+    DEFAULT_TOL,
     Ball,
+    BallFamily,
+    CapBody,
+    Packing,
+    SeparatedSet,
     SphericalCap,
+    SpikyBall,
     angular_distance,
     balls_intersect,
     cap_contains,
+    is_cap_body,
     point_in_ball,
 )
+from gallai.errors import PairwiseError
+from gallai.geometry import first_pair_outside
+from gallai.piercing import first_non_intersecting_pair
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -132,3 +143,128 @@ class TestBalls:
             Ball([math.inf, 0], 1.0)
         with pytest.raises(ValueError):
             Ball([1.0], 1.0)  # dimension below 2
+
+
+def gram_first_pair(bad):
+    """Row-major first True above the diagonal, as the old checks found it."""
+    bad = np.triu(bad, k=1)
+    if not bad.any():
+        return None
+    i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return int(i), int(j)
+
+
+def gram_angles(units):
+    """The old arccos-of-Gram angles, kept here as the reference."""
+    return np.arccos(np.clip(units @ units.T, -1.0, 1.0))
+
+
+def pair_raised(make):
+    """The pair a constructor rejects with, or None if it accepts."""
+    try:
+        make()
+    except PairwiseError as exc:
+        return exc.pair
+    return None
+
+
+MARGIN = 1e-6
+
+
+def clear_of(values, thresholds):
+    """True iff every off-diagonal value is MARGIN away from each threshold."""
+    off = ~np.eye(values.shape[0], dtype=bool)
+    return all(np.abs(values - t)[off].min() >= MARGIN for t in thresholds)
+
+
+class TestPairwiseKernel:
+    """first_pair_outside against the Gram / arccos formulas it replaced,
+    on inputs whose pairs all sit at least MARGIN from every threshold."""
+
+    def check(self, cases, verdicts):
+        # Both verdicts must occur, so both branches are compared.
+        seen = {True: 0, False: 0}
+        for old, new in cases:
+            assert new == old
+            seen[old is None] += 1
+        assert min(seen.values()) >= verdicts
+
+    def test_families(self):
+        rng = np.random.default_rng(11)
+
+        def cases():
+            while True:
+                n = int(rng.integers(2, 6))
+                c = rng.uniform(-1.0, 1.0, (int(rng.integers(2, 12)), n)) * rng.uniform(0.3, 2.5)
+                r = rng.uniform(0.5, 1.5, c.shape[0])
+                limit = r[:, None] + r[None, :] + DEFAULT_TOL
+                gaps = np.linalg.norm(c[:, None] - c[None, :], axis=-1)
+                if not clear_of(gaps, [limit]):
+                    continue
+                sq = np.einsum("ij,ij->i", c, c)
+                d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * c @ c.T, 0.0)
+                old = gram_first_pair(d2 > limit**2)
+                balls = tuple(Ball(x, float(y)) for x, y in zip(c, r))
+                assert first_non_intersecting_pair(balls) == old
+                yield old, pair_raised(lambda: BallFamily(n, balls))
+
+        self.check(itertools.islice(cases(), 300), 60)
+
+    def test_cap_bodies(self):
+        rng = np.random.default_rng(12)
+
+        def cases():
+            while True:
+                n = int(rng.integers(3, 6))
+                axes = random_units(int(rng.integers(0, 1 << 30)), int(rng.integers(2, 8)), n)
+                caps = rng.uniform(0.05, 0.7, axes.shape[0])
+                need = caps[:, None] + caps[None, :] - DEFAULT_TOL
+                angles = gram_angles(axes)
+                if not clear_of(angles, [need]):
+                    continue
+                body = SpikyBall(n, axes / np.cos(caps)[:, None])
+                old = gram_first_pair(angles < need)
+                assert is_cap_body(body) == (old is None, old)
+                yield old, pair_raised(lambda: CapBody(body))
+
+        self.check(itertools.islice(cases(), 300), 60)
+
+    def test_packings(self):
+        rng = np.random.default_rng(13)
+
+        def cases():
+            while True:
+                n = int(rng.integers(2, 6))
+                c = random_units(int(rng.integers(0, 1 << 30)), int(rng.integers(2, 8)), n)
+                sep = float(rng.uniform(0.2, 1.6))
+                angles = gram_angles(c)
+                if not clear_of(angles, [sep - DEFAULT_TOL]):
+                    continue
+                old = gram_first_pair(angles < sep - DEFAULT_TOL)
+                yield old, pair_raised(lambda: Packing(n, sep, c))
+
+        self.check(itertools.islice(cases(), 300), 60)
+
+    def test_separated_sets(self):
+        rng = np.random.default_rng(14)
+        lo, hi = math.pi / 3 - DEFAULT_TOL, 2 * math.pi / 3 + DEFAULT_TOL
+
+        def cases():
+            while True:
+                n = int(rng.integers(3, 7))
+                p = random_units(int(rng.integers(0, 1 << 30)), int(rng.integers(2, 5)), n)
+                angles = gram_angles(p)
+                if not clear_of(angles, [lo, hi]):
+                    continue
+                old = gram_first_pair((angles < lo) | (angles > hi))
+                yield old, pair_raised(lambda: SeparatedSet(n, p))
+
+        self.check(itertools.islice(cases(), 300), 30)
+
+    def test_tiny_and_antipodal_angles(self):
+        e = np.array([[1.0, 0.0, 0.0], [math.cos(1e-8), math.sin(1e-8), 0.0]])
+        assert first_pair_outside(e, low=0.99e-8, angles=True) is None
+        assert first_pair_outside(e, low=1.01e-8, angles=True) == (0, 1)
+        flip = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        assert first_pair_outside(flip, high=math.pi - 1e-12, angles=True) == (0, 1)
+        assert first_pair_outside(flip[:1], low=1.0, angles=True) is None

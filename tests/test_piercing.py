@@ -90,6 +90,25 @@ class TestBallFamily:
         with pytest.raises(ValueError):
             BallFamily(2, (Ball([0, 0], 1), Ball([0, 0, 0], 1)))
 
+    def test_accepts_tiny_far_families(self):
+        # Radii in [1e-6, 2e-6] and centers within 0.99e-6 of a point 1e6
+        # from the origin, so every pair overlaps by at least 1% of its
+        # radius sum; then the same family scaled up by 1e3.
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            count = int(rng.integers(2, 30))
+            d = rng.standard_normal((count, n))
+            d *= (0.99 * rng.random(count) / np.linalg.norm(d, axis=1))[:, None]
+            radii = 1e-6 * rng.uniform(1.0, 2.0, count)
+            offset = 1e6 * rng.standard_normal(n) / math.sqrt(n)
+            centers = offset + 1e-6 * d
+            for scale in (1.0, 1e3):
+                BallFamily(
+                    n,
+                    tuple(Ball(scale * c, scale * float(r)) for c, r in zip(centers, radii)),
+                )
+
 
 class TestNormalizeFamily:
     def test_single_ball(self):

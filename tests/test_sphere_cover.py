@@ -16,7 +16,9 @@ from gallai import (
     sphere_net,
     verify_cover,
 )
-from gallai.sphere_cover import min_pairwise_angle, net_size
+from gallai.errors import PairwiseError
+from gallai.geometry import first_pair_outside
+from gallai.sphere_cover import net_size
 
 from conftest import circle_cover_optimum, circle_packing_optimum
 
@@ -159,7 +161,7 @@ class TestMaximalPacking:
     @pytest.mark.parametrize("n,theta", [(3, 1.0), (4, math.pi / 2), (5, 1.2)])
     def test_separation_exhaustive(self, n, theta):
         packing = maximal_packing(n, theta, seed=3)
-        assert min_pairwise_angle(packing.centers) >= theta - 1e-9
+        assert first_pair_outside(packing.centers, low=theta - 1e-9, angles=True) is None
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 2])
@@ -211,5 +213,11 @@ class TestTypes:
 
     def test_packing_rejects_violated_separation(self):
         centers = np.array([[1.0, 0.0], [math.cos(0.2), math.sin(0.2)]])
-        with pytest.raises(ValueError):
+        with pytest.raises(PairwiseError) as info:
             Packing(2, 1.0, centers)
+        assert info.value.pair == (0, 1)
+
+    def test_packing_resolves_tiny_angles(self):
+        # arccos of the dot product reads 0 for rows 1e-8 apart.
+        centers = np.array([[1.0, 0.0, 0.0], [math.cos(1e-8), math.sin(1e-8), 0.0]])
+        assert len(Packing(3, 5e-9, centers)) == 2
