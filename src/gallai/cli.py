@@ -293,11 +293,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    def common(p, output=True, tol=True):
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="verification tolerance (default 1e-9); input "
-                       "preconditions always use 1e-9")
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                           help="verification tolerance (default 1e-9); input "
+                           "preconditions always use 1e-9")
         if output:
             p.add_argument("--output", help="write the artifact to this path")
 
@@ -328,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover", help="construct a certified sphere cover")
     p.add_argument("--dimension", "-n", type=int, required=True)
     p.add_argument("--theta", type=float, required=True, help="cap angular radius")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("pack", help="construct a separated packing")
@@ -336,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True, help="minimum separation")
     p.add_argument("--max-points", type=int, default=0,
                    help="stop after this many points (0 = saturate)")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("lowerbound", help="symmetric separated set and its cap body")

@@ -90,17 +90,21 @@ def _numeric_matrix(rows, dim: int, what: str) -> np.ndarray:
             raise FileFormatError(
                 f"{what}[{i}] must be a list of {dim} numbers"
             )
-    out = np.asarray(rows, dtype=float)
+    try:
+        out = np.asarray(rows, dtype=float)
+    except OverflowError as exc:  # an integer too large for a double
+        raise FileFormatError(f"{what}: {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise FileFormatError(f"{what} contains non-finite values")
     return out
 
 
 def _construct(what: str, cls, *args):
-    """``cls(*args)``, with its ValueError reported as a FileFormatError."""
+    """``cls(*args)``, with its ValueError (or the OverflowError of an
+    integer too large for a double) reported as a FileFormatError."""
     try:
         return cls(*args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise FileFormatError(f"{what}: {exc}") from exc
 
 
@@ -132,7 +136,7 @@ def parse_ball_family(doc: dict) -> tuple[int, list[Ball]]:
         radius = _require(entry, "radius", "ball")
         if not isinstance(radius, (int, float)) or isinstance(radius, bool):
             raise FileFormatError(f"balls[{i}].radius must be a number")
-        balls.append(_construct(f"balls[{i}]", Ball, center, float(radius)))
+        balls.append(_construct(f"balls[{i}]", Ball, center, radius))
     return dim, balls
 
 

@@ -11,7 +11,6 @@ witness for the illumination number of the body.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,12 @@ ANGLE_MIN = math.pi / 3
 ANGLE_MAX = 2 * math.pi / 3
 
 VERTEX_SCALE = 2.0 / math.sqrt(3.0)
+
+# Candidates drawn per sampling.unit_vectors call in construct_separated_set.
+_BLOCK = 512
+# Band around each window edge inside which a block's dots are recomputed
+# with the per-candidate product of construct_separated_set.
+_RECHECK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +101,11 @@ def construct_separated_set(
     derived stream and the largest run wins. Stops at ``target_size``
     or once ``max_draws`` total draws are spent; an undersized result
     is flagged via ``reached_target``, never returned silently.
+
+    Candidates are drawn ``_BLOCK`` at a time and scanned with one matrix
+    product, but every decision, draw count and restart is that of a loop
+    drawing one vector per iteration, so the result does not depend on
+    ``_BLOCK``.
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
@@ -104,6 +114,7 @@ def construct_separated_set(
     budget = max_draws if max_draws is not None else max(20_000, 400 * target_size)
     cos_hi = math.cos(ANGLE_MIN)  # dots above this are too close
     cos_lo = math.cos(ANGLE_MAX)  # dots below this are too far
+    band = max(_RECHECK, 4.0 * n * np.finfo(float).eps)
     best: list[np.ndarray] = []
     drawn = 0
     restart = 0
@@ -113,18 +124,48 @@ def construct_separated_set(
         accepted: list[np.ndarray] = []
         stall = 0
         while drawn < budget and len(accepted) < target_size and stall <= stall_limit:
-            cand = sampling.unit_vectors(rng, n, 1)[0]
-            drawn += 1
-            if accepted:
-                dots = np.array(accepted) @ cand
-                if dots.max() > cos_hi or dots.min() < cos_lo:
-                    stall += 1
-                    continue
-            accepted.append(cand)
-            stall = 0
+            # A block never passes the budget or the stall limit, so the
+            # run stops after the same draw as a one-at-a-time loop; only a
+            # run that reaches its target leaves the rest of a block unused.
+            count = min(_BLOCK, budget - drawn, stall_limit + 1 - stall)
+            block = sampling.unit_vectors(rng, n, count)
+            while len(block) and len(accepted) < target_size:
+                i = _first_fit(block, accepted, cos_lo, cos_hi, band)
+                if i is None:
+                    drawn += len(block)
+                    stall += len(block)
+                    break
+                drawn += i + 1
+                accepted.append(block[i])
+                stall = 0
+                block = block[i + 1 :]
         if len(accepted) > len(best):
             best = accepted
     return SeparatedSet(n, np.array(best), reached_target=len(best) >= target_size)
+
+
+def _first_fit(block, accepted, cos_lo, cos_hi, band) -> int | None:
+    """First row of ``block`` whose dots with every accepted point lie in
+    [cos_lo, cos_hi], or None.
+
+    Decides each row as ``np.array(accepted) @ row`` would: the block's
+    matrix product may differ from it in the last bits, so rows with a
+    dot within ``band`` of either edge are recomputed that way.
+    """
+    if not accepted:
+        return 0
+    pts = np.array(accepted)
+    dots = block @ pts.T
+    near = (np.abs(dots - cos_hi) <= band) | (np.abs(dots - cos_lo) <= band)
+    outside = ((dots > cos_hi) | (dots < cos_lo)) & ~near
+    unsure = near.any(axis=1)
+    for i in np.flatnonzero(~outside.any(axis=1)):
+        if not unsure[i]:
+            return int(i)
+        exact = pts @ block[i].copy()  # a fresh row, like a single draw
+        if not (exact.max() > cos_hi or exact.min() < cos_lo):
+            return int(i)
+    return None
 
 
 def symmetrize(x: SeparatedSet) -> SymmetricSeparatedSet:
@@ -208,7 +249,8 @@ def multiplicity_report(
     u = sampling.unit_vectors(sampling.rng_from(seed), y.dimension, samples)
     counts = ((-u @ y.points.T) > math.cos(ANGLE_MIN) + tol).sum(axis=1)
     top = int(counts.max())
-    hist = tuple(sorted(Counter(int(c) for c in counts).items()))
+    freq = np.bincount(counts)
+    hist = tuple((int(k), int(freq[k])) for k in np.flatnonzero(freq))
     witness = len(y) / top if top > 0 else math.inf
     return MultiplicityReport(
         samples=samples,

@@ -19,16 +19,22 @@ def subrng(seed: int, tag: int) -> np.random.Generator:
 
 
 def unit_vectors(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """Uniform points on the unit sphere, shape (count, dim)."""
+    """Uniform points on the unit sphere, shape (count, dim).
+
+    Prefix-consistent: one call for a + b vectors returns what a call for
+    a followed by a call for b returns on the same stream.
+    """
     out = rng.standard_normal((count, dim))
     norms = np.linalg.norm(out, axis=1)
-    # Resample degenerate rows; astronomically rare but keeps the
-    # output well defined for every seed.
-    bad = norms < 1e-12
-    while np.any(bad):
-        out[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(out, axis=1)
-        bad = norms < 1e-12
+    # Drop degenerate rows and top up from the stream; astronomically
+    # rare, but it keeps the output well defined for every seed and the
+    # same however the draws are split into calls.
+    good = norms >= 1e-12
+    while not good.all():
+        more = rng.standard_normal((count - int(good.sum()), dim))
+        out = np.concatenate([out[good], more])
+        norms = np.concatenate([norms[good], np.linalg.norm(more, axis=1)])
+        good = norms >= 1e-12
     return out / norms[:, None]
 
 

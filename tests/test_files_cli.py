@@ -149,6 +149,25 @@ class TestExitCodes:
     def test_parse_error_on_missing_file(self, tmp_path, capsys):
         assert self.run("pierce", str(tmp_path / "nope.json")) == 2
 
+    @pytest.mark.parametrize("where", ["radius", "coordinate"])
+    def test_parse_error_on_integer_too_large_for_a_double(self, where, tmp_path, capsys):
+        huge = 10**400
+        ball = {"center": [huge, 0], "radius": 1} if where == "coordinate" else {
+            "center": [0, 0], "radius": huge}
+        doc = {"kind": "ball_family", "dimension": 2, "balls": [ball]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert self.run("pierce", str(path)) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "parse"
+
+    @pytest.mark.parametrize("command", ["cover", "pack"])
+    def test_tol_is_not_an_option_of(self, command, capsys):
+        # Neither command verifies anything a tolerance could loosen.
+        with pytest.raises(SystemExit) as exc:
+            self.run(command, "-n", "3", "--theta", "1.0", "--tol", "0.5")
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_precondition_on_disjoint_family(self, tmp_path, capsys):
         doc = {
             "kind": "ball_family",

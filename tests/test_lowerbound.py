@@ -1,6 +1,7 @@
 """Tests for separated sets, symmetrization, and multiplicity reports."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,8 +18,53 @@ from gallai import (
     multiplicity_report,
     symmetrize,
 )
+from gallai import sampling
+from gallai.lowerbound import _first_fit
 
 WINDOW = (math.pi / 3, 2 * math.pi / 3)
+
+
+def per_draw_separated_set(n, target_size, seed=0, max_draws=None, stall_limit=600):
+    """The one-vector-per-iteration rejection loop that
+    construct_separated_set must reproduce byte for byte."""
+    budget = max_draws if max_draws is not None else max(20_000, 400 * target_size)
+    cos_hi = math.cos(math.pi / 3)
+    cos_lo = math.cos(2 * math.pi / 3)
+    best = []
+    drawn = 0
+    restart = 0
+    while drawn < budget and len(best) < target_size:
+        rng = sampling.subrng(seed, restart)
+        restart += 1
+        accepted = []
+        stall = 0
+        while drawn < budget and len(accepted) < target_size and stall <= stall_limit:
+            cand = sampling.unit_vectors(rng, n, 1)[0]
+            drawn += 1
+            if accepted:
+                dots = np.array(accepted) @ cand
+                if dots.max() > cos_hi or dots.min() < cos_lo:
+                    stall += 1
+                    continue
+            accepted.append(cand)
+            stall = 0
+        if len(accepted) > len(best):
+            best = accepted
+    return np.array(best), len(best) >= target_size
+
+
+SAMPLER_CASES = [
+    (n, target, seed, None, 600)
+    for n in range(3, 9)
+    for target in (2 * n, 3 * n)
+    for seed in range(6)
+] + [
+    (3, 6, 0, 1, 600),
+    (4, 12, 1, 123, 3),
+    (5, 15, 2, 777, 0),
+    (6, 18, 3, 5000, 7),
+    (8, 24, 4, None, 3),
+]
 
 
 def pairwise_angles(points):
@@ -56,6 +102,39 @@ class TestConstructSeparatedSet:
             construct_separated_set(2, 4)
         with pytest.raises(ValueError):
             construct_separated_set(3, 0)
+
+    @pytest.mark.parametrize("n,target,seed,max_draws,stall_limit", SAMPLER_CASES)
+    def test_matches_per_draw_loop(self, n, target, seed, max_draws, stall_limit):
+        s = construct_separated_set(n, target, seed, max_draws, stall_limit)
+        points, reached = per_draw_separated_set(n, target, seed, max_draws, stall_limit)
+        assert s.points.tobytes() == points.tobytes()
+        assert s.reached_target == reached
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_first_fit_at_window_edges(self, n):
+        # Candidates whose dots sit within a few ulps of cos(pi/3) or
+        # cos(2pi/3): the block scan must decide each like the per-draw
+        # product, including the rows it has to recompute.
+        rng = np.random.default_rng(n)
+        cos_hi, cos_lo = math.cos(math.pi / 3), math.cos(2 * math.pi / 3)
+        accepted = list(sampling.unit_vectors(rng, n, 3))
+        pts = np.array(accepted)
+        rows = []
+        for _ in range(400):
+            a = pts[rng.integers(3)]
+            w = rng.standard_normal(n)
+            w -= (w @ a) * a
+            w /= np.linalg.norm(w)
+            c = rng.choice([cos_hi, cos_lo])
+            row = c * a + math.sqrt(1 - c * c) * w
+            rows.append(row / np.linalg.norm(row))
+        block = np.array(rows)
+        per_draw = (pts @ row.copy() for row in block)
+        fits = [not (d.max() > cos_hi or d.min() < cos_lo) for d in per_draw]
+        assert 0 < sum(fits) < len(fits)
+        for start in range(len(block)):
+            expect = next((i for i, ok in enumerate(fits[start:]) if ok), None)
+            assert _first_fit(block[start:], accepted, cos_lo, cos_hi, 1e-12) == expect
 
     def test_type_rejects_window_violation(self):
         with pytest.raises(ValueError):
@@ -176,6 +255,14 @@ class TestMultiplicityReport:
         y = symmetrize(construct_separated_set(4, 8, seed=8))
         rep = multiplicity_report(y, 5_000, seed=2)
         assert sum(freq for _, freq in rep.histogram) == 5_000
+
+    def test_histogram_matches_counter(self):
+        y = symmetrize(construct_separated_set(5, 15, seed=12))
+        rep = multiplicity_report(y, 20_000, seed=5)
+        u = sampling.unit_vectors(sampling.rng_from(5), 5, 20_000)
+        counts = ((-u @ y.points.T) > math.cos(math.pi / 3) + 1e-9).sum(axis=1)
+        assert rep.histogram == tuple(sorted(Counter(int(c) for c in counts).items()))
+        assert len(rep.histogram) > 2
 
     def test_witness_formula(self):
         y = symmetrize(construct_separated_set(3, 5, seed=9))
