@@ -273,12 +273,10 @@ def cmd_verify(args) -> int:
 
     doc = files.load_document(args.cover)
     dirs = files.parse_direction_set(doc)
-    theta = args.theta
-    if theta is None:
-        theta = (doc.get("meta") or {}).get("angular_radius")
+    theta = args.theta if args.theta is not None else files.parse_angular_radius(doc)
     if theta is None:
         raise ValueError("cover verification needs --theta or meta.angular_radius")
-    cover = Cover(dirs.dimension, float(theta), dirs.directions)
+    cover = Cover(dirs.dimension, theta, dirs.directions)
     resolution = args.resolution if args.method == "net" else args.samples
     cert = verify_cover(cover, args.method, resolution, seed=args.seed, tol=args.tol)
     _emit({"report": {"passed": cert.passed, "certificate": _certificate_dict(cert)}})

@@ -183,6 +183,22 @@ def parse_direction_set(doc: dict) -> DirectionSet:
     return _construct(KIND_DIRECTION_SET, DirectionSet, dim, directions, provenance)
 
 
+def parse_angular_radius(doc: dict) -> float | None:
+    """``meta.angular_radius`` of a cover document as a float; None if absent."""
+    meta = doc.get("meta") or {}
+    if not isinstance(meta, dict):
+        raise FileFormatError("meta must be an object")
+    theta = meta.get("angular_radius")
+    if theta is None:
+        return None
+    if not isinstance(theta, (int, float)) or isinstance(theta, bool):
+        raise FileFormatError(f"meta.angular_radius must be a number, got {theta!r}")
+    try:
+        return float(theta)
+    except OverflowError as exc:  # an integer too large for a double
+        raise FileFormatError(f"meta.angular_radius: {exc}") from exc
+
+
 def direction_set_document(d: DirectionSet, meta: dict | None = None) -> dict:
     doc = {
         "kind": KIND_DIRECTION_SET,

@@ -111,6 +111,10 @@ def construct_separated_set(
         raise ValueError("dimension must be at least 3")
     if target_size < 1:
         raise ValueError("target size must be positive")
+    if max_draws is not None and max_draws < 1:
+        raise ValueError(f"max_draws must be positive, got {max_draws}")
+    if stall_limit < 0:
+        raise ValueError(f"stall_limit must be non-negative, got {stall_limit}")
     budget = max_draws if max_draws is not None else max(20_000, 400 * target_size)
     cos_hi = math.cos(ANGLE_MIN)  # dots above this are too close
     cos_lo = math.cos(ANGLE_MAX)  # dots below this are too far

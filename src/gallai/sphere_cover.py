@@ -10,8 +10,10 @@ seeded Monte-Carlo check above that).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,16 +120,6 @@ def net_size(dim: int, m: int) -> int:
     )
 
 
-def _compositions(total: int, parts: int):
-    """Positive integer compositions of ``total`` into ``parts`` parts."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def sphere_net(
     dim: int, resolution: float, max_points: int = MAX_NET_POINTS
 ) -> tuple[np.ndarray, float]:
@@ -157,17 +149,22 @@ def sphere_net(
             f"net of resolution {resolution} in dimension {dim} needs {size} points "
             f"(limit {max_points}); use the sampled certificate instead"
         )
-    rows = np.empty((size, dim), dtype=float)
+    rows = np.zeros((size, dim))
     i = 0
     for j in range(1, min(dim, m) + 1):
+        # Rows run over supports, then compositions, then sign patterns,
+        # each in lexicographic order; the j - 1 partial sums of a
+        # composition of m are its cut points in 1..m-1.
+        cuts = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(1, m), j - 1)),
+            dtype=np.int64,
+        ).reshape(math.comb(m - 1, j - 1), j - 1)
+        comps = np.diff(cuts, axis=1, prepend=0, append=m)
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=j)))
+        block = (comps[:, None, :] * signs[None, :, :]).reshape(-1, j)
         for support in itertools.combinations(range(dim), j):
-            for comp in _compositions(m, j):
-                for signs in itertools.product((1.0, -1.0), repeat=j):
-                    row = np.zeros(dim)
-                    for axis, value, sign in zip(support, comp, signs):
-                        row[axis] = sign * value
-                    rows[i] = row
-                    i += 1
+            rows[i : i + len(block), list(support)] = block
+            i += len(block)
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     return rows, dim / m
 
@@ -257,11 +254,27 @@ def greedy_cover(
     marking candidates within a safety margin below theta as covered.
     Deterministic for fixed (n, theta, seed, params).
 
+    Covers are memoized per process in a cache of ``_COVER_CACHE_SIZE``
+    entries, so each one is built and certified on its first request
+    only; ``params=None`` and ``CoverParams()`` share an entry. The
+    returned cover is shared between callers and its ``centers`` array
+    is read-only.
+
     Raises:
         RuntimeError: If the configured center or net limit is exceeded.
         VerificationError: If the final certificate does not pass.
     """
-    params = params or CoverParams()
+    return _certified_cover(operator.index(n), float(theta), int(seed), params or CoverParams())
+
+
+# pierce_large asks for the same cover on every family of a dimension,
+# while a caller such as illuminate may pass a new seed every time: the
+# bound keeps that from growing memory with the number of calls.
+_COVER_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_COVER_CACHE_SIZE)
+def _certified_cover(n: int, theta: float, seed: int, params: CoverParams) -> Cover:
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if not 0.0 < theta <= math.pi / 2:
@@ -287,6 +300,7 @@ def greedy_cover(
         raise VerificationError(
             f"cover certification failed (margin {cert.margin!r})", result=cover
         )
+    cover.centers.flags.writeable = False
     return Cover(cover.dimension, theta, cover.centers, cert)
 
 

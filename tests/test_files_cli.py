@@ -267,6 +267,17 @@ class TestExitCodes:
         files.write_document(doc, cover_path)
         assert self.run("verify", "--cover", cover_path) == 4
 
+    @pytest.mark.parametrize("theta", [10**400, "1.2"])
+    def test_verify_cover_bad_angular_radius_is_parse_error(self, theta, tmp_path, capsys):
+        cover_path = str(tmp_path / "cover.json")
+        assert self.run("cover", "-n", "2", "--theta", "1.2", "--output", cover_path) == 0
+        capsys.readouterr()
+        doc = files.load_document(cover_path)
+        doc["meta"]["angular_radius"] = theta
+        files.write_document(doc, cover_path)
+        assert self.run("verify", "--cover", cover_path) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "parse"
+
     def test_verify_requires_exactly_one_target(self, capsys):
         assert self.run("verify") == 3
 

@@ -103,6 +103,16 @@ class TestConstructSeparatedSet:
         with pytest.raises(ValueError):
             construct_separated_set(3, 0)
 
+    @pytest.mark.parametrize("max_draws", [0, -5])
+    def test_rejects_empty_budget(self, max_draws):
+        with pytest.raises(ValueError, match="max_draws"):
+            construct_separated_set(3, 4, max_draws=max_draws)
+
+    def test_rejects_negative_stall_limit(self):
+        # Before this check the run never drew a vector and never ended.
+        with pytest.raises(ValueError, match="stall_limit"):
+            construct_separated_set(3, 4, stall_limit=-1)
+
     @pytest.mark.parametrize("n,target,seed,max_draws,stall_limit", SAMPLER_CASES)
     def test_matches_per_draw_loop(self, n, target, seed, max_draws, stall_limit):
         s = construct_separated_set(n, target, seed, max_draws, stall_limit)

@@ -21,6 +21,7 @@ from gallai import (
     refine_ball_cover,
     verify_piercing,
 )
+from gallai import sphere_cover
 from gallai.sampling import ball_points, cap_points, rng_from
 
 from conftest import circle_cover_optimum, random_intersecting_family
@@ -312,6 +313,17 @@ class TestPierce:
         assert out.accounting.total(3) == len(out)
         tags = [p for p in out.provenance if p == "large"]
         assert len(tags) == out.accounting.large_count
+
+    def test_repeat_with_cached_cover_is_byte_identical(self):
+        family = random_intersecting_family(3, 60, seed=4)
+        sphere_cover._certified_cover.cache_clear()
+        first = pierce(family)
+        hits = sphere_cover._certified_cover.cache_info().hits
+        second = pierce(family)
+        assert first.accounting.large_count > 0
+        assert sphere_cover._certified_cover.cache_info().hits == hits + 1
+        assert first.points.tobytes() == second.points.tobytes()
+        assert first.provenance == second.provenance
 
     @pytest.mark.parametrize("seed", range(8))
     def test_soundness_random_families(self, seed):

@@ -1,5 +1,6 @@
 """Tests for sphere covers, packings, nets, and their certificates."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from gallai import (
     verify_cover,
 )
 from gallai.errors import PairwiseError
+from gallai import sphere_cover
 from gallai.geometry import first_pair_outside
 from gallai.sphere_cover import net_size
 
@@ -25,6 +27,32 @@ from conftest import circle_cover_optimum, circle_packing_optimum
 
 def arc_centers(angles):
     return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def looped_net(dim, m):
+    """The row-by-row net construction sphere_net must reproduce byte for byte."""
+    rows = np.empty((net_size(dim, m), dim), dtype=float)
+    i = 0
+    for j in range(1, min(dim, m) + 1):
+        for support in itertools.combinations(range(dim), j):
+            for comp in compositions(m, j):
+                for signs in itertools.product((1.0, -1.0), repeat=j):
+                    row = np.zeros(dim)
+                    for axis, value, sign in zip(support, comp, signs):
+                        row[axis] = sign * value
+                    rows[i] = row
+                    i += 1
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    return rows
 
 
 class TestSphereNet:
@@ -51,6 +79,14 @@ class TestSphereNet:
     def test_unit_norms(self):
         net, _ = sphere_net(3, 0.4)
         assert np.allclose(np.linalg.norm(net, axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("extra", [0, 1, 2, 5])
+    def test_matches_row_loop(self, dim, extra):
+        m = dim + extra
+        net, delta = sphere_net(dim, dim / m)
+        assert delta == dim / m
+        assert net.tobytes() == looped_net(dim, m).tobytes()
 
 
 class TestVerifyCover:
@@ -120,7 +156,9 @@ class TestGreedyCover:
 
     def test_determinism(self):
         a = greedy_cover(4, 0.9, seed=7)
+        sphere_cover._certified_cover.cache_clear()
         b = greedy_cover(4, 0.9, seed=7)
+        assert a is not b
         assert np.array_equal(a.centers, b.centers)
 
     def test_monotone_in_theta(self):
@@ -143,6 +181,59 @@ class TestGreedyCover:
         with pytest.raises(ValueError):
             greedy_cover(3, math.pi / 2 + 0.01)
 
+
+class TestCoverCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        sphere_cover._certified_cover.cache_clear()
+        yield
+        sphere_cover._certified_cover.cache_clear()
+
+    def test_repeat_returns_same_cover(self):
+        a = greedy_cover(4, 0.9, seed=7)
+        assert greedy_cover(4, 0.9, seed=7) is a
+        assert sphere_cover._certified_cover.cache_info().misses == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_centers_are_read_only(self, n):
+        cover = greedy_cover(n, 0.9, seed=7)
+        assert not cover.centers.flags.writeable
+        with pytest.raises(ValueError):
+            cover.centers[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            cover.centers *= 2.0
+
+    def test_equivalent_keys_share_an_entry(self):
+        a = greedy_cover(3, 0.9, seed=7)
+        assert greedy_cover(3, 0.9, seed=np.int64(7), params=CoverParams()) is a
+        assert greedy_cover(np.int64(3), np.float64(0.9), 7, None) is a
+        assert sphere_cover._certified_cover.cache_info().currsize == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [(3, 0.9, 8, None), (3, 0.91, 7, None), (3, 0.9, 7, CoverParams(certify="sampled"))],
+    )
+    def test_different_keys_miss(self, args):
+        a = greedy_cover(3, 0.9, seed=7)
+        b = greedy_cover(*args)
+        assert b is not a
+        assert sphere_cover._certified_cover.cache_info().misses == 2
+
+    def test_size_is_bounded(self):
+        for seed in range(50):
+            greedy_cover(3, 1.2, seed=seed, params=CoverParams(certify="sampled"))
+        info = sphere_cover._certified_cover.cache_info()
+        assert info.misses == 50
+        assert info.currsize <= sphere_cover._COVER_CACHE_SIZE == info.maxsize
+
+    def test_failures_are_not_cached(self):
+        params = CoverParams(max_centers=3)
+        for _ in range(2):
+            with pytest.raises(RuntimeError):
+                greedy_cover(3, 0.2, seed=0, params=params)
+        info = sphere_cover._certified_cover.cache_info()
+        assert info.misses == 2
+        assert info.currsize == 0
 
 class TestMaximalPacking:
     def test_circle_square(self):
