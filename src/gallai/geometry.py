@@ -63,30 +63,55 @@ def as_unit_rows(rows, dim: int, what: str) -> np.ndarray:
     return a
 
 
-def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False):
-    """First pair ``(i, j)``, i < j in row-major order, whose distance lies
-    outside [low, high]; None if every pair is inside.
+# Distances per block of first_pair_outside: the check holds a few
+# arrays of this many entries at a time, whatever the number of rows.
+_PAIR_BLOCK = 2**16
 
-    Distances come from coordinate differences (``cdist``), never from
-    the expansion |a|^2 + |b|^2 - 2 a.b, so translating the rows moves
-    them only by the rounding of the coordinates. With ``angles`` the
-    rows are unit vectors and the distance is their angle, taken as the
-    half-chord 2 asin(|a - b| / 2), which keeps full precision near 0,
-    where arccos(a.b) loses ~1e-8. ``low`` and ``high`` are scalars or
-    symmetric (m, m) arrays.
+
+def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
+                       tol: float = 0.0):
+    """First pair ``(i, j)``, i < j in row-major order, whose distance lies
+    outside [low - tol, high + tol]; None if every pair is inside.
+
+    ``low`` and ``high`` are scalars or length-m vectors of per-row
+    limits; with vectors the window of the pair (i, j) is
+    [low[i] + low[j] - tol, high[i] + high[j] + tol], as for the sum of
+    two radii. Distances come from coordinate differences (``cdist``),
+    never from the expansion |a|^2 + |b|^2 - 2 a.b, so translating the
+    rows moves them only by the rounding of the coordinates. With
+    ``angles`` the rows are unit vectors and the distance is their
+    angle, taken as the half-chord 2 asin(|a - b| / 2), which keeps full
+    precision near 0, where arccos(a.b) loses ~1e-8. Rows are checked in
+    blocks of about ``_PAIR_BLOCK`` distances, so memory stays O(m n +
+    _PAIR_BLOCK).
     """
     rows = np.asarray(rows, dtype=float)
     m = rows.shape[0]
+    low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+    if any(x.ndim and x.shape != (m,) for x in (low, high)):
+        raise ValueError(f"per-row limits must have shape ({m},)")
     if m < 2:
         return None
-    d = cdist(rows, rows)
-    if angles:
-        d = 2.0 * np.arcsin(np.minimum(0.5 * d, 1.0))
-    bad = np.triu((d < low) | (d > high), k=1)
-    if not bad.any():
-        return None
-    i, j = divmod(int(np.argmax(bad)), m)
-    return i, j
+
+    def window(limit, start, stop, slack):
+        # Every limit is formed as (limit_i + limit_j) + slack.
+        if limit.ndim == 0:
+            return limit + slack
+        return limit[start:stop, None] + limit[None, start + 1:] + slack
+
+    step = max(1, _PAIR_BLOCK // m)
+    for start in range(0, m - 1, step):
+        stop = min(start + step, m - 1)
+        # Row i of the block against columns j = start + 1, ..., m - 1.
+        d = cdist(rows[start:stop], rows[start + 1:])
+        if angles:
+            d = 2.0 * np.arcsin(np.minimum(0.5 * d, 1.0))
+        bad = (d < window(low, start, stop, -tol)) | (d > window(high, start, stop, tol))
+        bad = np.triu(bad)
+        if bad.any():
+            i, c = divmod(int(np.argmax(bad)), bad.shape[1])
+            return start + i, start + 1 + c
+    return None
 
 
 def unit(coords) -> np.ndarray:

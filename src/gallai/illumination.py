@@ -138,9 +138,7 @@ def is_cap_body(s, tol: float = DEFAULT_TOL) -> tuple[bool, tuple[int, int] | No
     v = _vertices_of(s)
     norms = np.linalg.norm(v, axis=1)
     radii = np.arccos(np.clip(1.0 / norms, -1.0, 1.0))
-    pair = first_pair_outside(
-        v / norms[:, None], low=radii[:, None] + radii[None, :] - tol, angles=True
-    )
+    pair = first_pair_outside(v / norms[:, None], low=radii, angles=True, tol=tol)
     return pair is None, pair
 
 
@@ -213,7 +211,10 @@ def illuminate_cap_body(
     sphere cover of angular radius pi/2 - alpha, whose caps land inside
     every near vertex's illumination cap. The cover block is omitted
     when there are no near vertices and the axis directions already
-    positively span. Alpha defaults to the exponent balance point.
+    positively span. Alpha defaults to the exponent balance point. The
+    cover depends on (n, alpha) only, so calls with other seeds share
+    it; ``seed`` reaches only a sampled fallback cover (see
+    ``greedy_cover``).
 
     Raises:
         VerificationError: If the certificate fails on the output.
@@ -261,7 +262,7 @@ def u1_separation_check(body, alpha: float, tol: float = DEFAULT_TOL) -> bool:
     norms = np.linalg.norm(v, axis=1)
     far = norms >= 1.0 / math.cos(alpha) - 1e-12
     axes = v[far] / norms[far][:, None]
-    return first_pair_outside(axes, low=2.0 * alpha - tol, angles=True) is None
+    return first_pair_outside(axes, low=2.0 * alpha, angles=True, tol=tol) is None
 
 
 def sweep_alpha(

@@ -45,9 +45,7 @@ class SeparatedSet:
         p = as_unit_rows(self.points, self.dimension, "points")
         if p.shape[0] == 0:
             raise ValueError("points must be non-empty")
-        pair = first_pair_outside(
-            p, ANGLE_MIN - DEFAULT_TOL, ANGLE_MAX + DEFAULT_TOL, angles=True
-        )
+        pair = first_pair_outside(p, ANGLE_MIN, ANGLE_MAX, angles=True, tol=DEFAULT_TOL)
         if pair is not None:
             raise PairwiseError(
                 f"points {pair[0]} and {pair[1]} leave the separation window", pair
@@ -76,7 +74,7 @@ class SymmetricSeparatedSet:
         missing = [i for i, row in enumerate(-p + 0.0) if row.tobytes() not in have]
         if missing:
             raise ValueError(f"set is not negation-closed (point {missing[0]})")
-        pair = first_pair_outside(p, low=ANGLE_MIN - DEFAULT_TOL, angles=True)
+        pair = first_pair_outside(p, low=ANGLE_MIN, angles=True, tol=DEFAULT_TOL)
         if pair is not None:
             raise PairwiseError(f"points {pair[0]} and {pair[1]} are closer than pi/3", pair)
         object.__setattr__(self, "points", p)

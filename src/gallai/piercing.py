@@ -91,9 +91,7 @@ class BallFamily:
 def first_non_intersecting_pair(balls, tol: float = DEFAULT_TOL):
     """Index pair of the first disjoint pair, or None if all intersect."""
     radii = np.array([b.radius for b in balls])
-    return first_pair_outside(
-        [b.center for b in balls], high=radii[:, None] + radii[None, :] + tol
-    )
+    return first_pair_outside([b.center for b in balls], high=radii, tol=tol)
 
 
 @dataclass(frozen=True)

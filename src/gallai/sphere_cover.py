@@ -2,10 +2,11 @@
 
 Covers are upper witnesses for the covering number N(n, theta) and
 packings lower witnesses for the packing number M(n, theta); neither is
-claimed optimal. On the circle both problems are solved exactly; in
-higher dimensions a seeded greedy runs over a candidate set and the
-result carries a certificate (an exact net check in low dimensions, a
-seeded Monte-Carlo check above that).
+claimed optimal. On the circle both problems are solved exactly. In
+higher dimensions a cover grows at the deepest facet of the convex hull
+of its centers and is proved complete from the facet offsets; past a
+facet budget a seeded greedy over sampled candidates takes over, with a
+seeded Monte-Carlo certificate. Packings come from a seeded greedy.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from . import sampling
 from .errors import PairwiseError, VerificationError
@@ -31,14 +33,17 @@ MAX_NET_POINTS = 2_000_000
 class CoverCertificate:
     """Evidence that a set of caps covers the sphere.
 
-    The net method is a proof: if every net point lies within
-    theta - delta of a center, the cover is complete. The sampled
-    method is heuristic; ``undetected_measure`` is the relative measure
-    of an uncovered region that the sample count would still miss with
-    probability ~5%.
+    The hull and net methods are proofs. The hull method checks that the
+    facets of the centers' convex hull wrap once around the origin and
+    that every facet lies at least cos(theta) from it;
+    ``resolution_or_samples`` is then the number of facets checked. The
+    net method passes if every net point lies within theta - delta of a
+    center. The sampled method is heuristic; ``undetected_measure`` is
+    the relative measure of an uncovered region that the sample count
+    would still miss with probability ~5%.
     """
 
-    method: str  # "net" or "sampled"
+    method: str  # "hull", "net" or "sampled"
     resolution_or_samples: float
     margin: float
     passed: bool
@@ -78,7 +83,7 @@ class Packing:
         if not 0.0 < self.separation < math.pi:
             raise ValueError("separation must lie in (0, pi)")
         object.__setattr__(self, "centers", c)
-        pair = first_pair_outside(c, low=self.separation - DEFAULT_TOL, angles=True)
+        pair = first_pair_outside(c, low=self.separation, angles=True, tol=DEFAULT_TOL)
         if pair is not None:
             raise PairwiseError(
                 f"packing separation violated by centers {pair[0]} and {pair[1]}", pair
@@ -90,14 +95,19 @@ class Packing:
 
 @dataclass(frozen=True)
 class CoverParams:
-    """Knobs for greedy cover construction. Zero means adaptive."""
+    """Knobs for cover construction. Zero means adaptive.
+
+    ``certify="auto"`` builds a hull cover and proves it, and runs the
+    seeded sampled greedy only where the hull cannot be built;
+    ``"sampled"`` always runs the sampled greedy. ``candidates``,
+    ``margin`` and ``certify_samples`` apply to the sampled greedy only.
+    """
 
     candidates: int = 0
     margin: float = 0.0
-    certify: str = "auto"  # "auto", "net", or "sampled"
+    certify: str = "auto"  # "auto" or "sampled"
     certify_samples: int = 100_000
     max_centers: int = 20_000
-    max_net_points: int = MAX_NET_POINTS
 
 
 @dataclass(frozen=True)
@@ -179,6 +189,120 @@ def _max_gap(points: np.ndarray, centers: np.ndarray, chunk: int = 20_000) -> fl
     return worst
 
 
+# A facet whose vertex determinant is this small has no trusted
+# orientation. For unit rows |det| <= 1 (Hadamard), and the rounding of
+# an LU determinant of an n x n matrix stays near n^3 machine epsilons.
+_DET_FLOOR = 1e-9
+
+
+def _rounding(n: int) -> float:
+    # Bound on the rounding of an n-term dot product, a norm and a
+    # quotient of unit-scale rows (each within (n + 2) machine epsilons,
+    # Higham's gamma_n), with room to spare.
+    return 8 * (n + 2) * float(np.finfo(float).eps)
+
+
+def _closed_cycle(simplices: np.ndarray, det: np.ndarray) -> bool:
+    """True iff the simplices can be oriented so that every ridge occurs
+    exactly once with each orientation, with every simplex whose |det|
+    exceeds ``_DET_FLOOR`` oriented positively about the origin.
+
+    Flat simplices (Qhull's triangulation of a facet with coplanar
+    points can produce them) take whichever orientation their
+    neighbours force. Their cones have no interior, so they add nothing
+    to the count of cones over a generic direction.
+
+    Dropping vertex i of (v_0, ..., v_{n-1}) leaves a ridge with sign
+    (-1)^i; sorting the ridge's indices multiplies the sign by the parity
+    of the sort.
+    """
+    f, n = simplices.shape
+    flat = ~(np.abs(det) > _DET_FLOOR)
+    oriented = simplices.copy()
+    flip = (det < 0) & ~flat
+    oriented[flip, 0], oriented[flip, 1] = simplices[flip, 1], simplices[flip, 0]
+    ridges = np.stack([np.delete(oriented, i, axis=1) for i in range(n)], axis=1)
+    ridges = ridges.reshape(f * n, n - 1)
+    order = np.argsort(ridges, axis=1, kind="stable")
+    inversions = np.triu(order[:, :, None] > order[:, None, :], k=1).sum(axis=(1, 2))
+    signs = np.tile((-1) ** np.arange(n), f) * (-1) ** inversions
+    keys = np.take_along_axis(ridges, order, axis=1)
+    # Sorted, the ridges must come in equal pairs, and no pair may
+    # equal the next one.
+    rank = np.lexsort(keys.T[::-1])
+    keys, signs, owner = keys[rank], signs[rank], np.repeat(np.arange(f), n)[rank]
+    if not (
+        len(keys) % 2 == 0
+        and (keys[0::2] == keys[1::2]).all()
+        and (keys[1:-1:2] != keys[2::2]).any(axis=1).all()
+    ):
+        return False
+    s, t, a, b = owner[0::2], owner[1::2], signs[0::2], signs[1::2]
+    # x is each simplex's orientation, 0 while unknown; a pair of
+    # simplices sharing a ridge must give it opposite signs.
+    x = np.where(flat, 0, 1)
+    while (x == 0).any():
+        before = np.count_nonzero(x)
+        for u, w, su, sw in ((s, t, a, b), (t, s, b, a)):
+            fill = (x[u] == 0) & (x[w] != 0)
+            x[u[fill]] = -x[w[fill]] * su[fill] * sw[fill]
+        if np.count_nonzero(x) == before:
+            x[np.flatnonzero(x == 0)[0]] = 1  # touches no oriented simplex
+    return bool((x[s] * a + x[t] * b == 0).all())
+
+
+def _hull_certificate(centers: np.ndarray, theta: float, tol: float) -> CoverCertificate:
+    """Exact cover check from the facets of conv(centers).
+
+    Only Qhull's ``simplices`` are used, and they are checked, not
+    trusted:
+
+    1. Each simplex is oriented positively about the origin by the sign
+       of the determinant of its vertex rows; a flat one (|det| <=
+       ``_DET_FLOOR``) must have the origin strictly on one side of its
+       vertices and is oriented to fit its neighbours.
+    2. Every ridge must occur once with each orientation. The simplices
+       then form a closed cycle whose radial projection has degree at
+       least 1, so the cones over the non-flat simplices cover every
+       direction.
+    3. A direction u in the cone over simplex V is within arccos(1/|a|)
+       of one of its vertices, where V a = 1: the ray meets the facet
+       at x = u / (a . u), a convex combination of the vertices, and
+       u . x = 1 / (a . u) >= 1 / |a|. The offset 1/|a| is recomputed
+       from the solved a as min(V a) / (|a| max |v|), which stays a
+       lower bound for any a with V a > 0, less ``_rounding(n)``.
+
+    The margin is theta - arccos(smallest offset); any failure gives a
+    failed certificate with margin theta - pi, as no covering radius
+    below pi is then proved.
+    """
+    n = centers.shape[1]
+    failed = CoverCertificate("hull", 0, theta - math.pi, False)
+    try:
+        simplices = ConvexHull(centers).simplices
+    except (QhullError, ValueError):
+        return failed
+    v = centers[simplices]
+    det = np.linalg.det(v)
+    solid = np.abs(det) > _DET_FLOOR
+    flat = v[~solid]
+    if not solid.any() or (
+        np.einsum("fij,fj->fi", flat, flat.sum(axis=1)) <= _rounding(n) * n
+    ).any():
+        return failed
+    if not _closed_cycle(simplices, det):
+        return failed
+    v = v[solid]
+    a = np.linalg.solve(v, np.ones((len(v), n, 1)))[..., 0]
+    reach = np.einsum("fij,fj->fi", v, a).min(axis=1)
+    scale = np.linalg.norm(a, axis=1) * np.linalg.norm(centers, axis=1).max()
+    offset = float((reach / scale).min()) - _rounding(n)
+    if not offset > 0:
+        return failed
+    margin = theta - math.acos(min(offset, 1.0))
+    return CoverCertificate("hull", len(simplices), margin, margin >= -tol)
+
+
 def verify_cover(
     cover: Cover,
     method: str = "sampled",
@@ -187,14 +311,20 @@ def verify_cover(
     tol: float = DEFAULT_TOL,
     max_net_points: int = MAX_NET_POINTS,
 ) -> CoverCertificate:
-    """Certify a cover by an exact net check or by uniform sampling.
+    """Certify a cover exactly from its convex hull or over a net, or by
+    uniform sampling.
 
-    Net method: builds a delta-net and passes iff every net point lies
-    within theta - delta of a center, which proves the cover is
-    complete. Requires delta < theta. Sampled method: passes iff all of
-    k uniform points are covered (closed caps, tolerance-inclusive).
+    Hull method: proves the cover complete from the facets of the
+    centers' convex hull (see ``_hull_certificate``); in any dimension
+    where Qhull can build that hull. Net method: builds a delta-net and
+    passes iff every net point lies within theta - delta of a center,
+    which proves the cover is complete. Requires delta < theta. Sampled
+    method: passes iff all of k uniform points are covered (closed caps,
+    tolerance-inclusive).
     """
     theta = cover.angular_radius
+    if method == "hull":
+        return _hull_certificate(cover.centers, theta, tol)
     if method == "net":
         delta = float(resolution_or_samples) if resolution_or_samples else theta / 8
         if delta >= theta:
@@ -230,6 +360,10 @@ def _circle_positions(count: int) -> np.ndarray:
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
+def _circle_count(theta: float) -> int:
+    return max(2, math.ceil(math.pi / theta - 1e-12))
+
+
 def _adaptive_pool(n: int) -> int:
     return {3: 30_000, 4: 40_000, 5: 60_000}.get(n, 100_000)
 
@@ -248,60 +382,124 @@ def greedy_cover(
     """Construct a certified cover of the unit sphere by caps of radius theta.
 
     On the circle the optimal cover (ceil(pi/theta) equally spaced
-    centers) is returned directly. Otherwise a seeded greedy covers a
-    candidate set: repeatedly select the uncovered candidate farthest
-    from the chosen centers (ties by index) and promote it to a center,
-    marking candidates within a safety margin below theta as covered.
-    Deterministic for fixed (n, theta, seed, params).
+    centers) is returned. Otherwise the centers start as the
+    cross-polytope, and the unit normal of the hull facet nearest the
+    origin, which is the point of the sphere farthest from every
+    center, is added until every facet lies at least cos(theta) from
+    the origin. Either cover is proved by ``verify_cover(method="hull")``
+    and depends on (n, theta) only; ``seed`` is not used.
 
-    Covers are memoized per process in a cache of ``_COVER_CACHE_SIZE``
-    entries, so each one is built and certified on its first request
-    only; ``params=None`` and ``CoverParams()`` share an entry. The
-    returned cover is shared between callers and its ``centers`` array
-    is read-only.
+    The seeded sampled path (``params.certify="sampled"``) runs instead
+    when the hull passes ``_HULL_FACET_BUDGET`` facets or Qhull fails
+    (it does from n = 8), and for the two-point circle cover at
+    theta = pi/2, which encloses no polygon. It keeps the circle
+    optimum; elsewhere it repeatedly promotes the uncovered pool
+    candidate farthest from the chosen centers (ties by index) and marks
+    candidates within a safety margin below theta as covered. Its
+    covers are certified by sampling. Deterministic for fixed
+    (n, theta, seed, params).
+
+    Covers are memoized per process, keyed by (n, theta,
+    params.max_centers) for hull covers and (n, theta, seed, params) for
+    sampled ones, in caches of ``_COVER_CACHE_SIZE`` entries, so each is
+    built and certified on its first request only; ``params=None`` and
+    ``CoverParams()`` share an entry. The returned cover is shared
+    between callers and its ``centers`` array is read-only.
 
     Raises:
-        RuntimeError: If the configured center or net limit is exceeded.
+        RuntimeError: If the configured center limit is exceeded.
         VerificationError: If the final certificate does not pass.
     """
-    return _certified_cover(operator.index(n), float(theta), int(seed), params or CoverParams())
-
-
-# pierce_large asks for the same cover on every family of a dimension,
-# while a caller such as illuminate may pass a new seed every time: the
-# bound keeps that from growing memory with the number of calls.
-_COVER_CACHE_SIZE = 16
-
-
-@functools.lru_cache(maxsize=_COVER_CACHE_SIZE)
-def _certified_cover(n: int, theta: float, seed: int, params: CoverParams) -> Cover:
+    n, theta = operator.index(n), float(theta)
+    params = params or CoverParams()
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if not 0.0 < theta <= math.pi / 2:
         raise ValueError("theta must lie in (0, pi/2]")
+    if params.certify not in ("auto", "sampled"):
+        raise ValueError(f"unknown cover certification {params.certify!r}")
+    if params.certify == "auto":
+        cover = _hull_cover(n, theta, params.max_centers)
+        if cover is not None:
+            return cover
+    return _sampled_cover(n, theta, int(seed), params)
 
-    if n == 2:
-        count = max(2, math.ceil(math.pi / theta - 1e-12))
-        centers = _circle_positions(count)
-        cover = Cover(2, theta, centers)
-        cert = verify_cover(
-            cover, "sampled", params.certify_samples, seed=_derived_seed(seed, 1)
-        )
-    else:
-        centers, cert_plan = _greedy_cover_nd(n, theta, seed, params)
-        cover = Cover(n, theta, centers)
-        if cert_plan[0] == "net":
-            cert = verify_cover(cover, "net", cert_plan[1], max_net_points=params.max_net_points)
-        else:
-            cert = verify_cover(
-                cover, "sampled", params.certify_samples, seed=_derived_seed(seed, 1)
-            )
+
+# pierce_large asks for the same cover on every family of a dimension,
+# while a caller of the sampled greedy may pass a new seed every time:
+# the bound keeps that from growing memory with the number of calls.
+_COVER_CACHE_SIZE = 16
+# Facets a hull cover may reach before the sampled greedy takes over.
+# At the illumination and large-ball radii hull covers end with 1,184
+# facets at n = 6 and 10,992 and 14,800 at n = 7 (about 1 s to build).
+_HULL_FACET_BUDGET = 20_000
+# The build stops once Qhull's smallest offset clears cos(theta) by this,
+# far above Qhull's and the certificate's rounding, so the certificate
+# of a finished build has a positive margin.
+_BUILD_SLACK = 1e-10
+
+
+def _certified(cover: Cover, cert: CoverCertificate) -> Cover:
     if not cert.passed:
         raise VerificationError(
             f"cover certification failed (margin {cert.margin!r})", result=cover
         )
     cover.centers.flags.writeable = False
-    return Cover(cover.dimension, theta, cover.centers, cert)
+    return Cover(cover.dimension, cover.angular_radius, cover.centers, cert)
+
+
+@functools.lru_cache(maxsize=_COVER_CACHE_SIZE)
+def _hull_cover(n: int, theta: float, max_centers: int) -> Cover | None:
+    """Hull-built, hull-certified cover; None where the sampled greedy
+    has to take over (the result is cached either way)."""
+    if n == 2:
+        count = _circle_count(theta)
+        if count == 2:
+            return None
+        centers = _circle_positions(count)
+    else:
+        centers = _hull_centers(n, theta, max_centers)
+        if centers is None:
+            return None
+    cover = Cover(n, theta, centers)
+    return _certified(cover, verify_cover(cover, "hull"))
+
+
+def _hull_centers(n: int, theta: float, max_centers: int) -> np.ndarray | None:
+    if 2 * n > max_centers:
+        raise RuntimeError(f"cover construction exceeded {max_centers} centers")
+    target = math.cos(theta) + _BUILD_SLACK
+    try:
+        hull = ConvexHull(np.concatenate([np.eye(n), -np.eye(n)]), incremental=True)
+    except QhullError:
+        return None
+    try:
+        while True:
+            offsets = -hull.equations[:, -1]
+            j = int(np.argmin(offsets))
+            if offsets[j] >= target:
+                return np.array(hull.points)
+            if len(offsets) > _HULL_FACET_BUDGET:
+                return None
+            if hull.npoints >= max_centers:
+                raise RuntimeError(f"cover construction exceeded {max_centers} centers")
+            normal = hull.equations[j, :-1]
+            hull.add_points((normal / np.linalg.norm(normal))[None, :])
+    except QhullError:
+        return None
+    finally:
+        hull.close()
+
+
+@functools.lru_cache(maxsize=_COVER_CACHE_SIZE)
+def _sampled_cover(n: int, theta: float, seed: int, params: CoverParams) -> Cover:
+    if n == 2:
+        centers = _circle_positions(_circle_count(theta))
+    else:
+        centers = _greedy_cover_nd(n, theta, seed, params)
+    cover = Cover(n, theta, centers)
+    cert = verify_cover(cover, "sampled", params.certify_samples, seed=_derived_seed(seed, 1))
+    return _certified(cover, cert)
 
 
 def _derived_seed(seed: int, tag: int) -> int:
@@ -311,23 +509,13 @@ def _derived_seed(seed: int, tag: int) -> int:
 
 
 def _greedy_cover_nd(n, theta, seed, params):
-    use_net = params.certify == "net" or (params.certify == "auto" and n <= 3)
-    if use_net:
-        # Candidates are an exact net; covering them at depth
-        # theta - 1.5 delta proves a complete cover with margin to spare.
-        target = min(theta / 6.0, 0.12)
-        candidates, delta = sphere_net(n, target, params.max_net_points)
-        mark_depth = theta - 1.5 * delta
-        plan = ("net", delta)
-    else:
-        pool = params.candidates or _adaptive_pool(n)
-        margin = params.margin or _adaptive_margin(n, theta, pool)
-        cross = np.concatenate([np.eye(n), -np.eye(n)])
-        candidates = np.concatenate(
-            [cross, sampling.unit_vectors(sampling.rng_from(seed), n, pool)]
-        )
-        mark_depth = theta - margin
-        plan = ("sampled", None)
+    pool = params.candidates or _adaptive_pool(n)
+    margin = params.margin or _adaptive_margin(n, theta, pool)
+    cross = np.concatenate([np.eye(n), -np.eye(n)])
+    candidates = np.concatenate(
+        [cross, sampling.unit_vectors(sampling.rng_from(seed), n, pool)]
+    )
+    mark_depth = theta - margin
     if mark_depth <= 0:
         raise ValueError(f"cap radius {theta} too small for the candidate resolution")
 
@@ -345,7 +533,7 @@ def _greedy_cover_nd(n, theta, seed, params):
                 f"cover construction exceeded {params.max_centers} centers"
             )
         np.maximum(best, candidates @ c, out=best)
-    return np.array(picked), plan
+    return np.array(picked)
 
 
 def _repel(u, centers, cos_target, steps):

@@ -267,6 +267,21 @@ class TestExitCodes:
         files.write_document(doc, cover_path)
         assert self.run("verify", "--cover", cover_path) == 4
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_verify_cover_hull_and_tamper(self, n, tmp_path, capsys):
+        cover_path = str(tmp_path / "cover.json")
+        assert self.run("cover", "-n", str(n), "--theta", "0.987", "--output", cover_path) == 0
+        capsys.readouterr()
+        assert self.run("verify", "--cover", cover_path, "--method", "hull") == 0
+        cert = json.loads(capsys.readouterr().out)["report"]["certificate"]
+        assert cert["method"] == "hull" and cert["margin"] > 0
+        doc = files.load_document(cover_path)
+        doc["directions"] = doc["directions"][1:]
+        files.write_document(doc, cover_path)
+        assert self.run("verify", "--cover", cover_path, "--method", "hull") == 4
+        cert = json.loads(capsys.readouterr().out)["report"]["certificate"]
+        assert not cert["passed"] and math.isfinite(cert["margin"])
+
     @pytest.mark.parametrize("theta", [10**400, "1.2"])
     def test_verify_cover_bad_angular_radius_is_parse_error(self, theta, tmp_path, capsys):
         cover_path = str(tmp_path / "cover.json")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gallai import (
     is_cap_body,
     point_in_ball,
 )
+from gallai import geometry
 from gallai.errors import PairwiseError
 from gallai.geometry import first_pair_outside
 from gallai.piercing import first_non_intersecting_pair
@@ -268,3 +270,55 @@ class TestPairwiseKernel:
         flip = np.array([[1.0, 0.0], [-1.0, 0.0]])
         assert first_pair_outside(flip, high=math.pi - 1e-12, angles=True) == (0, 1)
         assert first_pair_outside(flip[:1], low=1.0, angles=True) is None
+
+
+def dense_first_pair(rows, low, high, angles):
+    """The unblocked check over full m x m distance and limit arrays."""
+    d = np.linalg.norm(rows[:, None] - rows[None, :], axis=-1)
+    if angles:
+        d = 2.0 * np.arcsin(np.minimum(0.5 * d, 1.0))
+    bad = np.triu((d < low) | (d > high), k=1)
+    if not bad.any():
+        return None
+    return divmod(int(np.argmax(bad)), rows.shape[0])
+
+
+class TestBlockedPairs:
+    @pytest.mark.parametrize("block", [1, 7, 64, 2**16])
+    def test_first_pair_matches_dense(self, block, monkeypatch):
+        # Many violating pairs, so the row-major first one is what counts.
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for _ in range(40):
+            m = int(rng.integers(2, 40))
+            c = rng.uniform(-2.0, 2.0, (m, 3))
+            r = rng.uniform(0.2, 1.5, m)
+            want = dense_first_pair(c, -math.inf, r[:, None] + r[None, :] + 1e-9, False)
+            assert first_pair_outside(c, high=r, tol=1e-9) == want
+            u = random_units(int(rng.integers(0, 1 << 30)), m, 3)
+            lo, hi = float(rng.uniform(0.2, 1.0)), float(rng.uniform(1.5, 3.0))
+            want = dense_first_pair(u, lo - 1e-9, hi + 1e-9, True)
+            assert first_pair_outside(u, lo, hi, angles=True, tol=1e-9) == want
+            caps = rng.uniform(0.05, 0.6, m)
+            want = dense_first_pair(u, caps[:, None] + caps[None, :] - 1e-9, math.inf, True)
+            assert first_pair_outside(u, low=caps, angles=True, tol=1e-9) == want
+
+    def test_limit_shape_checked(self):
+        with pytest.raises(ValueError):
+            first_pair_outside(np.eye(3), high=np.ones(2))
+
+    def test_memory_bounded(self):
+        # The dense check held m x m distances and limits: 163 MB traced
+        # for these 3,000 balls.
+        rng = np.random.default_rng(3)
+        d = rng.standard_normal((3000, 3))
+        centers = d / np.linalg.norm(d, axis=1)[:, None] * rng.random(3000)[:, None] ** (1 / 3)
+        balls = tuple(Ball(c, 1.0) for c in centers)
+        tracemalloc.start()
+        try:
+            family = BallFamily(3, balls)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(family) == 3000
+        assert peak < 8 * 2**20

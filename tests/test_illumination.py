@@ -19,6 +19,7 @@ from gallai import (
     u1_separation_check,
     verifies_illumination,
 )
+from gallai import sphere_cover
 from gallai.illumination import monte_carlo_hull_margin
 
 from conftest import random_cap_body, random_direction_set
@@ -224,6 +225,18 @@ class TestIlluminateCapBody:
         b = illuminate_cap_body(body, seed=21)
         assert np.array_equal(a.directions, b.directions)
         assert a.provenance == b.provenance
+
+    def test_other_seed_reuses_the_cover(self):
+        # The U2 block is a hull cover, which depends on (n, theta) only.
+        sphere_cover._hull_cover.cache_clear()
+        body = random_cap_body(5, 40, seed=9)
+        a = illuminate_cap_body(body, seed=1)
+        b = illuminate_cap_body(body, seed=2)
+        u2 = [i for i, tag in enumerate(a.provenance) if tag.startswith("U2:")]
+        assert u2 and a.provenance == b.provenance
+        assert a.directions[u2].tobytes() == b.directions[u2].tobytes()
+        info = sphere_cover._hull_cover.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):

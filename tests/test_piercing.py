@@ -316,12 +316,12 @@ class TestPierce:
 
     def test_repeat_with_cached_cover_is_byte_identical(self):
         family = random_intersecting_family(3, 60, seed=4)
-        sphere_cover._certified_cover.cache_clear()
+        sphere_cover._hull_cover.cache_clear()
         first = pierce(family)
-        hits = sphere_cover._certified_cover.cache_info().hits
+        hits = sphere_cover._hull_cover.cache_info().hits
         second = pierce(family)
         assert first.accounting.large_count > 0
-        assert sphere_cover._certified_cover.cache_info().hits == hits + 1
+        assert sphere_cover._hull_cover.cache_info().hits == hits + 1
         assert first.points.tobytes() == second.points.tobytes()
         assert first.provenance == second.provenance
 

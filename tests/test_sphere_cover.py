@@ -17,16 +17,48 @@ from gallai import (
     sphere_net,
     verify_cover,
 )
+from gallai.bounds import solve_alpha
 from gallai.errors import PairwiseError
 from gallai import sphere_cover
 from gallai.geometry import first_pair_outside
+from gallai.piercing import cap_overlap_radius
 from gallai.sphere_cover import net_size
+from scipy.spatial import ConvexHull, QhullError
 
 from conftest import circle_cover_optimum, circle_packing_optimum
 
 
 def arc_centers(angles):
     return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def clear_cover_caches():
+    sphere_cover._hull_cover.cache_clear()
+    sphere_cover._sampled_cover.cache_clear()
+
+
+def cover_misses():
+    return (
+        sphere_cover._hull_cover.cache_info().misses
+        + sphere_cover._sampled_cover.cache_info().misses
+    )
+
+
+# The two radii the library asks covers for: the illumination radius
+# pi/2 - alpha* and the large-ball cap radius at the default threshold n.
+ILLUMINATION_THETA = math.pi / 2 - solve_alpha(1e-9)
+LIBRARY_RADII = [(n, theta) for n in range(2, 7)
+                 for theta in (ILLUMINATION_THETA, cap_overlap_radius(n, n))]
+
+
+def facet_offsets(centers):
+    """Distances from the origin to the facet hyperplanes of conv(centers),
+    each from the null vector of its edge vectors (SVD), not from a
+    linear solve; flat simplices span no hyperplane and are skipped."""
+    v = centers[ConvexHull(centers).simplices]
+    _, sv, vh = np.linalg.svd(v[:, 1:] - v[:, :1])
+    solid = sv[:, -1] > 1e-9
+    return np.abs(np.einsum("fj,fj->f", vh[solid, -1], v[solid, 0]))
 
 
 def compositions(total, parts):
@@ -132,6 +164,95 @@ class TestVerifyCover:
             verify_cover(cover, "exhaustive")
 
 
+class TestHullCertificate:
+    def test_three_tangent_arcs(self):
+        # Tangent arcs: the exact covering radius is pi/3, so the margin
+        # is zero up to rounding and a 1e-6 change of theta decides.
+        centers = arc_centers([0, 2 * math.pi / 3, 4 * math.pi / 3])
+        cert = verify_cover(Cover(2, math.pi / 3, centers), "hull")
+        assert cert.method == "hull"
+        assert abs(cert.margin) < 1e-12
+        assert not verify_cover(Cover(2, math.pi / 3 - 1e-6, centers), "hull").passed
+        assert verify_cover(Cover(2, math.pi / 3 + 1e-6, centers), "hull").passed
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_dropping_any_center_fails(self, n):
+        cover = greedy_cover(n, ILLUMINATION_THETA)
+        assert verify_cover(cover, "hull").passed
+        for k in range(len(cover)):
+            rest = np.delete(cover.centers, k, axis=0)
+            assert not verify_cover(Cover(n, cover.angular_radius, rest), "hull").passed
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_hemisphere_fails(self, n):
+        # Centers with a positive first coordinate leave the direction
+        # -e_1 farther than pi/2 from all of them, whatever theta.
+        rng = np.random.default_rng(n)
+        pts = rng.standard_normal((60, n))
+        pts[:, 0] = np.abs(pts[:, 0]) + 0.05
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        cert = verify_cover(Cover(n, math.pi / 2, pts), "hull")
+        assert not cert.passed
+        assert cert.margin == -math.pi / 2
+
+    @pytest.mark.parametrize("centers", [
+        np.array([[1.0, 0.0]]),
+        np.array([[1.0, 0.0], [-1.0, 0.0]]),
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ])
+    def test_degenerate_hull_fails_without_raising(self, centers):
+        cover = Cover(centers.shape[1], math.pi / 2, centers)
+        assert not verify_cover(cover, "hull").passed
+
+    def test_cycle_check(self):
+        # The octahedron's eight triangles, each oriented positively.
+        tri = np.array([[i, j, k] for i in (0, 3) for j in (1, 4) for k in (2, 5)])
+        octahedron = np.concatenate([np.eye(3), -np.eye(3)])
+        det = np.linalg.det(octahedron[tri])
+        assert sphere_cover._closed_cycle(tri, det)
+        assert not sphere_cover._closed_cycle(tri[1:], det[1:])
+        assert not sphere_cover._closed_cycle(np.concatenate([tri, tri[:1]]),
+                                              np.concatenate([det, det[:1]]))
+        # A flat triangle's orientation is free, but its ridges must pair.
+        flat = det.copy()
+        flat[0] = 0.0
+        assert sphere_cover._closed_cycle(tri, flat)
+        wrong = det.copy()
+        wrong[0] = -wrong[0]
+        assert not sphere_cover._closed_cycle(tri, wrong)
+
+    def test_flat_triangulation_simplices(self):
+        # In dimension 4 at theta = 0.5 the hull has facets with coplanar
+        # vertices, which Qhull's triangulation splits into flat simplices.
+        cover = greedy_cover(4, 0.5)
+        det = np.linalg.det(cover.centers[ConvexHull(cover.centers).simplices])
+        assert (np.abs(det) < 1e-9).any()
+        assert cover.certificate.method == "hull" and cover.certificate.margin > 0
+        exact = 0.5 - math.acos(float(facet_offsets(cover.centers).min()))
+        assert cover.certificate.margin == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("n,theta", LIBRARY_RADII)
+    def test_margin_matches_facet_offsets(self, n, theta):
+        cover = greedy_cover(n, theta)
+        exact = theta - math.acos(float(facet_offsets(cover.centers).min()))
+        assert cover.certificate.margin == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("n,theta", LIBRARY_RADII)
+    def test_agrees_with_sampling(self, n, theta):
+        # A sample can only miss the farthest point, so the sampled
+        # margin is at least the exact one; the exact covering radius is
+        # attained at the normal of the facet nearest the origin.
+        cover = greedy_cover(n, theta)
+        hull = verify_cover(cover, "hull")
+        sampled = verify_cover(cover, "sampled", 200_000, seed=n)
+        assert hull.passed and sampled.passed and hull.margin > 0
+        assert sampled.margin >= hull.margin - 1e-12
+        eq = ConvexHull(cover.centers).equations
+        deepest = eq[np.argmax(eq[:, -1]), :-1]
+        radius = math.acos(float((cover.centers @ deepest).max()))
+        assert theta - radius == pytest.approx(hull.margin, abs=1e-9)
+
+
 class TestGreedyCover:
     @pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 4, math.pi / 6, 0.9])
     def test_circle_optimum(self, theta):
@@ -156,10 +277,52 @@ class TestGreedyCover:
 
     def test_determinism(self):
         a = greedy_cover(4, 0.9, seed=7)
-        sphere_cover._certified_cover.cache_clear()
+        clear_cover_caches()
         b = greedy_cover(4, 0.9, seed=7)
         assert a is not b
         assert np.array_equal(a.centers, b.centers)
+
+    @pytest.mark.parametrize("n,theta", LIBRARY_RADII)
+    def test_library_covers_are_exact(self, n, theta):
+        cert = greedy_cover(n, theta).certificate
+        assert cert.method == "hull"
+        assert cert.passed and cert.margin > 0
+
+    def test_sizes(self):
+        # Witnessed hull cover sizes at the illumination radius.
+        assert [len(greedy_cover(n, ILLUMINATION_THETA)) for n in range(2, 7)] == [
+            4, 6, 24, 26, 44]
+
+    def test_two_point_circle_is_sampled(self):
+        # Two antipodal arcs of radius pi/2 cover the circle but enclose
+        # no polygon around the origin.
+        cover = greedy_cover(2, math.pi / 2)
+        assert len(cover) == 2
+        assert cover.certificate.method == "sampled"
+
+    def test_facet_budget_falls_back_to_sampling(self, monkeypatch):
+        clear_cover_caches()
+        monkeypatch.setattr(sphere_cover, "_HULL_FACET_BUDGET", 10)
+        cover = greedy_cover(4, 0.9, seed=7)
+        assert cover.certificate.method == "sampled"
+        assert cover.certificate.passed
+        assert sphere_cover._hull_cover(4, 0.9, 20_000) is None
+        clear_cover_caches()
+
+    def test_qhull_error_falls_back_to_sampling(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise QhullError("QH6361 injected")
+
+        clear_cover_caches()
+        monkeypatch.setattr(sphere_cover, "ConvexHull", broken)
+        cover = greedy_cover(3, 0.9, seed=7)
+        assert cover.certificate.method == "sampled"
+        assert verify_cover(cover, "hull").margin == 0.9 - math.pi
+        clear_cover_caches()
+
+    def test_unknown_certify(self):
+        with pytest.raises(ValueError):
+            greedy_cover(3, 0.9, params=CoverParams(certify="net"))
 
     def test_monotone_in_theta(self):
         for n in (3, 4):
@@ -185,14 +348,21 @@ class TestGreedyCover:
 class TestCoverCache:
     @pytest.fixture(autouse=True)
     def empty_cache(self):
-        sphere_cover._certified_cover.cache_clear()
+        clear_cover_caches()
         yield
-        sphere_cover._certified_cover.cache_clear()
+        clear_cover_caches()
 
     def test_repeat_returns_same_cover(self):
         a = greedy_cover(4, 0.9, seed=7)
         assert greedy_cover(4, 0.9, seed=7) is a
-        assert sphere_cover._certified_cover.cache_info().misses == 1
+        assert sphere_cover._hull_cover.cache_info().misses == 1
+
+    def test_other_seed_hits(self):
+        # A hull cover depends on (n, theta) only.
+        a = greedy_cover(4, 0.9, seed=7)
+        assert greedy_cover(4, 0.9, seed=8) is a
+        info = sphere_cover._hull_cover.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_centers_are_read_only(self, n):
@@ -207,22 +377,34 @@ class TestCoverCache:
         a = greedy_cover(3, 0.9, seed=7)
         assert greedy_cover(3, 0.9, seed=np.int64(7), params=CoverParams()) is a
         assert greedy_cover(np.int64(3), np.float64(0.9), 7, None) is a
-        assert sphere_cover._certified_cover.cache_info().currsize == 1
+        assert greedy_cover(3, 0.9, seed=7, params=CoverParams(certify_samples=10)) is a
+        assert sphere_cover._hull_cover.cache_info().currsize == 1
 
     @pytest.mark.parametrize(
         "args",
-        [(3, 0.9, 8, None), (3, 0.91, 7, None), (3, 0.9, 7, CoverParams(certify="sampled"))],
+        [
+            (3, 0.9, 7, CoverParams(max_centers=100)),
+            (3, 0.91, 7, None),
+            (3, 0.9, 7, CoverParams(certify="sampled")),
+        ],
     )
     def test_different_keys_miss(self, args):
         a = greedy_cover(3, 0.9, seed=7)
         b = greedy_cover(*args)
         assert b is not a
-        assert sphere_cover._certified_cover.cache_info().misses == 2
+        assert cover_misses() == 2
+
+    def test_sampled_path_keys_on_seed(self):
+        params = CoverParams(certify="sampled")
+        a = greedy_cover(3, 0.9, seed=7, params=params)
+        assert greedy_cover(3, 0.9, seed=7, params=params) is a
+        assert greedy_cover(3, 0.9, seed=8, params=params) is not a
+        assert sphere_cover._sampled_cover.cache_info().misses == 2
 
     def test_size_is_bounded(self):
         for seed in range(50):
             greedy_cover(3, 1.2, seed=seed, params=CoverParams(certify="sampled"))
-        info = sphere_cover._certified_cover.cache_info()
+        info = sphere_cover._sampled_cover.cache_info()
         assert info.misses == 50
         assert info.currsize <= sphere_cover._COVER_CACHE_SIZE == info.maxsize
 
@@ -231,9 +413,21 @@ class TestCoverCache:
         for _ in range(2):
             with pytest.raises(RuntimeError):
                 greedy_cover(3, 0.2, seed=0, params=params)
-        info = sphere_cover._certified_cover.cache_info()
+        info = sphere_cover._hull_cover.cache_info()
         assert info.misses == 2
         assert info.currsize == 0
+
+    def test_fallback_is_cached(self, monkeypatch):
+        # Past the budget the hull is tried once per (n, theta,
+        # max_centers); each seed then has its own sampled cover.
+        monkeypatch.setattr(sphere_cover, "_HULL_FACET_BUDGET", 10)
+        a = greedy_cover(4, 0.9, seed=7)
+        b = greedy_cover(4, 0.9, seed=8)
+        assert a.certificate.method == b.certificate.method == "sampled"
+        hull = sphere_cover._hull_cover.cache_info()
+        assert (hull.hits, hull.misses) == (1, 1)
+        assert sphere_cover._sampled_cover.cache_info().misses == 2
+
 
 class TestMaximalPacking:
     def test_circle_square(self):
