@@ -355,8 +355,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover", help="direction-set file to certify as a cover")
     p.add_argument("--method", choices=["hull", "net", "sampled"], default="sampled",
                    help="cover certificate: hull (exact, from the convex hull of "
-                   "the centers), net (exact, over a net; low dimensions) or "
-                   "sampled (--samples uniform points; default)")
+                   "the centers; needs the origin strictly inside that hull, so "
+                   "it fails on e.g. two antipodal arcs at theta = pi/2), net "
+                   "(exact, over a net; low dimensions) or sampled (--samples "
+                   "uniform points; default)")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--resolution", type=float, default=None,
                    help="net resolution for --method net")

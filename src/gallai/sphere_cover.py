@@ -97,15 +97,12 @@ class Packing:
 class CoverParams:
     """Knobs for cover construction. Zero means adaptive.
 
-    ``certify="auto"`` builds a hull cover and proves it, and runs the
-    seeded sampled greedy only where the hull cannot be built;
-    ``"sampled"`` always runs the sampled greedy. ``candidates``,
-    ``margin`` and ``certify_samples`` apply to the sampled greedy only.
+    ``candidates``, ``margin`` and ``certify_samples`` apply to the
+    sampled greedy only, which runs where a hull cover cannot be built.
     """
 
     candidates: int = 0
     margin: float = 0.0
-    certify: str = "auto"  # "auto" or "sampled"
     certify_samples: int = 100_000
     max_centers: int = 20_000
 
@@ -189,9 +186,14 @@ def _max_gap(points: np.ndarray, centers: np.ndarray, chunk: int = 20_000) -> fl
     return worst
 
 
-# A facet whose vertex determinant is this small has no trusted
-# orientation. For unit rows |det| <= 1 (Hadamard), and the rounding of
-# an LU determinant of an n x n matrix stays near n^3 machine epsilons.
+# A simplex whose edge vectors have a smallest singular value this small
+# is affinely degenerate (flat): it spans no hyperplane, and its cone has
+# no interior. Edges of unit rows have length at most 2.
+_FLAT_FLOOR = 1e-9
+# A simplex that is not flat but whose vertex determinant is this small
+# has no trusted orientation. For unit rows |det| <= 1 (Hadamard), and
+# the rounding of an LU determinant of an n x n matrix stays near n^3
+# machine epsilons.
 _DET_FLOOR = 1e-9
 
 
@@ -202,26 +204,21 @@ def _rounding(n: int) -> float:
     return 8 * (n + 2) * float(np.finfo(float).eps)
 
 
-def _closed_cycle(simplices: np.ndarray, det: np.ndarray) -> bool:
+def _closed_cycle(simplices: np.ndarray, orientation: np.ndarray) -> bool:
     """True iff the simplices can be oriented so that every ridge occurs
-    exactly once with each orientation, with every simplex whose |det|
-    exceeds ``_DET_FLOOR`` oriented positively about the origin.
+    exactly once with each orientation, with simplex k oriented by the
+    sign of ``orientation[k]`` (positive: as listed) where that is
+    nonzero and free where it is zero.
 
-    Flat simplices (Qhull's triangulation of a facet with coplanar
-    points can produce them) take whichever orientation their
-    neighbours force. Their cones have no interior, so they add nothing
-    to the count of cones over a generic direction.
+    A free simplex takes whichever orientation its neighbours force.
 
     Dropping vertex i of (v_0, ..., v_{n-1}) leaves a ridge with sign
     (-1)^i; sorting the ridge's indices multiplies the sign by the parity
     of the sort.
     """
     f, n = simplices.shape
-    flat = ~(np.abs(det) > _DET_FLOOR)
-    oriented = simplices.copy()
-    flip = (det < 0) & ~flat
-    oriented[flip, 0], oriented[flip, 1] = simplices[flip, 1], simplices[flip, 0]
-    ridges = np.stack([np.delete(oriented, i, axis=1) for i in range(n)], axis=1)
+    sign = np.sign(orientation).astype(int)
+    ridges = np.stack([np.delete(simplices, i, axis=1) for i in range(n)], axis=1)
     ridges = ridges.reshape(f * n, n - 1)
     order = np.argsort(ridges, axis=1, kind="stable")
     inversions = np.triu(order[:, :, None] > order[:, None, :], k=1).sum(axis=(1, 2))
@@ -240,7 +237,7 @@ def _closed_cycle(simplices: np.ndarray, det: np.ndarray) -> bool:
     s, t, a, b = owner[0::2], owner[1::2], signs[0::2], signs[1::2]
     # x is each simplex's orientation, 0 while unknown; a pair of
     # simplices sharing a ridge must give it opposite signs.
-    x = np.where(flat, 0, 1)
+    x = sign.copy()
     while (x == 0).any():
         before = np.count_nonzero(x)
         for u, w, su, sw in ((s, t, a, b), (t, s, b, a)):
@@ -257,24 +254,28 @@ def _hull_certificate(centers: np.ndarray, theta: float, tol: float) -> CoverCer
     Only Qhull's ``simplices`` are used, and they are checked, not
     trusted:
 
-    1. Each simplex is oriented positively about the origin by the sign
-       of the determinant of its vertex rows; a flat one (|det| <=
-       ``_DET_FLOOR``) must have the origin strictly on one side of its
-       vertices and is oriented to fit its neighbours.
+    1. A simplex is flat when its edge vectors v_i - v_0 have rank below
+       n - 1 (smallest singular value <= ``_FLAT_FLOOR``); its cone has
+       no interior, and it is oriented to fit its neighbours. Every other
+       simplex is oriented positively about the origin by the sign of
+       the determinant of its vertex rows, which must exceed
+       ``_DET_FLOOR`` in size: a solid simplex whose hyperplane passes
+       that close to the origin fails the certificate.
     2. Every ridge must occur once with each orientation. The simplices
        then form a closed cycle whose radial projection has degree at
-       least 1, so the cones over the non-flat simplices cover every
+       least 1, so the cones over the solid simplices cover every
        direction.
-    3. A direction u in the cone over simplex V is within arccos(1/|a|)
-       of one of its vertices, where V a = 1: the ray meets the facet
-       at x = u / (a . u), a convex combination of the vertices, and
-       u . x = 1 / (a . u) >= 1 / |a|. The offset 1/|a| is recomputed
-       from the solved a as min(V a) / (|a| max |v|), which stays a
-       lower bound for any a with V a > 0, less ``_rounding(n)``.
+    3. A direction u in the cone over simplex V is x / |x| for a convex
+       combination x of its vertices, so max_i v_i . u >= |x| (as
+       |x|^2 = sum_i lambda_i v_i . x), and |x| >= min(V a) / |a| for
+       any vector a. Every simplex, flat or not, gets this bound h with
+       a the solution of V a = 1 (least squares for a flat simplex; for
+       a solid one h = 1/|a|, its offset), divided by max |v| and less
+       ``_rounding(n)``.
 
-    The margin is theta - arccos(smallest offset); any failure gives a
-    failed certificate with margin theta - pi, as no covering radius
-    below pi is then proved.
+    The margin is theta - arccos(smallest h); any failure gives a failed
+    certificate with margin theta - pi, as no covering radius below pi
+    is then proved.
     """
     n = centers.shape[1]
     failed = CoverCertificate("hull", 0, theta - math.pi, False)
@@ -284,16 +285,14 @@ def _hull_certificate(centers: np.ndarray, theta: float, tol: float) -> CoverCer
         return failed
     v = centers[simplices]
     det = np.linalg.det(v)
-    solid = np.abs(det) > _DET_FLOOR
-    flat = v[~solid]
-    if not solid.any() or (
-        np.einsum("fij,fj->fi", flat, flat.sum(axis=1)) <= _rounding(n) * n
-    ).any():
+    flat = np.linalg.svd(v[:, 1:] - v[:, :1], compute_uv=False)[:, -1] <= _FLAT_FLOOR
+    if flat.all() or not (np.abs(det[~flat]) > _DET_FLOOR).all():
         return failed
-    if not _closed_cycle(simplices, det):
+    if not _closed_cycle(simplices, np.where(flat, 0.0, det)):
         return failed
-    v = v[solid]
-    a = np.linalg.solve(v, np.ones((len(v), n, 1)))[..., 0]
+    a = np.empty((len(v), n))
+    a[~flat] = np.linalg.solve(v[~flat], np.ones((len(v) - flat.sum(), n, 1)))[..., 0]
+    a[flat] = np.linalg.pinv(v[flat]).sum(axis=2)
     reach = np.einsum("fij,fj->fi", v, a).min(axis=1)
     scale = np.linalg.norm(a, axis=1) * np.linalg.norm(centers, axis=1).max()
     offset = float((reach / scale).min()) - _rounding(n)
@@ -389,10 +388,10 @@ def greedy_cover(
     the origin. Either cover is proved by ``verify_cover(method="hull")``
     and depends on (n, theta) only; ``seed`` is not used.
 
-    The seeded sampled path (``params.certify="sampled"``) runs instead
-    when the hull passes ``_HULL_FACET_BUDGET`` facets or Qhull fails
-    (it does from n = 8), and for the two-point circle cover at
-    theta = pi/2, which encloses no polygon. It keeps the circle
+    A seeded greedy over sampled candidates runs instead when the hull
+    passes ``_HULL_FACET_BUDGET`` facets or Qhull fails (it does from
+    n = 8), and for the two-point circle cover at theta = pi/2, which
+    encloses no polygon. It keeps the circle
     optimum; elsewhere it repeatedly promotes the uncovered pool
     candidate farthest from the chosen centers (ties by index) and marks
     candidates within a safety margin below theta as covered. Its
@@ -416,12 +415,9 @@ def greedy_cover(
         raise ValueError("dimension must be at least 2")
     if not 0.0 < theta <= math.pi / 2:
         raise ValueError("theta must lie in (0, pi/2]")
-    if params.certify not in ("auto", "sampled"):
-        raise ValueError(f"unknown cover certification {params.certify!r}")
-    if params.certify == "auto":
-        cover = _hull_cover(n, theta, params.max_centers)
-        if cover is not None:
-            return cover
+    cover = _hull_cover(n, theta, params.max_centers)
+    if cover is not None:
+        return cover
     return _sampled_cover(n, theta, int(seed), params)
 
 

@@ -37,6 +37,15 @@ def clear_cover_caches():
     sphere_cover._sampled_cover.cache_clear()
 
 
+@pytest.fixture
+def no_qhull(monkeypatch):
+    """Make every Qhull call fail, so greedy_cover falls back to sampling."""
+    def broken(*args, **kwargs):
+        raise QhullError("QH6361 injected")
+
+    monkeypatch.setattr(sphere_cover, "ConvexHull", broken)
+
+
 def cover_misses():
     return (
         sphere_cover._hull_cover.cache_info().misses
@@ -204,6 +213,27 @@ class TestHullCertificate:
         cover = Cover(centers.shape[1], math.pi / 2, centers)
         assert not verify_cover(cover, "hull").passed
 
+    @pytest.mark.parametrize("depth", [1e-10, 1e-6])
+    def test_facet_near_the_origin_fails(self, depth):
+        # A pentagon of centers on the plane x_3 = -depth and the north
+        # pole: the hull encloses the origin, but its bottom facets pass
+        # within depth of it, so -e_3 is about pi/2 from every center.
+        # At depth 1e-10 the bottom triangles are not flat, yet their
+        # determinants fall below the orientation floor.
+        phi = 2 * math.pi * np.arange(5) / 5
+        ring = np.column_stack([np.cos(phi), np.sin(phi), np.full(5, -depth)])
+        centers = np.concatenate([ring, [[0.0, 0.0, 1.0]]])
+        v = Cover(3, 1.2, centers).centers[ConvexHull(centers).simplices]
+        edges = np.linalg.svd(v[:, 1:] - v[:, :1], compute_uv=False)[:, -1]
+        assert (edges > 0.1).all()
+        assert (np.abs(np.linalg.det(v)) < 1e-9).any() == (depth < 1e-9)
+        for theta in (1.2, math.pi / 2 - 1e-3):
+            assert not verify_cover(Cover(3, theta, centers), "hull").passed
+        # Closed caps of radius pi/2 do cover once the origin lies inside
+        # by a trusted distance.
+        exact = verify_cover(Cover(3, math.pi / 2, centers), "hull")
+        assert exact.passed == (depth > 1e-9)
+
     def test_cycle_check(self):
         # The octahedron's eight triangles, each oriented positively.
         tri = np.array([[i, j, k] for i in (0, 3) for j in (1, 4) for k in (2, 5)])
@@ -309,20 +339,12 @@ class TestGreedyCover:
         assert sphere_cover._hull_cover(4, 0.9, 20_000) is None
         clear_cover_caches()
 
-    def test_qhull_error_falls_back_to_sampling(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise QhullError("QH6361 injected")
-
+    def test_qhull_error_falls_back_to_sampling(self, no_qhull):
         clear_cover_caches()
-        monkeypatch.setattr(sphere_cover, "ConvexHull", broken)
         cover = greedy_cover(3, 0.9, seed=7)
         assert cover.certificate.method == "sampled"
         assert verify_cover(cover, "hull").margin == 0.9 - math.pi
         clear_cover_caches()
-
-    def test_unknown_certify(self):
-        with pytest.raises(ValueError):
-            greedy_cover(3, 0.9, params=CoverParams(certify="net"))
 
     def test_monotone_in_theta(self):
         for n in (3, 4):
@@ -385,7 +407,7 @@ class TestCoverCache:
         [
             (3, 0.9, 7, CoverParams(max_centers=100)),
             (3, 0.91, 7, None),
-            (3, 0.9, 7, CoverParams(certify="sampled")),
+            (4, 0.9, 7, None),
         ],
     )
     def test_different_keys_miss(self, args):
@@ -394,16 +416,16 @@ class TestCoverCache:
         assert b is not a
         assert cover_misses() == 2
 
-    def test_sampled_path_keys_on_seed(self):
-        params = CoverParams(certify="sampled")
-        a = greedy_cover(3, 0.9, seed=7, params=params)
-        assert greedy_cover(3, 0.9, seed=7, params=params) is a
-        assert greedy_cover(3, 0.9, seed=8, params=params) is not a
+    def test_sampled_path_keys_on_seed(self, no_qhull):
+        a = greedy_cover(3, 0.9, seed=7)
+        assert a.certificate.method == "sampled"
+        assert greedy_cover(3, 0.9, seed=7) is a
+        assert greedy_cover(3, 0.9, seed=8) is not a
         assert sphere_cover._sampled_cover.cache_info().misses == 2
 
-    def test_size_is_bounded(self):
+    def test_size_is_bounded(self, no_qhull):
         for seed in range(50):
-            greedy_cover(3, 1.2, seed=seed, params=CoverParams(certify="sampled"))
+            greedy_cover(3, 1.2, seed=seed)
         info = sphere_cover._sampled_cover.cache_info()
         assert info.misses == 50
         assert info.currsize <= sphere_cover._COVER_CACHE_SIZE == info.maxsize
