@@ -79,6 +79,12 @@ def _check_kind(doc: dict, kind: str) -> int:
 
 
 def _numeric_matrix(rows, dim: int, what: str) -> np.ndarray:
+    _check_rows(rows, dim, what)
+    return _finite_matrix(rows, what)
+
+
+def _check_rows(rows, dim: int, what: str) -> None:
+    """Structure only: a non-empty list of lists of ``dim`` numbers."""
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{what} must be a non-empty list")
     for i, row in enumerate(rows):
@@ -90,6 +96,10 @@ def _numeric_matrix(rows, dim: int, what: str) -> np.ndarray:
             raise FileFormatError(
                 f"{what}[{i}] must be a list of {dim} numbers"
             )
+
+
+def _finite_matrix(rows, what: str) -> np.ndarray:
+    """Rows that passed ``_check_rows`` as a finite float array."""
     try:
         out = np.asarray(rows, dtype=float)
     except OverflowError as exc:  # an integer too large for a double
@@ -123,21 +133,49 @@ def _provenance(doc: dict, count: int) -> tuple[str, ...]:
 
 
 def parse_ball_family(doc: dict) -> tuple[int, list[Ball]]:
-    """Structural parse; pairwise intersection is checked downstream."""
+    """Structural parse; pairwise intersection is checked downstream.
+
+    Entries are checked in order and their centers converted in one
+    array; the error raised is the first bad entry's, as when each entry
+    is parsed whole before the next.
+    """
     dim = _check_kind(doc, KIND_BALL_FAMILY)
     raw = _require(doc, "balls", KIND_BALL_FAMILY)
     if not isinstance(raw, list) or not raw:
         raise FileFormatError("balls must be a non-empty list")
-    balls = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise FileFormatError(f"balls[{i}] must be an object")
-        center = _numeric_matrix([_require(entry, "center", "ball")], dim, f"balls[{i}].center")[0]
-        radius = _require(entry, "radius", "ball")
-        if not isinstance(radius, (int, float)) or isinstance(radius, bool):
-            raise FileFormatError(f"balls[{i}].radius must be a number")
-        balls.append(_construct(f"balls[{i}]", Ball, center, radius))
-    return dim, balls
+    rows, radii = [], []
+    try:
+        for i, entry in enumerate(raw):
+            if not isinstance(entry, dict):
+                raise FileFormatError(f"balls[{i}] must be an object")
+            center = _require(entry, "center", "ball")
+            _check_rows([center], dim, f"balls[{i}].center")
+            rows.append(center)
+            radius = _require(entry, "radius", "ball")
+            if not isinstance(radius, (int, float)) or isinstance(radius, bool):
+                raise FileFormatError(f"balls[{i}].radius must be a number")
+            radii.append(radius)
+    except FileFormatError:
+        _balls(rows, radii)  # an earlier entry's numeric error comes first
+        raise
+    return dim, _balls(rows, radii)
+
+
+def _balls(rows, radii) -> list[Ball]:
+    """Balls from checked center rows and radii, in entry order.
+
+    ``rows`` may hold one row more than ``radii``: the center of an
+    entry whose radius failed its check. A center that overflows or is
+    not finite is reported as its entry's error, after any error of the
+    entries before it.
+    """
+    try:
+        centers = _finite_matrix(rows, "balls")
+    except FileFormatError:
+        centers = (_finite_matrix([row], f"balls[{i}].center")[0] for i, row in enumerate(rows))
+    # zip draws each center before its radius (left to right), so the
+    # center of an entry whose radius failed is converted too.
+    return [_construct(f"balls[{i}]", Ball, c, r) for i, (c, r) in enumerate(zip(centers, radii))]
 
 
 def ball_family_document(dimension: int, balls) -> dict:

@@ -156,9 +156,8 @@ def normalize_family(family: BallFamily) -> tuple[BallFamily, Similarity]:
     radii = family.radii()
     idx = int(np.argmin(radii))
     tr = Similarity(float(radii[idx]), family.balls[idx].center.copy())
-    balls = tuple(
-        Ball(tr.to_normalized(b.center), b.radius / tr.scale) for b in family.balls
-    )
+    centers = tr.to_normalized(family.centers())
+    balls = tuple(map(Ball, centers, radii / tr.scale))
     return BallFamily(family.dimension, balls), tr
 
 
@@ -207,10 +206,19 @@ def cover_points_by_balls(points, radius: float) -> np.ndarray:
     """Greedy center cover: every input point ends within ``radius`` of
     some returned center.
 
-    Candidates are the points themselves plus, for at most 600 points,
-    their pairwise midpoints. Repeatedly serve the uncovered point
-    farthest from the chosen centers (ties by index) with the candidate
-    covering the most uncovered points (ties by index). Deterministic.
+    Candidates are the points themselves, in index order, then for at
+    most 600 points their pairwise midpoints. Repeatedly serve the
+    uncovered point farthest from the chosen centers (ties by index)
+    with the candidate covering the most uncovered points (ties by
+    index). Deterministic.
+
+    Each step is exact but lazy. No candidate covers more than the open
+    points, so scoring stops after the first block holding a candidate
+    that covers them all: the first such candidate is the argmax, ties
+    to the lowest index. The midpoints are formed once per call, and
+    scored only in a step where no point covers every open point (a
+    midpoint then wins only with a strictly larger gain), so a step that
+    a point serves never pays for the m (m - 1) / 2 midpoints.
 
     Memory is O(candidates * n + _BLOCK): no candidates x points array
     is built. The target's candidate column and the chosen center's row
@@ -230,42 +238,59 @@ def cover_points_by_balls(points, radius: float) -> np.ndarray:
     m, n = pts.shape
     if m == 1:
         return pts.copy()
-    if m <= 600:
-        iu, ju = np.triu_indices(m, k=1)
-        candidates = np.concatenate([pts, 0.5 * (pts[iu] + pts[ju])])
-    else:
-        # Midpoints grow quadratically, and the greedy's time with them
-        # (O(m^3) per step); past this size the points alone still yield
-        # a valid cover. Memory no longer depends on this switch, but
-        # moving it would change the covers, and so the artifacts.
-        candidates = pts
     band = radius * max(_RECHECK, 4.0 * n * np.finfo(float).eps)
     covered = np.zeros(m, dtype=bool)
     nearest = np.full(m, np.inf)
+    midpoints = None
     centers = []
     while not covered.all():
         open_idx = np.flatnonzero(~covered)
-        target = open_idx[int(np.argmax(nearest[open_idx]))]
-        column = _norms(candidates[:, None, :] - pts[None, [target], :])[:, 0]
-        able = np.flatnonzero(column <= radius)
+        target = pts[open_idx[int(np.argmax(nearest[open_idx]))]]
         free = pts[open_idx]
-        step = max(1, _BLOCK // free.shape[0])
-        gains = np.empty(able.size, dtype=np.intp)
-        for s in range(0, able.size, step):
-            block = candidates[able[s : s + step]]
-            dist = cdist(block, free)
-            inside = dist <= radius
-            near = np.abs(dist - radius) <= band
-            if near.any():
-                r, c = np.nonzero(near)
-                inside[r, c] = _norms((block[r] - free[c])[:, None, :])[:, 0] <= radius
-            gains[s : s + step] = inside.sum(axis=1)
-        pick = able[int(np.argmax(gains))]
-        row = _norms(candidates[pick][None, None, :] - pts[None, :, :])[0]
-        centers.append(candidates[pick])
+        i, gain = _best_candidate(pts, target, free, radius, band)
+        pick = pts[i]
+        # Midpoints grow quadratically; past 600 points the points alone
+        # still yield a valid cover. Neither memory nor a step that a
+        # point serves depends on this switch, but moving it would
+        # change the covers, and so the artifacts.
+        if gain < free.shape[0] and m <= 600:
+            if midpoints is None:
+                iu, ju = np.triu_indices(m, k=1)
+                midpoints = 0.5 * (pts[iu] + pts[ju])
+            j, mid_gain = _best_candidate(midpoints, target, free, radius, band)
+            if mid_gain > gain:
+                pick = midpoints[j]
+        row = _norms(pick[None, None, :] - pts[None, :, :])[0]
+        centers.append(pick)
         covered |= row <= radius
         np.minimum(nearest, row, out=nearest)
     return np.array(centers)
+
+
+def _best_candidate(candidates, target, free, radius, band):
+    """(index, gain) of the first candidate within ``radius`` of
+    ``target`` that covers the most rows of ``free``; (-1, -1) if none
+    is that close. Stops after the first block holding a candidate that
+    covers every row of ``free``, since no later one can cover more."""
+    column = _norms(candidates[:, None, :] - target[None, None, :])[:, 0]
+    able = np.flatnonzero(column <= radius)
+    step = max(1, _BLOCK // free.shape[0])
+    best, best_gain = -1, -1
+    for s in range(0, able.size, step):
+        block = candidates[able[s : s + step]]
+        dist = cdist(block, free)
+        inside = dist <= radius
+        near = np.abs(dist - radius) <= band
+        if near.any():
+            r, c = np.nonzero(near)
+            inside[r, c] = _norms((block[r] - free[c])[:, None, :])[:, 0] <= radius
+        gains = inside.sum(axis=1)
+        j = int(np.argmax(gains))
+        if gains[j] > best_gain:
+            best, best_gain = int(able[s + j]), int(gains[j])
+            if best_gain == free.shape[0]:
+                break
+    return best, best_gain
 
 
 def refine_ball_cover(center, r2: float) -> np.ndarray:

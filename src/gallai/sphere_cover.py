@@ -35,7 +35,8 @@ class CoverCertificate:
 
     The hull and net methods are proofs. The hull method checks that the
     facets of the centers' convex hull wrap once around the origin and
-    that every facet lies at least cos(theta) from it;
+    that every facet lies at least cos(theta) from it (on the circle,
+    that no arc between consecutive centers is longer than 2 theta);
     ``resolution_or_samples`` is then the number of facets checked. The
     net method passes if every net point lies within theta - delta of a
     center. The sampled method is heuristic; ``undetected_measure`` is
@@ -248,8 +249,27 @@ def _closed_cycle(simplices: np.ndarray, orientation: np.ndarray) -> bool:
     return bool((x[s] * a + x[t] * b == 0).all())
 
 
+def _arc_certificate(centers: np.ndarray, theta: float, tol: float) -> CoverCertificate:
+    """Exact cover check on the circle: the arcs cover it iff the largest
+    gap between consecutive center angles is at most 2 theta, and then
+    the covering radius is half that gap.
+
+    The margin is theta - max gap / 2 less ``_rounding(2)`` (7e-15),
+    which exceeds the error of a gap: two angles (``arctan2`` is within
+    an ulp of its result, at most pi) and three roundings (2 pi, the wrap
+    sum and the difference, each under ulp(3 pi) / 2). It also proves
+    covers whose hull does not hold the origin inside, such as two
+    antipodal arcs at theta = pi/2.
+    """
+    angles = np.sort(np.arctan2(centers[:, 1], centers[:, 0]))
+    gaps = np.diff(angles, append=angles[0] + 2.0 * math.pi)
+    margin = theta - float(gaps.max()) / 2.0 - _rounding(2)
+    return CoverCertificate("hull", len(gaps), margin, margin >= -tol)
+
+
 def _hull_certificate(centers: np.ndarray, theta: float, tol: float) -> CoverCertificate:
-    """Exact cover check from the facets of conv(centers).
+    """Exact cover check from the facets of conv(centers); on the circle,
+    from the gaps between the centers (``_arc_certificate``).
 
     Only Qhull's ``simplices`` are used, and they are checked, not
     trusted:
@@ -278,6 +298,8 @@ def _hull_certificate(centers: np.ndarray, theta: float, tol: float) -> CoverCer
     is then proved.
     """
     n = centers.shape[1]
+    if n == 2:
+        return _arc_certificate(centers, theta, tol)
     failed = CoverCertificate("hull", 0, theta - math.pi, False)
     try:
         simplices = ConvexHull(centers).simplices
@@ -314,8 +336,10 @@ def verify_cover(
     uniform sampling.
 
     Hull method: proves the cover complete from the facets of the
-    centers' convex hull (see ``_hull_certificate``); in any dimension
-    where Qhull can build that hull. Net method: builds a delta-net and
+    centers' convex hull (see ``_hull_certificate``), in any dimension
+    where Qhull can build that hull and it holds the origin strictly
+    inside; on the circle, from the gaps between the centers. Net
+    method: builds a delta-net and
     passes iff every net point lies within theta - delta of a center,
     which proves the cover is complete. Requires delta < theta. Sampled
     method: passes iff all of k uniform points are covered (closed caps,
@@ -390,13 +414,10 @@ def greedy_cover(
 
     A seeded greedy over sampled candidates runs instead when the hull
     passes ``_HULL_FACET_BUDGET`` facets or Qhull fails (it does from
-    n = 8), and for the two-point circle cover at theta = pi/2, which
-    encloses no polygon. It keeps the circle
-    optimum; elsewhere it repeatedly promotes the uncovered pool
-    candidate farthest from the chosen centers (ties by index) and marks
-    candidates within a safety margin below theta as covered. Its
-    covers are certified by sampling. Deterministic for fixed
-    (n, theta, seed, params).
+    n = 8). It repeatedly promotes the uncovered pool candidate farthest
+    from the chosen centers (ties by index) and marks candidates within
+    a safety margin below theta as covered. Its covers are certified by
+    sampling. Deterministic for fixed (n, theta, seed, params).
 
     Covers are memoized per process, keyed by (n, theta,
     params.max_centers) for hull covers and (n, theta, seed, params) for
@@ -449,10 +470,7 @@ def _hull_cover(n: int, theta: float, max_centers: int) -> Cover | None:
     """Hull-built, hull-certified cover; None where the sampled greedy
     has to take over (the result is cached either way)."""
     if n == 2:
-        count = _circle_count(theta)
-        if count == 2:
-            return None
-        centers = _circle_positions(count)
+        centers = _circle_positions(_circle_count(theta))
     else:
         centers = _hull_centers(n, theta, max_centers)
         if centers is None:
@@ -489,11 +507,7 @@ def _hull_centers(n: int, theta: float, max_centers: int) -> np.ndarray | None:
 
 @functools.lru_cache(maxsize=_COVER_CACHE_SIZE)
 def _sampled_cover(n: int, theta: float, seed: int, params: CoverParams) -> Cover:
-    if n == 2:
-        centers = _circle_positions(_circle_count(theta))
-    else:
-        centers = _greedy_cover_nd(n, theta, seed, params)
-    cover = Cover(n, theta, centers)
+    cover = Cover(n, theta, _greedy_cover_nd(n, theta, seed, params))
     cert = verify_cover(cover, "sampled", params.certify_samples, seed=_derived_seed(seed, 1))
     return _certified(cover, cert)
 

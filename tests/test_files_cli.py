@@ -282,6 +282,17 @@ class TestExitCodes:
         cert = json.loads(capsys.readouterr().out)["report"]["certificate"]
         assert not cert["passed"] and math.isfinite(cert["margin"])
 
+    def test_verify_two_arc_circle_cover_hull(self, tmp_path, capsys):
+        # Two antipodal arcs at theta = pi/2: their hull is a segment
+        # through the origin, and the circle's gap certificate proves them.
+        cover_path = str(tmp_path / "cover.json")
+        assert self.run("cover", "-n", "2", "--theta", repr(math.pi / 2),
+                        "--output", cover_path) == 0
+        capsys.readouterr()
+        assert self.run("verify", "--cover", cover_path, "--method", "hull") == 0
+        cert = json.loads(capsys.readouterr().out)["report"]["certificate"]
+        assert cert["method"] == "hull" and cert["passed"]
+
     @pytest.mark.parametrize("theta", [10**400, "1.2"])
     def test_verify_cover_bad_angular_radius_is_parse_error(self, theta, tmp_path, capsys):
         cover_path = str(tmp_path / "cover.json")

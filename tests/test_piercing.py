@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from gallai import (
     Ball,
@@ -21,7 +22,7 @@ from gallai import (
     refine_ball_cover,
     verify_piercing,
 )
-from gallai import sphere_cover
+from gallai import piercing, sphere_cover
 from gallai.sampling import ball_points, cap_points, rng_from
 
 from conftest import circle_cover_optimum, random_intersecting_family
@@ -228,6 +229,44 @@ class TestCoverPointsByBalls:
         for seed in range(3):
             pts = ball_points(rng_from(1000 * n + seed), n, m, radius=spread)
             assert_same_cover(pts, radius)
+
+    @pytest.mark.parametrize("n, m", [(2, 40), (3, 60), (4, 90)])
+    def test_midpoints_match_dense_reference(self, n, m):
+        # Clusters of radius 0.05 at -0.9 e_1, +0.9 e_1 and 3 e_2, in
+        # turn by index. At radius 1 no point reaches both of the first
+        # two, but a midpoint near the origin does: the first center is
+        # a midpoint, built only in that step, and a point of the third
+        # cluster then serves the rest.
+        offsets = np.zeros((3, n))
+        offsets[0, 0], offsets[1, 0], offsets[2, 1] = -0.9, 0.9, 3.0
+        for seed in range(3):
+            pts = ball_points(rng_from(2000 * n + seed), n, m, radius=0.05)
+            pts += offsets[np.arange(m) % 3]
+            centers = assert_same_cover(pts, 1.0)
+            assert len(centers) == 2
+            assert not (centers[0] == pts).all(axis=1).any()
+            assert (centers[1] == pts).all(axis=1).any()
+
+    def test_point_serving_the_open_set_ends_the_scan(self, monkeypatch):
+        # Point 0 covers the whole cluster, so the first block of
+        # candidates settles the only step: the other points and the
+        # 44,850 midpoints are never scored, and no midpoint is formed.
+        rows = []
+
+        def counting_cdist(a, b):
+            rows.append(len(a))
+            return cdist(a, b)
+
+        def no_midpoints(*args, **kwargs):
+            raise AssertionError("midpoints formed")
+
+        pts = ball_points(rng_from(9), 3, 300, radius=0.999, center=[2.0, -1.0, 0.5])
+        pts[0] = [2.0, -1.0, 0.5]
+        monkeypatch.setattr(piercing, "cdist", counting_cdist)
+        monkeypatch.setattr(piercing.np, "triu_indices", no_midpoints)
+        centers = cover_points_by_balls(pts, 1.0)
+        assert centers.tobytes() == pts[:1].tobytes()
+        assert len(rows) == 1 and rows[0] <= piercing._BLOCK // 300
 
     def test_many_centers_match_dense_reference(self):
         pts = rng_from(31).uniform(-5.0, 5.0, (150, 3))

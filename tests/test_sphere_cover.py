@@ -202,16 +202,45 @@ class TestHullCertificate:
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         cert = verify_cover(Cover(n, math.pi / 2, pts), "hull")
         assert not cert.passed
-        assert cert.margin == -math.pi / 2
+        if n == 2:
+            # The circle is certified from its gaps, so the margin is
+            # exact: half the largest gap, which spans -e_1, is past pi/2.
+            angles = np.sort(np.arctan2(pts[:, 1], pts[:, 0]))
+            wrap = angles[0] + 2 * math.pi - angles[-1]
+            assert cert.margin == pytest.approx(math.pi / 2 - wrap / 2, abs=1e-14)
+            assert cert.margin < 0
+        else:
+            assert cert.margin == -math.pi / 2
 
     @pytest.mark.parametrize("centers", [
         np.array([[1.0, 0.0]]),
-        np.array([[1.0, 0.0], [-1.0, 0.0]]),
+        np.array([[1.0, 0.0], [0.0, 1.0]]),
         np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
     ])
     def test_degenerate_hull_fails_without_raising(self, centers):
         cover = Cover(centers.shape[1], math.pi / 2, centers)
         assert not verify_cover(cover, "hull").passed
+
+    def test_two_antipodal_arcs(self):
+        # Their hull is a segment through the origin, but the two closed
+        # half-circles cover the circle, tangent at +-e_2.
+        centers = arc_centers([0.0, math.pi])
+        cert = verify_cover(Cover(2, math.pi / 2, centers), "hull")
+        assert cert.passed and abs(cert.margin) < 1e-14
+        assert not verify_cover(Cover(2, math.pi / 2 - 1e-6, centers), "hull").passed
+
+    @pytest.mark.parametrize("count", [3, 5, 12, 101])
+    def test_circle_gaps(self, count):
+        # Equally spaced arcs, rotated: covering radius pi / count, and
+        # one center moved by 1e-3 widens its larger gap by that much.
+        angles = 0.3 + 2 * math.pi * np.arange(count) / count
+        theta = math.pi / count + 1e-9
+        cert = verify_cover(Cover(2, theta, arc_centers(angles)), "hull")
+        assert cert.passed and cert.resolution_or_samples == count
+        assert cert.margin == pytest.approx(1e-9, abs=1e-13)
+        angles[1] += 1e-3
+        cert = verify_cover(Cover(2, theta, arc_centers(angles)), "hull")
+        assert cert.margin == pytest.approx(1e-9 - 5e-4, abs=1e-13)
 
     @pytest.mark.parametrize("depth", [1e-10, 1e-6])
     def test_facet_near_the_origin_fails(self, depth):
@@ -323,12 +352,12 @@ class TestGreedyCover:
         assert [len(greedy_cover(n, ILLUMINATION_THETA)) for n in range(2, 7)] == [
             4, 6, 24, 26, 44]
 
-    def test_two_point_circle_is_sampled(self):
-        # Two antipodal arcs of radius pi/2 cover the circle but enclose
-        # no polygon around the origin.
+    def test_two_point_circle_is_exact(self):
+        # Two antipodal arcs of radius pi/2 enclose no polygon around the
+        # origin; the circle's gap certificate proves them all the same.
         cover = greedy_cover(2, math.pi / 2)
         assert len(cover) == 2
-        assert cover.certificate.method == "sampled"
+        assert cover.certificate.method == "hull" and cover.certificate.passed
 
     def test_facet_budget_falls_back_to_sampling(self, monkeypatch):
         clear_cover_caches()
