@@ -10,6 +10,7 @@ instead of exiting 4.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -80,7 +81,7 @@ def _certificate_dict(cert) -> dict:
 
 def cmd_pierce(args) -> int:
     dim, balls = files.parse_ball_family(files.load_document(args.input))
-    family = BallFamily(dim, tuple(balls))
+    family = BallFamily(dim, balls)
     config = PiercingConfig(seed=args.seed, tol=args.tol)
     verified = True
     try:
@@ -257,7 +258,7 @@ def cmd_verify(args) -> int:
         pdim, points, _ = files.parse_point_set(files.load_document(args.points))
         if pdim != dim:
             raise ValueError(f"dimension mismatch: family {dim}, points {pdim}")
-        family = BallFamily(dim, tuple(balls))
+        family = BallFamily(dim, balls)
         ok, witness = verify_piercing(family, points, args.tol)
         _emit({"report": {"passed": ok, "witness": witness}})
         return EXIT_OK if ok else EXIT_VERIFICATION
@@ -283,7 +284,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if cert.passed else EXIT_VERIFICATION
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="gallai",
         description="Piercing sets for intersecting balls, illumination of "

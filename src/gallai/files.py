@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from .geometry import Ball
+from .geometry import Ball, Balls
 from .illumination import DirectionSet, SpikyBall
 
 KIND_BALL_FAMILY = "ball_family"
@@ -83,16 +83,25 @@ def _numeric_matrix(rows, dim: int, what: str) -> np.ndarray:
     return _finite_matrix(rows, what)
 
 
+# The number types json.load produces. A row of only these passes
+# without the per-value isinstance test, which decides every other row.
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def _is_row(row, dim: int) -> bool:
+    """A list of ``dim`` numbers; bools are not numbers."""
+    return isinstance(row, list) and len(row) == dim and (
+        _JSON_NUMBERS.issuperset(map(type, row))
+        or all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)
+    )
+
+
 def _check_rows(rows, dim: int, what: str) -> None:
     """Structure only: a non-empty list of lists of ``dim`` numbers."""
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{what} must be a non-empty list")
     for i, row in enumerate(rows):
-        if (
-            not isinstance(row, list)
-            or len(row) != dim
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)
-        ):
+        if not _is_row(row, dim):
             raise FileFormatError(
                 f"{what}[{i}] must be a list of {dim} numbers"
             )
@@ -132,12 +141,13 @@ def _provenance(doc: dict, count: int) -> tuple[str, ...]:
 # -- ball families -----------------------------------------------------------
 
 
-def parse_ball_family(doc: dict) -> tuple[int, list[Ball]]:
+def parse_ball_family(doc: dict) -> tuple[int, Balls]:
     """Structural parse; pairwise intersection is checked downstream.
 
-    Entries are checked in order and their centers converted in one
-    array; the error raised is the first bad entry's, as when each entry
-    is parsed whole before the next.
+    Entries are checked in order, and their centers and radii are then
+    converted and validated in one array each; the error raised is the
+    first bad entry's, as when each entry is parsed whole before the
+    next.
     """
     dim = _check_kind(doc, KIND_BALL_FAMILY)
     raw = _require(doc, "balls", KIND_BALL_FAMILY)
@@ -149,33 +159,35 @@ def parse_ball_family(doc: dict) -> tuple[int, list[Ball]]:
             if not isinstance(entry, dict):
                 raise FileFormatError(f"balls[{i}] must be an object")
             center = _require(entry, "center", "ball")
-            _check_rows([center], dim, f"balls[{i}].center")
+            if not _is_row(center, dim):
+                _check_rows([center], dim, f"balls[{i}].center")  # raises
             rows.append(center)
             radius = _require(entry, "radius", "ball")
             if not isinstance(radius, (int, float)) or isinstance(radius, bool):
                 raise FileFormatError(f"balls[{i}].radius must be a number")
             radii.append(radius)
     except FileFormatError:
-        _balls(rows, radii)  # an earlier entry's numeric error comes first
+        _first_bad_entry(rows, radii)  # an earlier entry's numeric error comes first
         raise
-    return dim, _balls(rows, radii)
-
-
-def _balls(rows, radii) -> list[Ball]:
-    """Balls from checked center rows and radii, in entry order.
-
-    ``rows`` may hold one row more than ``radii``: the center of an
-    entry whose radius failed its check. A center that overflows or is
-    not finite is reported as its entry's error, after any error of the
-    entries before it.
-    """
     try:
-        centers = _finite_matrix(rows, "balls")
-    except FileFormatError:
-        centers = (_finite_matrix([row], f"balls[{i}].center")[0] for i, row in enumerate(rows))
-    # zip draws each center before its radius (left to right), so the
-    # center of an entry whose radius failed is converted too.
-    return [_construct(f"balls[{i}]", Ball, c, r) for i, (c, r) in enumerate(zip(centers, radii))]
+        return dim, Balls(rows, radii)
+    except (ValueError, OverflowError) as exc:
+        _first_bad_entry(rows, radii)
+        raise FileFormatError(f"balls: {exc}") from exc
+
+
+def _first_bad_entry(rows, radii) -> None:
+    """Raise the numeric error of the first bad entry, if any.
+
+    Entry by entry, as ``Ball`` checks each: its center (which may
+    overflow or not be finite), then its radius. ``rows`` may hold one
+    row more than ``radii``: the center of an entry whose radius failed
+    its structural check.
+    """
+    for i, row in enumerate(rows):
+        center = _finite_matrix([row], f"balls[{i}].center")[0]
+        if i < len(radii):
+            _construct(f"balls[{i}]", Ball, center, radii[i])
 
 
 def ball_family_document(dimension: int, balls) -> dict:

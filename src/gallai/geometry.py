@@ -8,6 +8,7 @@ open/closed cap distinction survives floating point.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +156,63 @@ class Ball:
 
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
+
+
+@dataclass(frozen=True, eq=False)
+class Balls(Sequence):
+    """Read-only sequence of closed balls stored as two arrays.
+
+    ``centers`` is (m, n) and ``radii`` (m,), m >= 1 and n >= 2, copied
+    once and made read-only. Centers must be finite and radii positive
+    and finite, as for ``Ball``. ``len`` is O(1) and builds no ``Ball``;
+    indexing or iterating builds each ``Ball`` on demand.
+    """
+
+    centers: np.ndarray
+    radii: np.ndarray
+
+    def __post_init__(self):
+        centers = np.array(self.centers, dtype=float)
+        radii = np.array(self.radii, dtype=float)
+        if centers.ndim != 2 or centers.shape[0] == 0:
+            raise ValueError(f"centers must be a non-empty (m, n) array, got shape {centers.shape}")
+        if centers.shape[1] < 2:
+            raise ValueError("ambient dimension must be at least 2")
+        if radii.shape != centers.shape[:1]:
+            raise ValueError(f"radii must have shape ({centers.shape[0]},), got {radii.shape}")
+        bad = np.flatnonzero(~np.isfinite(centers).all(axis=1))
+        if bad.size:
+            raise ValueError(f"ball {bad[0]}: coordinates must be finite")
+        bad = np.flatnonzero(~((radii > 0) & np.isfinite(radii)))
+        if bad.size:
+            raise ValueError(
+                f"ball {bad[0]}: radius must be positive and finite, got {float(radii[bad[0]])}"
+            )
+        centers.flags.writeable = False
+        radii.flags.writeable = False
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "radii", radii)
+
+    @classmethod
+    def of(cls, balls) -> "Balls":
+        """Stack a non-empty sequence of same-dimension ``Ball``s."""
+        balls = tuple(balls)
+        for b in balls:
+            if b.dimension != balls[0].dimension:
+                raise ValueError(
+                    f"dimension mismatch: {balls[0].dimension} vs {b.dimension}"
+                )
+        return cls([b.center for b in balls], [b.radius for b in balls])
+
+    @property
+    def dimension(self) -> int:
+        return self.centers.shape[1]
+
+    def __len__(self):
+        return self.radii.shape[0]
+
+    def __getitem__(self, i) -> Ball:
+        return Ball(self.centers[i], self.radii[i])
 
 
 @dataclass(frozen=True, eq=False)

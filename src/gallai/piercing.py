@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import PairwiseError, VerificationError
-from .geometry import DEFAULT_TOL, Ball, as_vector, first_pair_outside
+from .geometry import DEFAULT_TOL, Balls, as_vector, first_pair_outside
 from .sphere_cover import CoverParams, greedy_cover
 
 # Distance entries evaluated at once by the blocked kernels below; bounds
@@ -58,40 +58,54 @@ class Similarity:
 
 @dataclass(frozen=True, eq=False)
 class BallFamily:
-    """Non-empty family of same-dimension, pairwise intersecting balls."""
+    """Non-empty family of same-dimension, pairwise intersecting balls.
+
+    ``balls`` is a ``Balls``, whose arrays are kept as they are, or any
+    sequence of ``Ball``s, which is stacked into one; ``family.balls``
+    is then that ``Balls``. The arrays are checked once, when they are
+    built, and the pairwise intersection once, here.
+    """
 
     dimension: int
-    balls: tuple[Ball, ...]
+    balls: Balls
 
     def __post_init__(self):
-        balls = tuple(self.balls)
+        balls = self.balls if isinstance(self.balls, Balls) else Balls.of(self.balls)
+        if balls.dimension != self.dimension:
+            raise ValueError(
+                f"dimension mismatch: family is {self.dimension}, "
+                f"balls have {balls.dimension}"
+            )
         object.__setattr__(self, "balls", balls)
-        if not balls:
-            raise ValueError("ball family must be non-empty")
-        for b in balls:
-            if b.dimension != self.dimension:
-                raise ValueError(
-                    f"dimension mismatch: family is {self.dimension}, "
-                    f"ball has {b.dimension}"
-                )
         bad = first_non_intersecting_pair(balls)
         if bad is not None:
             raise PairwiseError(f"balls {bad[0]} and {bad[1]} do not intersect", bad)
 
+    @classmethod
+    def from_arrays(cls, dimension: int, centers, radii) -> "BallFamily":
+        """Family of the balls with these (m, n) centers and (m,) radii."""
+        return cls(dimension, Balls(centers, radii))
+
     def centers(self) -> np.ndarray:
-        return np.array([b.center for b in self.balls])
+        """The read-only (m, n) centers."""
+        return self.balls.centers
 
     def radii(self) -> np.ndarray:
-        return np.array([b.radius for b in self.balls])
+        """The read-only (m,) radii."""
+        return self.balls.radii
 
     def __len__(self):
         return len(self.balls)
 
 
 def first_non_intersecting_pair(balls, tol: float = DEFAULT_TOL):
-    """Index pair of the first disjoint pair, or None if all intersect."""
-    radii = np.array([b.radius for b in balls])
-    return first_pair_outside([b.center for b in balls], high=radii, tol=tol)
+    """Index pair of the first disjoint pair, or None if all intersect.
+
+    ``balls`` is a ``Balls`` or a non-empty sequence of ``Ball``s.
+    """
+    if not isinstance(balls, Balls):
+        balls = Balls.of(balls)
+    return first_pair_outside(balls.centers, high=balls.radii, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -147,18 +161,19 @@ class PiercingSet:
         return self.points.shape[0]
 
 
-def normalize_family(family: BallFamily) -> tuple[BallFamily, Similarity]:
+def normalize_family(family: BallFamily) -> tuple[np.ndarray, np.ndarray, Similarity]:
     """Translate and scale so the smallest ball is the unit ball at 0.
 
     Ties on the smallest radius go to the lowest index. Returns the
-    normalized family and the similarity mapping results back.
+    normalized centers (m, n) and radii (m,), and the similarity mapping
+    results back. The family was validated when it was built, so its
+    mapped copy is not validated again; ``pierce`` verifies its result
+    against the input family.
     """
-    radii = family.radii()
+    centers, radii = family.centers(), family.radii()
     idx = int(np.argmin(radii))
-    tr = Similarity(float(radii[idx]), family.balls[idx].center.copy())
-    centers = tr.to_normalized(family.centers())
-    balls = tuple(map(Ball, centers, radii / tr.scale))
-    return BallFamily(family.dimension, balls), tr
+    tr = Similarity(float(radii[idx]), centers[idx].copy())
+    return tr.to_normalized(centers), radii / tr.scale, tr
 
 
 def cap_overlap_radius(r: float, n: int) -> float:
@@ -348,22 +363,19 @@ def pierce(family: BallFamily, config: PiercingConfig | None = None) -> Piercing
         t += 1
 
     if len(family) == 1:
-        only = family.balls[0]
         return _verified(
             family,
             cfg,
             PiercingSet(
                 n,
-                only.center[None, :].copy(),
+                family.centers().copy(),
                 ("center",),
                 Similarity.identity(n),
                 PiercingAccounting(0, (), t, lam),
             ),
         )
 
-    normalized, transform = normalize_family(family)
-    radii = normalized.radii()
-    centers = normalized.centers()
+    centers, radii, transform = normalize_family(family)
 
     points: list[np.ndarray] = []
     provenance: list[str] = []

@@ -130,6 +130,151 @@ class TestParseErrors:
             files.parse_point_set(doc)
 
 
+def per_entry_parse(doc):
+    """Reference ball-family parse: each entry whole, before the next.
+
+    Center structure, center value, radius structure, radius value, as
+    the parser did when it built one ``Ball`` per entry.
+    """
+    dim = doc.get("dimension")
+    raw = doc["balls"]
+    if not isinstance(raw, list) or not raw:
+        raise files.FileFormatError("balls must be a non-empty list")
+    balls = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise files.FileFormatError(f"balls[{i}] must be an object")
+        if "center" not in entry:
+            raise files.FileFormatError("ball document is missing 'center'")
+        center = entry["center"]
+        if (
+            not isinstance(center, list)
+            or len(center) != dim
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in center)
+        ):
+            raise files.FileFormatError(f"balls[{i}].center[0] must be a list of {dim} numbers")
+        try:
+            c = np.asarray(center, dtype=float)
+        except OverflowError as exc:
+            raise files.FileFormatError(f"balls[{i}].center: {exc}") from exc
+        if not np.all(np.isfinite(c)):
+            raise files.FileFormatError(f"balls[{i}].center contains non-finite values")
+        if "radius" not in entry:
+            raise files.FileFormatError("ball document is missing 'radius'")
+        radius = entry["radius"]
+        if not isinstance(radius, (int, float)) or isinstance(radius, bool):
+            raise files.FileFormatError(f"balls[{i}].radius must be a number")
+        try:
+            balls.append(Ball(c, radius))
+        except (ValueError, OverflowError) as exc:
+            raise files.FileFormatError(f"balls[{i}]: {exc}") from exc
+    return dim, balls
+
+
+FAULTS = (
+    "center not a list",
+    "center too long",
+    "center too short",
+    "bool coordinate",
+    "string coordinate",
+    "huge coordinate",
+    "huge radius",
+    "NaN coordinate",
+    "Infinity coordinate",
+    "NaN radius",
+    "Infinity radius",
+    "zero radius",
+    "negative radius",
+    "string radius",
+    "missing radius",
+)
+
+
+def fuzzed_ball_family(rng):
+    """(document as json.loads returns it, faults applied) with 0-3 faults."""
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(1, 9))
+    # Large integers a double holds (rounded) are values, not faults.
+    values = [0, -3, 2.5, 1e-300, 2**63 + 1, 10**30, -(10**19)]
+    balls = []
+    for _ in range(m):
+        center = [
+            values[int(rng.integers(len(values)))] if rng.random() < 0.2 else float(x)
+            for x in rng.uniform(-2.0, 2.0, n)
+        ]
+        radius = int(rng.integers(1, 4)) if rng.random() < 0.3 else float(rng.uniform(0.5, 3.0))
+        balls.append({"center": center, "radius": radius})
+    faults = [FAULTS[int(k)] for k in rng.integers(len(FAULTS), size=int(rng.integers(0, 4)))]
+    for fault in faults:
+        ball = balls[int(rng.integers(m))]
+        k = int(rng.integers(n))
+        center = ball["center"]
+        if fault == "center not a list":
+            ball["center"] = {"x": 1.0}
+        elif fault == "missing radius":
+            ball.pop("radius", None)
+        elif fault.endswith("radius"):
+            ball["radius"] = {
+                "huge radius": 10**400,
+                "NaN radius": math.nan,
+                "Infinity radius": math.inf,
+                "zero radius": 0,
+                "negative radius": -float(rng.uniform(0.1, 2.0)),
+                "string radius": "1.0",
+            }[fault]
+        elif not isinstance(center, list):
+            continue  # an earlier fault replaced the center
+        elif fault == "center too long":
+            ball["center"] = center + [0.0]
+        elif fault == "center too short":
+            ball["center"] = center[:-1]
+        elif k < len(center):
+            center[k] = {
+                "bool coordinate": True,
+                "string coordinate": "1.0",
+                "huge coordinate": -(10**400),
+                "NaN coordinate": math.nan,
+                "Infinity coordinate": -math.inf,
+            }[fault]
+    text = json.dumps({"kind": "ball_family", "dimension": n, "balls": balls})
+    return json.loads(text), faults
+
+
+class TestBallFamilyParse:
+    def test_matches_per_entry_parse(self):
+        rng = np.random.default_rng(8)
+        outcomes = {"parsed": 0, "failed": 0}
+        for _ in range(400):
+            doc, faults = fuzzed_ball_family(rng)
+            try:
+                want = per_entry_parse(doc)
+            except files.FileFormatError as exc:
+                with pytest.raises(type(exc)) as got:
+                    files.parse_ball_family(doc)
+                assert str(got.value) == str(exc), faults
+                outcomes["failed"] += 1
+                continue
+            dim, balls = files.parse_ball_family(doc)
+            assert dim == want[0]
+            assert np.array_equal(balls.centers, np.array([b.center for b in want[1]]))
+            assert np.array_equal(balls.radii, np.array([b.radius for b in want[1]]))
+            outcomes["parsed"] += 1
+        assert min(outcomes.values()) >= 50
+
+    def test_json_literals_reach_the_parser(self):
+        # json.load accepts NaN and Infinity; the parser names the entry.
+        doc = json.loads(
+            '{"kind": "ball_family", "dimension": 2, "balls": ['
+            '{"center": [0, 0], "radius": 1}, {"center": [0, NaN], "radius": 1}, '
+            '{"center": [0, 0], "radius": Infinity}]}'
+        )
+        with pytest.raises(files.FileFormatError, match=r"^balls\[1\]\.center contains non-finite"):
+            files.parse_ball_family(doc)
+        doc["balls"][1]["center"] = [0, 0]
+        with pytest.raises(files.FileFormatError, match=r"^balls\[2\]: radius must be positive"):
+            files.parse_ball_family(doc)
+
+
 class TestExitCodes:
     def run(self, *argv):
         return main(list(argv))
@@ -351,6 +496,46 @@ class TestExitCodes:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestRequestPath:
+    def test_pierce_and_verify_build_no_ball_objects(self, family_file, tmp_path,
+                                                    monkeypatch, capsys):
+        built = []
+        post_init = Ball.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(Ball, "__post_init__", counting)
+        out = str(tmp_path / "points.json")
+        assert main(["pierce", family_file, "--output", out]) == 0
+        assert main(["verify", "--family", family_file, "--points", out]) == 0
+        assert built == []
+
+    def test_parser_reused_across_requests(self, family_file, capsys):
+        # One process: pierce, cover, a usage error, pierce again with
+        # default options; each call prints what a fresh process prints.
+        requests = [
+            ["pierce", family_file, "--seed", "5", "--skip-verify"],
+            ["cover", "-n", "3", "--theta", "1.0"],
+            ["pierce", family_file, "--no-such-option"],
+            ["pierce", family_file],
+        ]
+        codes = []
+        for argv in requests:
+            try:
+                codes.append(main(argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+            out, err = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "gallai", *argv], capture_output=True, text=True
+            )
+            assert (codes[-1], out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert codes == [0, 0, 2, 0]
+        assert json.loads(out)["report"]["seed"] == 0
 
 
 class TestDeterminism:

@@ -22,7 +22,7 @@ from gallai import (
     refine_ball_cover,
     verify_piercing,
 )
-from gallai import piercing, sphere_cover
+from gallai import PairwiseError, files, piercing, sphere_cover
 from gallai.sampling import ball_points, cap_points, rng_from
 
 from conftest import circle_cover_optimum, random_intersecting_family
@@ -112,33 +112,95 @@ class TestBallFamily:
                 )
 
 
+    def test_array_constructor_matches_balls(self):
+        rng = np.random.default_rng(31)
+        for far in (False, True):
+            centers = rng.uniform(-0.5, 0.5, (12, 3))
+            radii = rng.uniform(1.0, 1.5, 12)
+            if far:
+                centers[7] += 10.0  # ball 7 misses the others
+            balls = tuple(Ball(c, float(r)) for c, r in zip(centers, radii))
+            built = []
+            for make in (lambda: BallFamily(3, balls),
+                         lambda: BallFamily.from_arrays(3, centers, radii)):
+                try:
+                    built.append(make())
+                except PairwiseError as exc:
+                    built.append(exc.pair)
+            a, b = built
+            if far:
+                assert a == b == (0, 7)
+                continue
+            for family in (a, b):
+                assert np.array_equal(family.centers(), centers)
+                assert np.array_equal(family.radii(), radii)
+                assert len(family.balls) == 12
+                for arr in (family.centers(), family.radii()):
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0] = 0.0
+            centers[0, 0] += 1.0  # the family keeps its own copy
+            assert b.centers()[0, 0] != centers[0, 0]
+
+    def test_array_constructor_validates(self):
+        with pytest.raises(ValueError, match="ball 1: radius"):
+            BallFamily.from_arrays(2, [[0, 0], [1, 0]], [1.0, 0.0])
+        with pytest.raises(ValueError, match="ball 0: coordinates"):
+            BallFamily.from_arrays(2, [[math.nan, 0], [1, 0]], [1.0, 1.0])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            BallFamily.from_arrays(3, [[0, 0], [1, 0]], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            BallFamily.from_arrays(2, np.empty((0, 2)), [])
+        with pytest.raises(ValueError):
+            BallFamily.from_arrays(2, [[0, 0], [1, 0]], [1.0])
+
+    def test_memory_bounded(self):
+        # Parse, family and normalized copy of 20,000 balls in 3D. One
+        # Ball object per ball, and a second validated family from
+        # normalize_family, took 11 MB traced.
+        rng = np.random.default_rng(7)
+        m = 20_000
+        d = rng.standard_normal((m, 3))
+        centers = d / np.linalg.norm(d, axis=1)[:, None] * rng.random(m)[:, None] ** (1 / 3)
+        doc = {
+            "kind": "ball_family",
+            "dimension": 3,
+            "balls": [{"center": c, "radius": r}
+                      for c, r in zip(centers.tolist(), rng.uniform(1.0, 1.5, m).tolist())],
+        }
+        tracemalloc.start()
+        try:
+            dim, balls = files.parse_ball_family(doc)
+            normalize_family(BallFamily(dim, balls))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestNormalizeFamily:
     def test_single_ball(self):
         family = BallFamily(2, (Ball([3, 3], 2),))
-        normalized, tr = normalize_family(family)
-        assert np.allclose(normalized.balls[0].center, [0, 0])
-        assert normalized.balls[0].radius == 1.0
+        centers, radii, tr = normalize_family(family)
+        assert np.allclose(centers, [[0, 0]])
+        assert radii.tolist() == [1.0]
         assert tr.scale == 2.0
         assert np.allclose(tr.offset, [3, 3])
 
     def test_already_normalized_is_identity(self):
         family = BallFamily(2, (Ball([0, 0], 1), Ball([1.5, 0], 2)))
-        normalized, tr = normalize_family(family)
+        centers, radii, tr = normalize_family(family)
         assert tr.scale == 1.0
         assert np.allclose(tr.offset, [0, 0])
-        for a, b in zip(normalized.balls, family.balls):
-            assert np.array_equal(a.center, b.center)
-            assert a.radius == b.radius
+        assert np.array_equal(centers, family.centers())
+        assert np.array_equal(radii, family.radii())
 
     def test_hand_worked_similarity(self):
         # Smallest radius 2 at the origin: scale by 1/2 leaves centers
         # halved and radii halved.
         family = BallFamily(2, (Ball([0, 0], 2), Ball([1, 0], 4)))
-        normalized, tr = normalize_family(family)
-        assert np.allclose(normalized.balls[0].center, [0, 0])
-        assert normalized.balls[0].radius == 1.0
-        assert np.allclose(normalized.balls[1].center, [0.5, 0])
-        assert normalized.balls[1].radius == 2.0
+        centers, radii, tr = normalize_family(family)
+        assert np.allclose(centers, [[0, 0], [0.5, 0]])
+        assert radii.tolist() == [1.0, 2.0]
         # Round trip through the transform.
         pts = np.array([[0.25, -0.5], [1.0, 1.0]])
         assert np.allclose(tr.to_normalized(tr.to_original(pts)), pts)
