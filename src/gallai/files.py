@@ -83,16 +83,10 @@ def _numeric_matrix(rows, dim: int, what: str) -> np.ndarray:
     return _finite_matrix(rows, what)
 
 
-# The number types json.load produces. A row of only these passes
-# without the per-value isinstance test, which decides every other row.
-_JSON_NUMBERS = frozenset((int, float))
-
-
 def _is_row(row, dim: int) -> bool:
     """A list of ``dim`` numbers; bools are not numbers."""
-    return isinstance(row, list) and len(row) == dim and (
-        _JSON_NUMBERS.issuperset(map(type, row))
-        or all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)
+    return isinstance(row, list) and len(row) == dim and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
     )
 
 

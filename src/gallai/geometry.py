@@ -165,7 +165,8 @@ class Balls(Sequence):
     ``centers`` is (m, n) and ``radii`` (m,), m >= 1 and n >= 2, copied
     once and made read-only. Centers must be finite and radii positive
     and finite, as for ``Ball``. ``len`` is O(1) and builds no ``Ball``;
-    indexing or iterating builds each ``Ball`` on demand.
+    indexing or iterating builds each ``Ball`` on demand, and a
+    non-empty slice is a ``Balls``.
     """
 
     centers: np.ndarray
@@ -211,7 +212,9 @@ class Balls(Sequence):
     def __len__(self):
         return self.radii.shape[0]
 
-    def __getitem__(self, i) -> Ball:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Balls(self.centers[i], self.radii[i])
         return Ball(self.centers[i], self.radii[i])
 
 

@@ -81,11 +81,6 @@ class BallFamily:
         if bad is not None:
             raise PairwiseError(f"balls {bad[0]} and {bad[1]} do not intersect", bad)
 
-    @classmethod
-    def from_arrays(cls, dimension: int, centers, radii) -> "BallFamily":
-        """Family of the balls with these (m, n) centers and (m,) radii."""
-        return cls(dimension, Balls(centers, radii))
-
     def centers(self) -> np.ndarray:
         """The read-only (m, n) centers."""
         return self.balls.centers
@@ -167,13 +162,16 @@ def normalize_family(family: BallFamily) -> tuple[np.ndarray, np.ndarray, Simila
     Ties on the smallest radius go to the lowest index. Returns the
     normalized centers (m, n) and radii (m,), and the similarity mapping
     results back. The family was validated when it was built, so its
-    mapped copy is not validated again; ``pierce`` verifies its result
-    against the input family.
+    mapped copy is only checked to be finite (mapping may overflow);
+    ``pierce`` verifies its result against the input family.
     """
     centers, radii = family.centers(), family.radii()
     idx = int(np.argmin(radii))
     tr = Similarity(float(radii[idx]), centers[idx].copy())
-    return tr.to_normalized(centers), radii / tr.scale, tr
+    mapped, scaled = tr.to_normalized(centers), radii / tr.scale
+    if not (np.isfinite(mapped).all() and np.isfinite(scaled).all()):
+        raise ValueError("normalized coordinates and radii must be finite")
+    return mapped, scaled, tr
 
 
 def cap_overlap_radius(r: float, n: int) -> float:
@@ -248,6 +246,8 @@ def cover_points_by_balls(points, radius: float) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty (m, n) array")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     if not radius > 0:
         raise ValueError("radius must be positive")
     m, n = pts.shape

@@ -313,6 +313,25 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_precondition_on_family_that_overflows_when_normalized(self, tmp_path, capsys):
+        # Valid as given (the pairwise limit is inf too), but normalizing
+        # maps ball 1's center to -inf.
+        doc = {
+            "kind": "ball_family",
+            "dimension": 2,
+            "balls": [
+                {"center": [1e308, 0], "radius": 1e308},
+                {"center": [-1e308, 0], "radius": 1e308},
+            ],
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert self.run("pierce", str(path)) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "precondition"
+        assert "finite" in out["detail"]
+
     def test_precondition_on_disjoint_family(self, tmp_path, capsys):
         doc = {
             "kind": "ball_family",

@@ -12,6 +12,7 @@ from gallai import (
     DEFAULT_TOL,
     Ball,
     BallFamily,
+    Balls,
     CapBody,
     Packing,
     SeparatedSet,
@@ -145,6 +146,18 @@ class TestBalls:
             Ball([math.inf, 0], 1.0)
         with pytest.raises(ValueError):
             Ball([1.0], 1.0)  # dimension below 2
+
+    def test_balls_sequence(self):
+        balls = Balls([[0, 0], [1, 0], [2, 0]], [1.0, 2.0, 3.0])
+        assert len(balls) == 3
+        assert balls[1].radius == 2.0 and balls[-1].center.tolist() == [2.0, 0.0]
+        tail = balls[1:]
+        assert isinstance(tail, Balls)
+        assert tail.centers.tolist() == [[1, 0], [2, 0]]
+        assert tail.radii.tolist() == [2.0, 3.0]
+        assert [b.radius for b in balls[::2]] == [1.0, 3.0]
+        with pytest.raises(ValueError):
+            balls[3:]  # a family is non-empty
 
 
 def gram_first_pair(bad):

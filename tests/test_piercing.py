@@ -11,6 +11,7 @@ from scipy.spatial.distance import cdist
 from gallai import (
     Ball,
     BallFamily,
+    Balls,
     PiercingConfig,
     Similarity,
     cap_overlap_radius,
@@ -122,7 +123,7 @@ class TestBallFamily:
             balls = tuple(Ball(c, float(r)) for c, r in zip(centers, radii))
             built = []
             for make in (lambda: BallFamily(3, balls),
-                         lambda: BallFamily.from_arrays(3, centers, radii)):
+                         lambda: BallFamily(3, Balls(centers, radii))):
                 try:
                     built.append(make())
                 except PairwiseError as exc:
@@ -143,15 +144,15 @@ class TestBallFamily:
 
     def test_array_constructor_validates(self):
         with pytest.raises(ValueError, match="ball 1: radius"):
-            BallFamily.from_arrays(2, [[0, 0], [1, 0]], [1.0, 0.0])
+            BallFamily(2, Balls([[0, 0], [1, 0]], [1.0, 0.0]))
         with pytest.raises(ValueError, match="ball 0: coordinates"):
-            BallFamily.from_arrays(2, [[math.nan, 0], [1, 0]], [1.0, 1.0])
+            BallFamily(2, Balls([[math.nan, 0], [1, 0]], [1.0, 1.0]))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            BallFamily.from_arrays(3, [[0, 0], [1, 0]], [1.0, 1.0])
+            BallFamily(3, Balls([[0, 0], [1, 0]], [1.0, 1.0]))
         with pytest.raises(ValueError):
-            BallFamily.from_arrays(2, np.empty((0, 2)), [])
+            BallFamily(2, Balls(np.empty((0, 2)), []))
         with pytest.raises(ValueError):
-            BallFamily.from_arrays(2, [[0, 0], [1, 0]], [1.0])
+            BallFamily(2, Balls([[0, 0], [1, 0]], [1.0]))
 
     def test_memory_bounded(self):
         # Parse, family and normalized copy of 20,000 balls in 3D. One
@@ -205,6 +206,20 @@ class TestNormalizeFamily:
         pts = np.array([[0.25, -0.5], [1.0, 1.0]])
         assert np.allclose(tr.to_normalized(tr.to_original(pts)), pts)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_map_is_rejected(self):
+        # Both families are valid, but their normalized copies are not
+        # finite: a center maps to -inf, or a radius to inf.
+        for centers, radii in (
+            ([[1e308, 0], [-1e308, 0]], [1e308, 1e308]),
+            ([[0, 0], [0, 0]], [1e-300, 1e300]),
+        ):
+            family = BallFamily(2, Balls(centers, radii))
+            with pytest.raises(ValueError, match="must be finite"):
+                normalize_family(family)
+            with pytest.raises(ValueError, match="must be finite"):
+                pierce(family)
+
 
 class TestCapOverlapRadius:
     def test_value_at_two(self):
@@ -256,6 +271,13 @@ class TestCoverPointsByBalls:
     def test_single_point(self):
         out = cover_points_by_balls(np.array([[1.0, 2.0]]), 0.5)
         assert np.array_equal(out, [[1.0, 2.0]])
+
+    def test_non_finite_points_rejected(self):
+        # No candidate is within range of a non-finite target, so the
+        # greedy loop could never cover it.
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                cover_points_by_balls(np.array([[0.0, 0.0], [bad, 0.0]]), 1.0)
 
     def test_tight_cluster_one_center(self):
         rng = rng_from(3)
