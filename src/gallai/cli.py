@@ -347,7 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, required=True,
                    help="separated points to aim for before symmetrizing")
     p.add_argument("--samples", type=int, default=10_000,
-                   help="directions sampled for the multiplicity report")
+                   help="directions sampled for the multiplicity report; the "
+                        "sampled maximum can only under-count the true one, so "
+                        "the reported witness (size / max) can only be too high")
     common(p)
     p.set_defaults(func=cmd_lowerbound)
 

@@ -154,7 +154,7 @@ def parse_ball_family(doc: dict) -> tuple[int, Balls]:
                 raise FileFormatError(f"balls[{i}] must be an object")
             center = _require(entry, "center", "ball")
             if not _is_row(center, dim):
-                _check_rows([center], dim, f"balls[{i}].center")  # raises
+                raise FileFormatError(f"balls[{i}].center must be a list of {dim} numbers")
             rows.append(center)
             radius = _require(entry, "radius", "ball")
             if not isinstance(radius, (int, float)) or isinstance(radius, bool):

@@ -2,10 +2,12 @@
 
 Builds antipodally symmetric sets on the sphere whose pairwise angular
 distances stay at least pi/3, turns them into centrally symmetric cap
-bodies with vertex norm 2/sqrt(3) (tangent pi/6 caps), and measures how
-many vertices a single direction can illuminate. The ratio of the
-vertex count to the observed maximum multiplicity is a lower-bound
-witness for the illumination number of the body.
+bodies with vertex norm 2/sqrt(3) (tangent pi/6 caps), and samples how
+many vertices a single direction can illuminate. The vertex count over
+the true maximum multiplicity is a lower bound on the illumination
+number of the body; the sampled maximum can only under-count the true
+one, so the reported ratio (the sampled witness) can only be too high
+and is an estimate of that bound, not a bound.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ _BLOCK = 512
 # Band around each window edge inside which a block's dots are recomputed
 # with the per-candidate product of construct_separated_set.
 _RECHECK = 1e-12
+# Directions drawn per sampling.unit_vectors call in multiplicity_report;
+# the report holds a few arrays of this many rows at a time.
+_SAMPLE_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,10 +105,11 @@ def construct_separated_set(
     or once ``max_draws`` total draws are spent; an undersized result
     is flagged via ``reached_target``, never returned silently.
 
-    Candidates are drawn ``_BLOCK`` at a time and scanned with one matrix
-    product, but every decision, draw count and restart is that of a loop
-    drawing one vector per iteration, so the result does not depend on
-    ``_BLOCK``.
+    Candidates are drawn ``_BLOCK`` at a time and scanned in order (see
+    ``_scan_block``), but every decision, draw count and restart is that
+    of a loop drawing one vector per iteration, so the result does not
+    depend on ``_BLOCK``. Accepted points live in a buffer that doubles
+    when full, so memory follows the points found, not ``target_size``.
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
@@ -117,57 +123,68 @@ def construct_separated_set(
     cos_hi = math.cos(ANGLE_MIN)  # dots above this are too close
     cos_lo = math.cos(ANGLE_MAX)  # dots below this are too far
     band = max(_RECHECK, 4.0 * n * np.finfo(float).eps)
-    best: list[np.ndarray] = []
+    best = np.empty((0, n))
     drawn = 0
     restart = 0
     while drawn < budget and len(best) < target_size:
         rng = sampling.subrng(seed, restart)
         restart += 1
-        accepted: list[np.ndarray] = []
+        pts, k = np.empty((16, n)), 0
         stall = 0
-        while drawn < budget and len(accepted) < target_size and stall <= stall_limit:
+        while drawn < budget and k < target_size and stall <= stall_limit:
             # A block never passes the budget or the stall limit, so the
             # run stops after the same draw as a one-at-a-time loop; only a
             # run that reaches its target leaves the rest of a block unused.
             count = min(_BLOCK, budget - drawn, stall_limit + 1 - stall)
             block = sampling.unit_vectors(rng, n, count)
-            while len(block) and len(accepted) < target_size:
-                i = _first_fit(block, accepted, cos_lo, cos_hi, band)
-                if i is None:
-                    drawn += len(block)
-                    stall += len(block)
-                    break
-                drawn += i + 1
-                accepted.append(block[i])
-                stall = 0
-                block = block[i + 1 :]
-        if len(accepted) > len(best):
-            best = accepted
-    return SeparatedSet(n, np.array(best), reached_target=len(best) >= target_size)
+            pts, fits = _scan_block(block, pts, k, target_size, cos_lo, cos_hi, band)
+            k += len(fits)
+            used = fits[-1] + 1 if k >= target_size else count
+            drawn += used
+            stall = used - fits[-1] - 1 if fits else stall + used
+        if k > len(best):
+            best = pts[:k]
+    return SeparatedSet(n, best, reached_target=len(best) >= target_size)
 
 
-def _first_fit(block, accepted, cos_lo, cos_hi, band) -> int | None:
-    """First row of ``block`` whose dots with every accepted point lie in
-    [cos_lo, cos_hi], or None.
+def _scan_block(block, pts, k, target, cos_lo, cos_hi, band):
+    """Accept rows of ``block`` in order until ``k`` reaches ``target``.
 
-    Decides each row as ``np.array(accepted) @ row`` would: the block's
-    matrix product may differ from it in the last bits, so rows with a
-    dot within ``band`` of either edge are recomputed that way.
+    A row is accepted iff ``pts[:k] @ row`` lies in [cos_lo, cos_hi], and
+    is then appended to ``pts`` (doubled when full). Returns the buffer
+    and the accepted row indices. Per-row flags come from one product
+    with ``pts[:k]`` and one matrix-vector product per acceptance:
+    ``bad`` (a dot clearly outside) and ``unsure`` (a dot within ``band``
+    of an edge, where these products may differ from the per-row one in
+    the last bits, so the row is recomputed that way).
     """
-    if not accepted:
-        return 0
-    pts = np.array(accepted)
-    dots = block @ pts.T
+    bad, unsure = _edge_flags(block @ pts[:k].T, cos_lo, cos_hi, band)
+    bad, unsure = bad.any(axis=1), unsure.any(axis=1)
+    fits: list[int] = []
+    for i in np.flatnonzero(~bad):
+        if bad[i]:  # ruled out by a row accepted earlier in this block
+            continue
+        if unsure[i]:
+            exact = pts[:k] @ block[i].copy()  # a fresh row, like a single draw
+            if exact.max() > cos_hi or exact.min() < cos_lo:
+                continue
+        if k == len(pts):
+            pts = np.concatenate([pts, np.empty_like(pts)])
+        pts[k] = block[i]
+        k += 1
+        fits.append(int(i))
+        if k == target:
+            break
+        more_bad, more_unsure = _edge_flags(block[i + 1 :] @ block[i], cos_lo, cos_hi, band)
+        bad[i + 1 :] |= more_bad
+        unsure[i + 1 :] |= more_unsure
+    return pts, fits
+
+
+def _edge_flags(dots, cos_lo, cos_hi, band):
+    """Per dot: (clearly outside [cos_lo, cos_hi], within ``band`` of an edge)."""
     near = (np.abs(dots - cos_hi) <= band) | (np.abs(dots - cos_lo) <= band)
-    outside = ((dots > cos_hi) | (dots < cos_lo)) & ~near
-    unsure = near.any(axis=1)
-    for i in np.flatnonzero(~outside.any(axis=1)):
-        if not unsure[i]:
-            return int(i)
-        exact = pts @ block[i].copy()  # a fresh row, like a single draw
-        if not (exact.max() > cos_hi or exact.min() < cos_lo):
-            return int(i)
-    return None
+    return ((dots > cos_hi) | (dots < cos_lo)) & ~near, near
 
 
 def symmetrize(x: SeparatedSet) -> SymmetricSeparatedSet:
@@ -199,28 +216,15 @@ def build_lower_bound_body(y: SymmetricSeparatedSet) -> CapBody:
         raise VerificationError(f"cap-body check failed: {exc}") from exc
 
 
-def illumination_multiplicity(
-    y: SymmetricSeparatedSet, u, tol: float = DEFAULT_TOL
-) -> int:
-    """Number of base points whose open pi/3 cap contains -u.
-
-    This counts exactly the vertices of the induced cap body that the
-    direction u illuminates.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (y.dimension,):
-        raise ValueError(f"direction must have shape ({y.dimension},)")
-    dots = y.points @ (-u)
-    return int((dots > math.cos(ANGLE_MIN) + tol).sum())
-
-
 @dataclass(frozen=True)
 class MultiplicityReport:
     """Sampled illumination-multiplicity statistics.
 
-    ``witness`` is size / max_multiplicity, a lower bound on the
-    illumination number of the induced body (inf when no sampled
-    direction illuminated anything).
+    ``witness`` is size / max_multiplicity (inf when no sampled direction
+    illuminated anything). A sample can only under-count the true
+    maximum, so the witness can only be too high: it estimates the lower
+    bound size / (true maximum) on the illumination number of the
+    induced body from above and is not itself a lower bound.
     """
 
     samples: int
@@ -245,19 +249,44 @@ def multiplicity_report(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> MultiplicityReport:
-    """Multiplicity statistics over seeded uniform directions."""
+    """Multiplicity statistics over seeded uniform directions.
+
+    u illuminates y_i when -u . y_i > c = cos(pi/3) + tol. Directions
+    come ``_SAMPLE_BLOCK`` at a time from one prefix-consistent stream,
+    and each antipodal pair {h, -h} is counted from d = u . h alone
+    (-u . h > c iff d < -c, -u . -h > c iff d > c), so memory is
+    O(_SAMPLE_BLOCK * len(y)) and the report equals that of one product
+    over all directions and points.
+    """
     if samples < 1:
         raise ValueError("sample count must be positive")
-    u = sampling.unit_vectors(sampling.rng_from(seed), y.dimension, samples)
-    counts = ((-u @ y.points.T) > math.cos(ANGLE_MIN) + tol).sum(axis=1)
-    top = int(counts.max())
-    freq = np.bincount(counts)
-    hist = tuple((int(k), int(freq[k])) for k in np.flatnonzero(freq))
+    h = _one_per_pair(y.points)
+    c = math.cos(ANGLE_MIN) + tol
+    rng = sampling.rng_from(seed)
+    freq = np.zeros(len(y) + 1, dtype=np.int64)  # a count is at most len(y)
+    total = 0
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        u = sampling.unit_vectors(rng, y.dimension, min(_SAMPLE_BLOCK, samples - start))
+        d = u @ h.T
+        counts = (d > c).sum(axis=1) + (d < -c).sum(axis=1)
+        total += int(counts.sum())
+        freq += np.bincount(counts, minlength=len(freq))
+    seen = np.flatnonzero(freq)
+    top = int(seen[-1])
+    hist = tuple((int(k), int(freq[k])) for k in seen)
     witness = len(y) / top if top > 0 else math.inf
     return MultiplicityReport(
         samples=samples,
         max_multiplicity=top,
-        mean_multiplicity=float(counts.mean()),
+        # Exact: an integer total below 2**53 and one rounded division.
+        mean_multiplicity=total / samples,
         histogram=hist,
         witness=witness,
     )
+
+
+def _one_per_pair(points: np.ndarray) -> np.ndarray:
+    """The rows of a negation-closed set whose first nonzero coordinate is
+    positive: exactly one of each antipodal pair."""
+    first = (points != 0).argmax(axis=1)
+    return points[points[np.arange(len(points)), first] > 0]

@@ -86,6 +86,17 @@ def random_direction_set(n, size, seed, flavor="mixed"):
     return dirs
 
 
+def illumination_multiplicity(y, u, tol=1e-9):
+    """Per-direction oracle for ``multiplicity_report``: the number of
+    points of the symmetric set ``y`` whose open pi/3 cap contains -u,
+    i.e. the vertices of the induced cap body that u illuminates."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (y.dimension,):
+        raise ValueError(f"direction must have shape ({y.dimension},)")
+    dots = y.points @ (-u)
+    return int((dots > math.cos(math.pi / 3) + tol).sum())
+
+
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)

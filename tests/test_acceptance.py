@@ -19,7 +19,6 @@ from gallai import (
     SpikyBall,
     covering_exponent,
     illuminate_cap_body,
-    illumination_multiplicity,
     is_cap_body,
     kl_exponent,
     maximal_packing,
@@ -44,6 +43,7 @@ from gallai.sampling import ball_points, cap_points, rng_from, unit_vectors
 from conftest import (
     circle_cover_optimum,
     circle_packing_optimum,
+    illumination_multiplicity,
     random_cap_body,
     random_direction_set,
     random_intersecting_family,

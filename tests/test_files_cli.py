@@ -152,7 +152,7 @@ def per_entry_parse(doc):
             or len(center) != dim
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in center)
         ):
-            raise files.FileFormatError(f"balls[{i}].center[0] must be a list of {dim} numbers")
+            raise files.FileFormatError(f"balls[{i}].center must be a list of {dim} numbers")
         try:
             c = np.asarray(center, dtype=float)
         except OverflowError as exc:
@@ -273,6 +273,14 @@ class TestBallFamilyParse:
         doc["balls"][1]["center"] = [0, 0]
         with pytest.raises(files.FileFormatError, match=r"^balls\[2\]: radius must be positive"):
             files.parse_ball_family(doc)
+
+    @pytest.mark.parametrize("center", [[0], [0, 0, 0], [0, "1"], [True, 0], 5])
+    def test_malformed_center_names_the_center(self, center):
+        balls = [{"center": [0, 0], "radius": 1}] * 3 + [{"center": center, "radius": 1}]
+        doc = {"kind": "ball_family", "dimension": 2, "balls": balls}
+        with pytest.raises(files.FileFormatError) as got:
+            files.parse_ball_family(doc)
+        assert str(got.value) == "balls[3].center must be a list of 2 numbers"
 
 
 class TestExitCodes:

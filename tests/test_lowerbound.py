@@ -1,6 +1,7 @@
 """Tests for separated sets, symmetrization, and multiplicity reports."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,13 +14,14 @@ from gallai import (
     base_cap,
     build_lower_bound_body,
     construct_separated_set,
-    illumination_multiplicity,
     is_cap_body,
     multiplicity_report,
     symmetrize,
 )
 from gallai import sampling
-from gallai.lowerbound import _first_fit
+from gallai.lowerbound import _SAMPLE_BLOCK, MultiplicityReport, _scan_block
+
+from conftest import illumination_multiplicity
 
 WINDOW = (math.pi / 3, 2 * math.pi / 3)
 
@@ -129,22 +131,55 @@ class TestConstructSeparatedSet:
         cos_hi, cos_lo = math.cos(math.pi / 3), math.cos(2 * math.pi / 3)
         accepted = list(sampling.unit_vectors(rng, n, 3))
         pts = np.array(accepted)
-        rows = []
-        for _ in range(400):
-            a = pts[rng.integers(3)]
+
+        def edge_row(a):
             w = rng.standard_normal(n)
             w -= (w @ a) * a
             w /= np.linalg.norm(w)
             c = rng.choice([cos_hi, cos_lo])
             row = c * a + math.sqrt(1 - c * c) * w
-            rows.append(row / np.linalg.norm(row))
-        block = np.array(rows)
+            return row / np.linalg.norm(row)
+
+        block = np.array([edge_row(pts[rng.integers(3)]) for _ in range(400)])
         per_draw = (pts @ row.copy() for row in block)
         fits = [not (d.max() > cos_hi or d.min() < cos_lo) for d in per_draw]
         assert 0 < sum(fits) < len(fits)
         for start in range(len(block)):
+            # Room for one acceptance: the scan returns the first fit.
             expect = next((i for i, ok in enumerate(fits[start:]) if ok), None)
-            assert _first_fit(block[start:], accepted, cos_lo, cos_hi, 1e-12) == expect
+            buf, got = _scan_block(block[start:], pts.copy(), 3, 4, cos_lo, cos_hi, 1e-12)
+            assert got == ([] if expect is None else [expect])
+            if got:  # the full buffer grew to take the accepted row
+                assert buf[:4].tobytes() == np.vstack([pts, block[start + got[0]]]).tobytes()
+        # Unlimited room: every later decision also counts the rows the
+        # scan accepted earlier in the block, as the per-draw loop does.
+        # Edge rows of earlier rows and uniform draws go between the edge
+        # rows above, so rows sit on the edges of rows accepted in the block.
+        mixed = []
+        for row in block:
+            anchor = mixed[rng.integers(len(mixed))] if mixed else row
+            mixed += [row, edge_row(anchor), sampling.unit_vectors(rng, n, 1)[0]]
+        mixed = np.array(mixed)
+        loop, taken = list(accepted), []
+        for i, row in enumerate(mixed):
+            d = np.array(loop) @ row.copy()
+            if not (d.max() > cos_hi or d.min() < cos_lo):
+                loop.append(row)
+                taken.append(i)
+        buf, got = _scan_block(mixed, pts.copy(), 3, 10**9, cos_lo, cos_hi, 1e-12)
+        assert got == taken
+        assert buf[: len(loop)].tobytes() == np.array(loop).tobytes()
+
+    def test_memory_independent_of_target(self):
+        # A buffer sized by target_size would take 10**9 x 4 doubles.
+        tracemalloc.start()
+        try:
+            s = construct_separated_set(4, 10**9, max_draws=2_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not s.reached_target
+        assert peak < 2**20
 
     def test_type_rejects_window_violation(self):
         with pytest.raises(ValueError):
@@ -254,6 +289,22 @@ class TestMultiplicity:
             assert illumination_multiplicity(y, u) == brute
 
 
+def one_product_report(y, samples, seed=0, tol=1e-9):
+    """Reference multiplicity_report: one product of all the negated
+    directions with all the points, no blocks and no pairing."""
+    u = sampling.unit_vectors(sampling.rng_from(seed), y.dimension, samples)
+    counts = ((-u @ y.points.T) > math.cos(math.pi / 3) + tol).sum(axis=1)
+    top = int(counts.max())
+    freq = np.bincount(counts)
+    return MultiplicityReport(
+        samples=samples,
+        max_multiplicity=top,
+        mean_multiplicity=float(counts.mean()),
+        histogram=tuple((int(k), int(freq[k])) for k in np.flatnonzero(freq)),
+        witness=len(y) / top if top > 0 else math.inf,
+    )
+
+
 class TestMultiplicityReport:
     def test_antipodal_pair(self):
         y = symmetrize(SeparatedSet(3, np.array([[0.0, 0.0, 1.0]])))
@@ -289,3 +340,37 @@ class TestMultiplicityReport:
         y = symmetrize(construct_separated_set(3, 3, seed=11))
         with pytest.raises(ValueError):
             multiplicity_report(y, 0)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("samples", [1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1,
+                                         3 * _SAMPLE_BLOCK + 17])
+    def test_matches_one_product(self, n, samples):
+        y = symmetrize(construct_separated_set(n, 3 * n, seed=n))
+        assert multiplicity_report(y, samples, seed=samples) == one_product_report(
+            y, samples, seed=samples
+        )
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, -0.3, -0.7, 0.6])
+    def test_any_order_and_threshold(self, tol):
+        # Pairs need not be split into halves, and a threshold at or below
+        # zero lets both points of a pair count.
+        y = symmetrize(construct_separated_set(5, 15, seed=3))
+        shuffled = SymmetricSeparatedSet(5, y.points[np.random.default_rng(0).permutation(len(y))])
+        for z in (y, shuffled):
+            assert multiplicity_report(z, 5_000, seed=1, tol=tol) == one_product_report(
+                z, 5_000, seed=1, tol=tol
+            )
+
+    def test_memory_independent_of_samples(self):
+        # One product over all directions would take 200k x 32 doubles
+        # (51 MB) plus the negated directions.
+        y = symmetrize(construct_separated_set(8, 16, seed=1))
+        assert len(y) >= 30
+        tracemalloc.start()
+        try:
+            rep = multiplicity_report(y, 200_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.samples == 200_000
+        assert peak < 4 * 2**20
