@@ -16,6 +16,7 @@ import math
 import sys
 
 import numpy as np
+from scipy.special import betainc
 
 from . import files
 from .bounds import exponent_report, solve_alpha
@@ -33,6 +34,7 @@ from .illumination import (
     verifies_illumination,
 )
 from .lowerbound import (
+    ANGLE_MIN,
     build_lower_bound_body,
     construct_separated_set,
     multiplicity_report,
@@ -223,6 +225,25 @@ def cmd_pack(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
+    if not 0.0 < math.cos(ANGLE_MIN) + args.tol < 1.0:
+        raise ValueError(
+            f"--tol {args.tol} puts the illumination threshold cos(pi/3) + tol "
+            "outside (0, 1)"
+        )
+    # The symmetric set has 2 * target points pairwise >= pi/3 apart, so
+    # their open pi/6 caps are disjoint and each covers the share
+    # sigma(pi/6) of the sphere, sigma(phi) = I_(sin^2 phi)((n-1)/2, 1/2) / 2.
+    # A target past that area bound (less a rounding margin) is
+    # unreachable, and the sampler would spend its whole draw budget
+    # finding that out. Dimensions below 3 are left to
+    # construct_separated_set to reject.
+    if args.dimension >= 3:
+        share = 0.5 * betainc((args.dimension - 1) / 2, 0.5, math.sin(ANGLE_MIN / 2) ** 2)
+        if 2 * args.target * share > 1.0 + 1e-9:
+            raise ValueError(
+                f"target {args.target} is unreachable in dimension {args.dimension}: "
+                f"at most {0.5 / share:.1f} antipodal pairs fit pairwise pi/3 apart"
+            )
     separated = construct_separated_set(args.dimension, args.target, args.seed)
     symmetric = symmetrize(separated)
     body = build_lower_bound_body(symmetric)

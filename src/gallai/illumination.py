@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bounds import solve_alpha
 from .errors import PairwiseError, VerificationError
@@ -23,6 +22,12 @@ from .sphere_cover import CoverParams, greedy_cover
 
 # A vertex must clear the unit sphere by at least this much.
 VERTEX_TOL = 1e-9
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# Multiple of max(k, n) eps s[0] allowed between a computed singular
+# value and the true one in the positive-hull certificate.
+_SVD_SLACK = 64.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,11 +151,25 @@ def positive_hull_full(directions, tol: float = 1e-9) -> bool:
     """True iff the strictly positive combinations of the directions
     fill the whole space.
 
-    Equivalent to the dual cone {u : y_j . u <= 0 for all j} being {0}.
-    Decided by rank plus one feasibility solve: maximize sum(s) subject
-    to Y u + s <= 0, 0 <= s <= 1. A full positive hull forces optimum 0
-    and full rank; any nonzero dual vector either gives a positive
-    optimum or a rank defect.
+    Equivalent to the dual cone {u : y_j . u <= 0 for all j} being {0},
+    and, by Stiemke's theorem (1915), to rank Y = n together with some
+    lambda > 0 having Y^T lambda = 0. One thin SVD Y = U S V^T decides
+    the rank by ``numpy.linalg.matrix_rank``'s rule and proposes
+    lambda = 1 - U U^T 1, the all-ones vector projected onto null(Y^T).
+    Let m = min lambda, r_up an upper bound on |Y^T lambda| (the
+    computed norm plus its rounding error) and sigma_lo a lower bound on
+    the smallest singular value sigma_n(Y). If m > 0 and
+    sigma_lo * m > r_up, the hull is full. Proof: suppose a unit u had
+    y_j . u <= 0 for every j, and put a_j = -y_j . u >= 0. Then
+    m |a|_2 <= m |a|_1 <= sum_j lambda_j a_j = -(Y^T lambda) . u <= r_up,
+    while |a|_2 = |Y u|_2 >= sigma_lo; together these contradict
+    sigma_lo * m > r_up, so the dual cone is {0}.
+
+    When the certificate is not found, the decision falls back to one
+    feasibility solve: maximize sum(s) subject to Y u + s <= 0,
+    0 <= s <= 1. A full positive hull forces optimum 0; any nonzero
+    dual vector gives a positive optimum. The fallback is the only
+    place that loads ``scipy.optimize``.
     """
     y = directions.directions if isinstance(directions, DirectionSet) else np.asarray(
         directions, dtype=float
@@ -160,8 +179,13 @@ def positive_hull_full(directions, tol: float = 1e-9) -> bool:
     k, n = y.shape
     if k < n + 1:
         return False
-    if np.linalg.matrix_rank(y) < n:
+    u, s, _ = np.linalg.svd(y, full_matrices=False)
+    if s[-1] <= s[0] * max(k, n) * _EPS:
         return False
+    if _stiemke_certified(y, u, s):
+        return True
+    from scipy.optimize import linprog
+
     c = np.concatenate([np.zeros(n), -np.ones(k)])
     a_ub = np.hstack([y, np.eye(k)])
     bounds = [(None, None)] * n + [(0.0, 1.0)] * k
@@ -169,6 +193,31 @@ def positive_hull_full(directions, tol: float = 1e-9) -> bool:
     if not res.success:
         raise RuntimeError(f"feasibility solve failed: {res.message}")
     return -res.fun <= tol
+
+
+def _stiemke_certified(y: np.ndarray, u: np.ndarray, s: np.ndarray) -> bool:
+    """The checked Stiemke certificate of ``positive_hull_full`` for a
+    (k, n) matrix ``y`` of rank n with thin SVD factors ``u``, ``s``.
+
+    Every bound below errs on the safe side of the rounding in computing
+    it. Each entry of the product Y^T lambda is off by at most
+    gamma_k (|Y|^T |lambda|) with gamma_k = k eps / (1 - k eps), and the
+    factor 1 + 4 (k + n) eps covers the rounding in the two norms, their
+    sum and the final comparison; the term k * tiny covers underflow.
+    A backward-stable SVD returns each singular value within a modest
+    p(k, n) eps s[0] of the true one; ``_SVD_SLACK`` max(k, n) stands
+    for p(k, n) with a wide margin.
+    """
+    k, n = y.shape
+    lam = 1.0 - u @ u.sum(axis=0)
+    m = lam.min()
+    if not m > 0.0:
+        return False
+    gamma = k * _EPS / (1.0 - k * _EPS)
+    residual = np.linalg.norm(y.T @ lam) + gamma * np.linalg.norm(np.abs(y).T @ lam)
+    r_up = residual * (1.0 + 4 * (k + n) * _EPS) + k * _TINY
+    sigma_lo = s[-1] - _SVD_SLACK * max(k, n) * _EPS * s[0]
+    return bool(sigma_lo * m > r_up)
 
 
 def verifies_illumination(
@@ -289,19 +338,3 @@ def sweep_alpha(
         raise VerificationError("no alpha in the grid produced a certified direction set")
     return best
 
-
-def monte_carlo_hull_margin(directions, samples: int = 10_000, seed: int = 0) -> float:
-    """Monte-Carlo margin for the positive-hull decision.
-
-    Samples uniform unit vectors u and returns min over u of
-    max_j y_j . u: positive means every sampled u is seen by some
-    direction (hull looks full), negative means a sampled witness
-    halfspace avoids all directions.
-    """
-    from . import sampling
-
-    y = directions.directions if isinstance(directions, DirectionSet) else np.asarray(
-        directions, dtype=float
-    )
-    u = sampling.unit_vectors(sampling.rng_from(seed), y.shape[1], samples)
-    return float((u @ y.T).max(axis=1).min())

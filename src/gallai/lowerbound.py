@@ -221,10 +221,11 @@ class MultiplicityReport:
     """Sampled illumination-multiplicity statistics.
 
     ``witness`` is size / max_multiplicity (inf when no sampled direction
-    illuminated anything). A sample can only under-count the true
-    maximum, so the witness can only be too high: it estimates the lower
-    bound size / (true maximum) on the illumination number of the
-    induced body from above and is not itself a lower bound.
+    illuminated anything, which ``to_dict`` writes as None). A sample can
+    only under-count the true maximum, so the witness can only be too
+    high: it estimates the lower bound size / (true maximum) on the
+    illumination number of the induced body from above and is not
+    itself a lower bound.
     """
 
     samples: int
@@ -239,7 +240,8 @@ class MultiplicityReport:
             "max_multiplicity": self.max_multiplicity,
             "mean_multiplicity": self.mean_multiplicity,
             "histogram": {str(k): v for k, v in self.histogram},
-            "witness": self.witness,
+            # JSON has no infinity: no illuminated vertex gives null.
+            "witness": self.witness if self.max_multiplicity else None,
         }
 
 

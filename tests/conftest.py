@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from gallai import Ball, BallFamily, CapBody, maximal_packing
+from gallai import Ball, BallFamily, CapBody, DirectionSet, maximal_packing
+from gallai.sampling import rng_from, unit_vectors
 from gallai.sphere_cover import PackParams
 
 
@@ -84,6 +85,23 @@ def random_direction_set(n, size, seed, flavor="mixed"):
         take = max(1, size - 2 * n)
         dirs = np.concatenate([np.eye(n), -np.eye(n), dirs[:take]])
     return dirs
+
+
+def monte_carlo_hull_margin(directions, samples=10_000, seed=0):
+    """Monte-Carlo oracle for ``positive_hull_full``.
+
+    Samples uniform unit vectors u and returns min over u of
+    max_j y_j . u: positive means every sampled u is seen by some
+    direction (hull looks full), negative means a sampled witness
+    halfspace avoids all directions. The sampled minimum can only
+    over-state the true margin, so a negative value proves the hull is
+    not full.
+    """
+    y = directions.directions if isinstance(directions, DirectionSet) else np.asarray(
+        directions, dtype=float
+    )
+    u = unit_vectors(rng_from(seed), y.shape[1], samples)
+    return float((u @ y.T).max(axis=1).min())
 
 
 def illumination_multiplicity(y, u, tol=1e-9):

@@ -36,7 +36,6 @@ from gallai import (
 )
 from gallai import files
 from gallai.cli import main
-from gallai.illumination import monte_carlo_hull_margin
 from gallai.piercing import cap_overlap_radius
 from gallai.sampling import ball_points, cap_points, rng_from, unit_vectors
 
@@ -44,6 +43,7 @@ from conftest import (
     circle_cover_optimum,
     circle_packing_optimum,
     illumination_multiplicity,
+    monte_carlo_hull_margin,
     random_cap_body,
     random_direction_set,
     random_intersecting_family,

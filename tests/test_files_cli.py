@@ -283,6 +283,10 @@ class TestBallFamilyParse:
         assert str(got.value) == "balls[3].center must be a list of 2 numbers"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 class TestExitCodes:
     def run(self, *argv):
         return main(list(argv))
@@ -513,6 +517,42 @@ class TestExitCodes:
         assert report["symmetric_size"] == 2 * report["separated_size"]
         body = files.parse_spiky_body(files.load_document(out))
         assert len(body) == report["symmetric_size"]
+
+    @pytest.mark.parametrize("tol", ["0.5", "0.6", "-0.6", "nan"])
+    def test_lowerbound_rejects_threshold_outside_unit_interval(self, tol, capsys):
+        code = self.run("lowerbound", "-n", "3", "--target", "4", "--samples", "100",
+                        "--tol", tol)
+        assert code == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "precondition" and "--tol" in report["detail"]
+
+    def test_lowerbound_without_illuminated_vertex_is_strict_json(self, capsys):
+        # cos(pi/3) + 0.49 leaves caps of ~0.5% of the sphere each, so
+        # some seed's single sampled direction illuminates no vertex.
+        witnesses = set()
+        for seed in range(8):
+            assert self.run("lowerbound", "-n", "3", "--target", "4", "--samples", "1",
+                            "--tol", "0.49", "--seed", str(seed)) == 0
+            out = capsys.readouterr().out
+            stats = json.loads(out, parse_constant=_reject_constant)["report"]["multiplicity"]
+            assert (stats["witness"] is None) == (stats["max_multiplicity"] == 0)
+            witnesses.add(stats["witness"])
+        assert None in witnesses
+
+    @pytest.mark.parametrize("n, reachable", [(3, 7), (4, 17), (8, 394)])
+    def test_lowerbound_rejects_target_past_the_cap_area_bound(self, n, reachable, capsys):
+        # 2 * target points pairwise >= pi/3 apart have disjoint open
+        # pi/6 caps; one more pair than the area bound allows is refused
+        # at once instead of running out the draw budget.
+        for target in (reachable + 1, 10**9):
+            assert self.run("lowerbound", "-n", str(n), "--target", str(target)) == 3
+            report = json.loads(capsys.readouterr().out)
+            assert report["error"] == "precondition" and "unreachable" in report["detail"]
+
+    def test_lowerbound_accepts_target_at_the_cap_area_bound(self, capsys):
+        code = self.run("lowerbound", "-n", "4", "--target", "17", "--samples", "10")
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["report"]["target"] == 17
 
     def test_module_entry_point(self, family_file, tmp_path):
         # The package runs as python -m gallai.

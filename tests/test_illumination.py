@@ -1,6 +1,8 @@
 """Tests for spiky balls, cap bodies, and the illumination engine."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,9 +22,8 @@ from gallai import (
     verifies_illumination,
 )
 from gallai import sphere_cover
-from gallai.illumination import monte_carlo_hull_margin
 
-from conftest import random_cap_body, random_direction_set
+from conftest import monte_carlo_hull_margin, random_cap_body, random_direction_set
 
 SQRT2 = math.sqrt(2.0)
 
@@ -100,9 +101,41 @@ class TestIsCapBody:
             SpikyBall(2, [[1.0, 0.0]])
 
 
+def _raise_on_lp(*args, **kwargs):
+    raise AssertionError("the LP fallback ran")
+
+
+def _stiemke_lambda(y):
+    u, _, _ = np.linalg.svd(y, full_matrices=False)
+    return 1.0 - u @ u.sum(axis=0)
+
+
+def _circle_margin(y):
+    """Exact min over unit u of max_j y_j . u for unit rows in the plane:
+    cos of half the widest angular gap between consecutive rows."""
+    angles = np.sort(np.arctan2(y[:, 1], y[:, 0]))
+    gaps = np.diff(np.append(angles, angles[0] + 2.0 * math.pi))
+    return math.cos(gaps.max() / 2.0)
+
+
+@pytest.fixture
+def no_lp(monkeypatch):
+    monkeypatch.setattr("scipy.optimize.linprog", _raise_on_lp)
+
+
+def _certified(y, monkeypatch):
+    """True iff positive_hull_full proves ``y`` full without the LP."""
+    with monkeypatch.context() as m:
+        m.setattr("scipy.optimize.linprog", _raise_on_lp)
+        try:
+            return positive_hull_full(y)
+        except AssertionError:
+            return False
+
+
 class TestPositiveHull:
-    def test_cross_polytope_spans(self):
-        for n in (2, 4):
+    def test_cross_polytope_spans(self, no_lp):
+        for n in range(1, 8):
             assert positive_hull_full(np.concatenate([np.eye(n), -np.eye(n)]))
 
     def test_quarter_plane(self):
@@ -115,7 +148,7 @@ class TestPositiveHull:
     def test_too_few_directions(self):
         assert not positive_hull_full(np.eye(3))
 
-    def test_regular_simplex(self):
+    def test_regular_simplex(self, no_lp):
         simplex = np.array(
             [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
         ) / math.sqrt(3.0)
@@ -133,6 +166,93 @@ class TestPositiveHull:
             assert decided
         if margin < -1e-3:
             assert not decided
+
+
+class TestStiemkeCertificate:
+    """The SVD certificate decides full hulls; the LP only the rest."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_illuminate_output_proved_without_lp(self, seed, no_lp):
+        body = random_cap_body(3 + seed, 60, seed=40 + seed)
+        out = illuminate_cap_body(body, seed=seed)
+        assert positive_hull_full(out)
+        assert verifies_illumination(body, out) == (True, None)
+
+    def test_non_positive_lambda_falls_back_to_lp(self, monkeypatch):
+        # A full fan whose widest gap is 179 degrees: the projected
+        # all-ones vector is negative on the row at 90 degrees, so only
+        # the LP can say full.
+        a = np.radians([0.0, 45.0, 90.0, 135.0, 181.0])
+        y = np.stack([np.cos(a), np.sin(a)], axis=1)
+        assert _stiemke_lambda(y).min() <= 0.0
+        assert _circle_margin(y) > 0.0
+        from scipy import optimize
+
+        solve, calls = optimize.linprog, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "linprog", counting)
+        assert positive_hull_full(y)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("y", [
+        np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0], [-3.0, 0.0]]),
+        np.concatenate([cross_polytope_vertices(2, 1.0), np.zeros((4, 1))], axis=1),
+        np.zeros((5, 3)),
+    ], ids=["line", "plane-in-space", "zero"])
+    def test_rank_deficient_false_without_lp(self, y, no_lp):
+        assert not positive_hull_full(y)
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-6])
+    def test_perturbed_half_space_boundary_never_overcertified(self, delta, monkeypatch):
+        # {e1, -e1, e2} with each boundary row tilted by -delta, 0 or
+        # +delta: full only when both tilt away from e2.
+        for a in (-delta, 0.0, delta):
+            for b in (-delta, 0.0, delta):
+                y = np.array([[1.0, a], [-1.0, b], [0.0, 1.0]])
+                y /= np.linalg.norm(y, axis=1)[:, None]
+                margin = _circle_margin(y)
+                if _certified(y, monkeypatch):
+                    assert margin >= -1e-12, (a, b)
+                    assert monte_carlo_hull_margin(y, 10_000, seed=1) >= -1e-12
+                if margin < -1e-12:
+                    assert not positive_hull_full(y), (a, b)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_perturbed_cross_polytope_facet_never_overcertified(self, seed, monkeypatch):
+        # {+-e1, +-e2, e3} in R^3 with random tilts of size 1e-12 .. 1e-2.
+        # At odd seeds every side row tilts toward e3, which leaves -e3
+        # unseen.
+        rng = np.random.default_rng(seed)
+        base = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]], float)
+        for scale in (1e-12, 1e-9, 1e-6, 1e-2):
+            tilt = scale * rng.uniform(-1.0, 1.0, base.shape)
+            if seed % 2:
+                tilt[:4, 2] = np.abs(tilt[:4, 2])
+            y = base + tilt
+            y /= np.linalg.norm(y, axis=1)[:, None]
+            witness = (y @ np.array([0.0, 0.0, -1.0])).max()
+            margin = min(witness, monte_carlo_hull_margin(y, 10_000, seed=seed))
+            if _certified(y, monkeypatch):
+                assert margin >= -1e-12, scale
+
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import gallai.cli\n"
+            "from gallai import positive_hull_full\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "assert positive_hull_full(np.concatenate([np.eye(3), -np.eye(3)]))\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "assert not positive_hull_full(np.array([[1.0, 0], [-1, 0], [0, 1]]))\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestVerifiesIllumination:

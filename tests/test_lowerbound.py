@@ -325,6 +325,13 @@ class TestMultiplicityReport:
         assert rep.histogram == tuple(sorted(Counter(int(c) for c in counts).items()))
         assert len(rep.histogram) > 2
 
+    def test_witness_without_illuminated_vertex_is_json_null(self):
+        y = symmetrize(SeparatedSet(3, np.array([[0.0, 0.0, 1.0]])))
+        # A threshold near 1 leaves the two pi/3 caps almost empty.
+        rep = multiplicity_report(y, 1, seed=0, tol=0.4999)
+        assert rep.max_multiplicity == 0 and rep.witness == math.inf
+        assert rep.to_dict()["witness"] is None
+
     def test_witness_formula(self):
         y = symmetrize(construct_separated_set(3, 5, seed=9))
         rep = multiplicity_report(y, 5_000, seed=3)
