@@ -16,10 +16,9 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import betainc
 
 from . import files
-from .bounds import exponent_report, solve_alpha
+from .bounds import cap_share, exponent_report, solve_alpha
 from .errors import PairwiseError, VerificationError
 from .geometry import DEFAULT_TOL
 
@@ -232,13 +231,13 @@ def cmd_lowerbound(args) -> int:
         )
     # The symmetric set has 2 * target points pairwise >= pi/3 apart, so
     # their open pi/6 caps are disjoint and each covers the share
-    # sigma(pi/6) of the sphere, sigma(phi) = I_(sin^2 phi)((n-1)/2, 1/2) / 2.
+    # cap_share(n, pi/6) = I_(1/4)((n-1)/2, 1/2) / 2 of the sphere.
     # A target past that area bound (less a rounding margin) is
     # unreachable, and the sampler would spend its whole draw budget
     # finding that out. Dimensions below 3 are left to
     # construct_separated_set to reject.
     if args.dimension >= 3:
-        share = 0.5 * betainc((args.dimension - 1) / 2, 0.5, math.sin(ANGLE_MIN / 2) ** 2)
+        share = cap_share(args.dimension, ANGLE_MIN / 2)
         if 2 * args.target * share > 1.0 + 1e-9:
             raise ValueError(
                 f"target {args.target} is unreachable in dimension {args.dimension}: "

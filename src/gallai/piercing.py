@@ -16,18 +16,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import PairwiseError, VerificationError
-from .geometry import DEFAULT_TOL, Balls, as_vector, first_pair_outside
+from .geometry import (
+    DEFAULT_TOL,
+    Balls,
+    as_vector,
+    first_pair_outside,
+    gram_gaps,
+    gram_rows,
+)
 from .sphere_cover import CoverParams, greedy_cover
 
 # Distance entries evaluated at once by the blocked kernels below; bounds
 # their scratch memory whatever the number of points or balls.
 _BLOCK = 1 << 16
-# Relative band around the radius inside which cdist distances are
-# recomputed with the exact formula of cover_points_by_balls.
-_RECHECK = 1e-12
+# Checks of up to this many pairs use the exact norms alone: below it the
+# pair kernel's fixed cost, some thirty array calls, exceeds what it saves.
+_EXACT_PAIRS = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,12 +242,11 @@ def cover_points_by_balls(points, radius: float) -> np.ndarray:
     Memory is O(candidates * n + _BLOCK): no candidates x points array
     is built. The target's candidate column and the chosen center's row
     come from ``_norms``. Gains are counted over blocks of ``_BLOCK``
-    candidate-point distances from ``cdist``, whose sum of squares runs
-    in another order and may differ from ``_norms`` in the last bits;
-    every block entry within a relative ``_RECHECK`` of ``radius`` (or
-    4 n machine epsilons, if larger, which bounds that difference) is
-    recomputed with ``_norms``. So every decision, and the cover, is the
-    one the full ``_norms`` tensor would give.
+    candidate-point pairs by the pair kernel (``gram_gaps``), which
+    settles every pair outside its rounding band from one Gram product;
+    the pairs inside it are recomputed with ``_norms``, which alone
+    decides blocks of at most ``_EXACT_PAIRS`` pairs. So every decision,
+    and the cover, is the one the full ``_norms`` tensor would give.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -250,10 +255,9 @@ def cover_points_by_balls(points, radius: float) -> np.ndarray:
         raise ValueError("points must be finite")
     if not radius > 0:
         raise ValueError("radius must be positive")
-    m, n = pts.shape
+    m = pts.shape[0]
     if m == 1:
         return pts.copy()
-    band = radius * max(_RECHECK, 4.0 * n * np.finfo(float).eps)
     covered = np.zeros(m, dtype=bool)
     nearest = np.full(m, np.inf)
     midpoints = None
@@ -262,7 +266,7 @@ def cover_points_by_balls(points, radius: float) -> np.ndarray:
         open_idx = np.flatnonzero(~covered)
         target = pts[open_idx[int(np.argmax(nearest[open_idx]))]]
         free = pts[open_idx]
-        i, gain = _best_candidate(pts, target, free, radius, band)
+        i, gain = _best_candidate(pts, target, free, radius, pts[0])
         pick = pts[i]
         # Midpoints grow quadratically; past 600 points the points alone
         # still yield a valid cover. Neither memory nor a step that a
@@ -272,7 +276,7 @@ def cover_points_by_balls(points, radius: float) -> np.ndarray:
             if midpoints is None:
                 iu, ju = np.triu_indices(m, k=1)
                 midpoints = 0.5 * (pts[iu] + pts[ju])
-            j, mid_gain = _best_candidate(midpoints, target, free, radius, band)
+            j, mid_gain = _best_candidate(midpoints, target, free, radius, pts[0])
             if mid_gain > gain:
                 pick = midpoints[j]
         row = _norms(pick[None, None, :] - pts[None, :, :])[0]
@@ -282,27 +286,35 @@ def cover_points_by_balls(points, radius: float) -> np.ndarray:
     return np.array(centers)
 
 
-def _best_candidate(candidates, target, free, radius, band):
+def _best_candidate(candidates, target, free, radius, origin):
     """(index, gain) of the first candidate within ``radius`` of
     ``target`` that covers the most rows of ``free``; (-1, -1) if none
     is that close. Stops after the first block holding a candidate that
-    covers every row of ``free``, since no later one can cover more."""
+    covers every row of ``free``, since no later one can cover more.
+    The pair kernel shifts its rows by ``origin``."""
     column = _norms(candidates[:, None, :] - target[None, None, :])[:, 0]
     able = np.flatnonzero(column <= radius)
     step = max(1, _BLOCK // free.shape[0])
     best, best_gain = -1, -1
+    free_rows = None
     for s in range(0, able.size, step):
-        block = candidates[able[s : s + step]]
-        dist = cdist(block, free)
-        inside = dist <= radius
-        near = np.abs(dist - radius) <= band
-        if near.any():
-            r, c = np.nonzero(near)
-            inside[r, c] = _norms((block[r] - free[c])[:, None, :])[:, 0] <= radius
+        idx = able[s : s + step]
+        block = candidates[idx]
+        if block.shape[0] * free.shape[0] <= _EXACT_PAIRS:
+            inside = _norms(block[:, None, :] - free[None, :, :]) <= radius
+        else:
+            if free_rows is None:
+                free_rows = gram_rows(free, 0.0, origin)
+            gap, band = gram_gaps(gram_rows(block, radius, origin), free_rows)
+            inside = gap < -band[:, None]
+            near = np.abs(gap, out=gap) <= band[:, None]
+            if near.any():
+                r, c = np.nonzero(near)
+                inside[r, c] = _norms((block[r] - free[c])[:, None, :])[:, 0] <= radius
         gains = inside.sum(axis=1)
         j = int(np.argmax(gains))
         if gains[j] > best_gain:
-            best, best_gain = int(able[s + j]), int(gains[j])
+            best, best_gain = int(idx[j]), int(gains[j])
             if best_gain == free.shape[0]:
                 break
     return best, best_gain
@@ -429,9 +441,14 @@ def verify_piercing(
     """Exact check that every ball contains at least one point.
 
     Accepts a PiercingSet or a raw (m, n) array. Returns (True, None)
-    or (False, index of the first unpierced ball). Balls are checked in
-    blocks of about ``_BLOCK`` ball-point distances, so memory stays
-    bounded for any family and point count.
+    or (False, index of the first unpierced ball). A point pierces a
+    ball when ``norm(point - center) <= radius + tol``. Past
+    ``_EXACT_PAIRS`` ball-point pairs, the pair kernel (``gram_gaps``)
+    settles every pair outside its rounding band from one Gram product;
+    only the pairs inside it, of balls that no settled pair pierces, are
+    recomputed with that norm. Balls are checked in blocks of about
+    ``_BLOCK`` ball-point pairs, so memory stays bounded for any family
+    and point count.
     """
     pts = piercing.points if isinstance(piercing, PiercingSet) else np.asarray(
         piercing, dtype=float
@@ -443,9 +460,24 @@ def verify_piercing(
     centers = family.centers()
     limits = family.radii() + tol
     step = max(1, _BLOCK // pts.shape[0])
+    if centers.shape[0] * pts.shape[0] <= _EXACT_PAIRS:
+        gaps = np.linalg.norm(pts[None, :, :] - centers[:, None, :], axis=-1)
+        missed = np.flatnonzero(~(gaps <= limits[:, None]).any(axis=1))
+        return (False, int(missed[0])) if missed.size else (True, None)
+    ball_rows = gram_rows(centers, limits, centers[0])
+    point_rows = gram_rows(pts, 0.0, centers[0])
     for s in range(0, centers.shape[0], step):
-        gaps = np.linalg.norm(pts[None, :, :] - centers[s : s + step, None, :], axis=-1)
-        missed = np.flatnonzero(~(gaps <= limits[s : s + step, None]).any(axis=1))
+        gap, band = gram_gaps(ball_rows.take(slice(s, s + step)), point_rows)
+        pierced = (gap < -band[:, None]).any(axis=1)
+        if not pierced.all():
+            # Unpierced rows hold no settled inside pair, so every pair
+            # at or below the band is one to recompute.
+            open_rows = np.flatnonzero(~pierced)
+            r, c = np.nonzero(gap[open_rows] <= band[open_rows, None])
+            r = open_rows[r]
+            gaps = np.linalg.norm(pts[c] - centers[s + r], axis=-1)
+            pierced[r[gaps <= limits[s + r]]] = True
+        missed = np.flatnonzero(~pierced)
         if missed.size:
             return False, s + int(missed[0])
     return True, None

@@ -18,7 +18,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import sampling
 from .errors import PairwiseError, VerificationError
@@ -300,6 +299,10 @@ def _hull_certificate(centers: np.ndarray, theta: float, tol: float) -> CoverCer
     n = centers.shape[1]
     if n == 2:
         return _arc_certificate(centers, theta, tol)
+    # Qhull (scipy.spatial) is loaded here and in _hull_centers only, so
+    # commands that build no hull do not pay for it.
+    from scipy.spatial import ConvexHull, QhullError
+
     failed = CoverCertificate("hull", 0, theta - math.pi, False)
     try:
         simplices = ConvexHull(centers).simplices
@@ -480,6 +483,8 @@ def _hull_cover(n: int, theta: float, max_centers: int) -> Cover | None:
 
 
 def _hull_centers(n: int, theta: float, max_centers: int) -> np.ndarray | None:
+    from scipy.spatial import ConvexHull, QhullError
+
     if 2 * n > max_centers:
         raise RuntimeError(f"cover construction exceeded {max_centers} centers")
     target = math.cos(theta) + _BUILD_SLACK

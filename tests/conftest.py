@@ -130,3 +130,42 @@ def circle_packing_optimum(theta):
     # N points pairwise >= theta apart force N gaps summing to 2 pi,
     # each >= theta, so N <= 2 pi / theta; equal spacing attains it.
     return math.floor(2.0 * math.pi / theta + 1e-12)
+
+
+def dense_first_pair(rows, low=-math.inf, high=math.inf, angles=False, tol=0.0):
+    """Oracle for ``first_pair_outside``: every distance at once from
+    ``scipy.spatial.distance.cdist``, every window as (limit_i + limit_j)
+    + slack, and the first flagged pair of the upper triangle in
+    row-major order. Memory grows as m^2."""
+    from scipy.spatial.distance import cdist
+
+    rows = np.asarray(rows, dtype=float)
+    d = cdist(rows, rows)
+    if angles:
+        d = 2.0 * np.arcsin(np.minimum(0.5 * d, 1.0))
+
+    def window(limit, slack):
+        limit = np.asarray(limit, dtype=float)
+        if limit.ndim == 0:
+            return limit + slack
+        return limit[:, None] + limit[None, :] + slack
+
+    bad = np.triu((d < window(low, -tol)) | (d > window(high, tol)), k=1)
+    if not bad.any():
+        return None
+    return divmod(int(np.argmax(bad)), rows.shape[0])
+
+
+def dense_first_missed(centers, radii, points, tol=0.0):
+    """Oracle for ``verify_piercing``: all ball-point norms at once; the
+    first ball that no point lies within radius + tol of, or None."""
+    gaps = np.linalg.norm(points[None, :, :] - centers[:, None, :], axis=-1)
+    missed = np.flatnonzero(~(gaps <= (radii + tol)[:, None]).any(axis=1))
+    return int(missed[0]) if missed.size else None
+
+
+def betainc_share(n, angle):
+    """Oracle for ``cap_share``: scipy's regularized incomplete beta."""
+    from scipy.special import betainc
+
+    return 0.5 * float(betainc((n - 1) / 2, 0.5, math.sin(angle) ** 2))

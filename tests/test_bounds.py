@@ -1,15 +1,19 @@
 """Tests for the exponent calculators and the balance-point solver."""
 
 import math
+import sys
 
 import pytest
 
 from gallai import (
+    cap_share,
     covering_exponent,
     exponent_report,
     kl_exponent,
     solve_alpha,
 )
+
+from conftest import betainc_share
 
 
 class TestKlExponent:
@@ -112,3 +116,28 @@ class TestExponentReport:
         assert abs(d["gallai_lower"] - 1.15470) < 1e-4
         assert abs(d["alpha_star"] - 0.583808) < 1e-5
         assert d["bound_base"] < 1.19851 + 1e-5
+
+
+class TestCapShare:
+    def test_matches_betainc(self):
+        # Relative error 1e-12 wherever betainc's value is a normal
+        # double; past that (n >~ 1020 at pi/6) both underflow.
+        for angle in (math.pi / 6, 0.1, math.pi / 4):
+            for n in range(2, 2001):
+                ref, got = betainc_share(n, angle), cap_share(n, angle)
+                if ref >= sys.float_info.min:
+                    assert abs(got - ref) <= 1e-12 * ref, (n, angle)
+                else:
+                    assert got < sys.float_info.min, (n, angle)
+
+    def test_closed_forms(self):
+        # A cap of angular radius t covers (1 - cos t) / 2 of S^2 and
+        # t / pi of the circle.
+        for t in (0.1, 0.5, math.pi / 6, math.pi / 4):
+            assert cap_share(3, t) == pytest.approx((1 - math.cos(t)) / 2, rel=1e-14)
+            assert cap_share(2, t) == pytest.approx(t / math.pi, rel=1e-14)
+
+    @pytest.mark.parametrize("n, angle", [(1, 0.5), (3, 0.0), (3, -0.1), (3, 0.8), (3, math.nan)])
+    def test_domain(self, n, angle):
+        with pytest.raises(ValueError):
+            cap_share(n, angle)

@@ -12,7 +12,7 @@ from gallai import Ball, DirectionSet, SpikyBall
 from gallai import files
 from gallai.cli import main
 
-from conftest import random_intersecting_family
+from conftest import betainc_share, random_intersecting_family
 
 
 @pytest.fixture
@@ -548,6 +548,33 @@ class TestExitCodes:
             assert self.run("lowerbound", "-n", str(n), "--target", str(target)) == 3
             report = json.loads(capsys.readouterr().out)
             assert report["error"] == "precondition" and "unreachable" in report["detail"]
+
+    def test_lowerbound_refusal_matches_betainc(self, monkeypatch, capsys):
+        # The cap-area bound from the series in bounds.cap_share gives the
+        # verdict and message that scipy's betainc gives, for targets
+        # around the bound. An accepted target stops at the construction.
+        class Accepted(Exception):
+            pass
+
+        def accepted(*args, **kwargs):
+            raise Accepted
+
+        monkeypatch.setattr("gallai.cli.construct_separated_set", accepted)
+        for n in range(3, 41):
+            share = betainc_share(n, math.pi / 6)
+            bound = int(0.5 / share)
+            for target in range(max(1, bound - 2), bound + 3):
+                argv = ("lowerbound", "-n", str(n), "--target", str(target))
+                if 2 * target * share > 1.0 + 1e-9:
+                    assert self.run(*argv) == 3
+                    detail = json.loads(capsys.readouterr().out)["detail"]
+                    assert detail == (
+                        f"target {target} is unreachable in dimension {n}: "
+                        f"at most {0.5 / share:.1f} antipodal pairs fit pairwise pi/3 apart"
+                    )
+                else:
+                    with pytest.raises(Accepted):
+                        self.run(*argv)
 
     def test_lowerbound_accepts_target_at_the_cap_area_bound(self, capsys):
         code = self.run("lowerbound", "-n", "4", "--target", "17", "--samples", "10")

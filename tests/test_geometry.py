@@ -24,10 +24,12 @@ from gallai import (
     is_cap_body,
     point_in_ball,
 )
-from gallai import geometry
+from gallai import geometry, piercing
 from gallai.errors import PairwiseError
-from gallai.geometry import first_pair_outside
-from gallai.piercing import first_non_intersecting_pair
+from gallai.geometry import first_pair_outside, gram_gaps, gram_rows, pair_distances
+from gallai.piercing import first_non_intersecting_pair, verify_piercing
+
+from conftest import dense_first_missed, dense_first_pair
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -285,35 +287,25 @@ class TestPairwiseKernel:
         assert first_pair_outside(flip[:1], low=1.0, angles=True) is None
 
 
-def dense_first_pair(rows, low, high, angles):
-    """The unblocked check over full m x m distance and limit arrays."""
-    d = np.linalg.norm(rows[:, None] - rows[None, :], axis=-1)
-    if angles:
-        d = 2.0 * np.arcsin(np.minimum(0.5 * d, 1.0))
-    bad = np.triu((d < low) | (d > high), k=1)
-    if not bad.any():
-        return None
-    return divmod(int(np.argmax(bad)), rows.shape[0])
-
-
 class TestBlockedPairs:
     @pytest.mark.parametrize("block", [1, 7, 64, 2**16])
     def test_first_pair_matches_dense(self, block, monkeypatch):
         # Many violating pairs, so the row-major first one is what counts.
         monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(geometry, "_EXACT_PAIRS", 0)
         rng = np.random.default_rng(block)
         for _ in range(40):
             m = int(rng.integers(2, 40))
             c = rng.uniform(-2.0, 2.0, (m, 3))
             r = rng.uniform(0.2, 1.5, m)
-            want = dense_first_pair(c, -math.inf, r[:, None] + r[None, :] + 1e-9, False)
+            want = dense_first_pair(c, high=r, tol=1e-9)
             assert first_pair_outside(c, high=r, tol=1e-9) == want
             u = random_units(int(rng.integers(0, 1 << 30)), m, 3)
             lo, hi = float(rng.uniform(0.2, 1.0)), float(rng.uniform(1.5, 3.0))
-            want = dense_first_pair(u, lo - 1e-9, hi + 1e-9, True)
+            want = dense_first_pair(u, lo, hi, angles=True, tol=1e-9)
             assert first_pair_outside(u, lo, hi, angles=True, tol=1e-9) == want
             caps = rng.uniform(0.05, 0.6, m)
-            want = dense_first_pair(u, caps[:, None] + caps[None, :] - 1e-9, math.inf, True)
+            want = dense_first_pair(u, low=caps, angles=True, tol=1e-9)
             assert first_pair_outside(u, low=caps, angles=True, tol=1e-9) == want
 
     def test_limit_shape_checked(self):
@@ -335,3 +327,149 @@ class TestBlockedPairs:
             tracemalloc.stop()
         assert len(family) == 3000
         assert peak < 8 * 2**20
+
+
+def on_window_pairs(rng, rows, count):
+    """Random distinct index pairs (i, j), i != j, to put on a window."""
+    m = rows.shape[0]
+    i = rng.integers(0, m, count)
+    j = (i + rng.integers(1, m, count)) % m
+    return zip(i.tolist(), j.tolist())
+
+
+@pytest.fixture(params=["gram", "exact"])
+def pair_path(request, monkeypatch):
+    """Run first_pair_outside and verify_piercing through the Gram filter
+    at every size, or through their exact formulas alone."""
+    limit = 0 if request.param == "gram" else 10**9
+    monkeypatch.setattr(geometry, "_EXACT_PAIRS", limit)
+    monkeypatch.setattr(piercing, "_EXACT_PAIRS", limit)
+    return request.param
+
+
+class TestPairKernel:
+    """The Gram pair kernel against the dense oracles of conftest, on
+    pairs placed exactly on their windows, where rounding decides."""
+
+    @staticmethod
+    def scaled(rng, m, n):
+        scale = 10.0 ** rng.uniform(-9.0, 9.0)
+        offset = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(0.0, 9.0)
+        return offset + scale * rng.standard_normal((m, n)), scale
+
+    def test_tangent_balls(self, pair_path):
+        rng = np.random.default_rng(101)
+        outcomes = set()
+        for _ in range(400):
+            n, m = int(rng.integers(2, 11)), int(rng.integers(2, 24))
+            c, scale = self.scaled(rng, m, n)
+            r = scale * rng.uniform(0.2, 2.0, m)
+            tol = float(rng.choice([0.0, 1e-9, 1e-9 * scale]))
+            for i, j in on_window_pairs(rng, c, 4):
+                d = float(pair_distances(c[i], c[j]))
+                if d - r[i] - tol > 0:
+                    r[j] = d - r[i] - tol
+            want = dense_first_pair(c, high=r, tol=tol)
+            assert first_pair_outside(c, high=r, tol=tol) == want
+            outcomes.add(want is None)
+            assert first_pair_outside(c, low=r, tol=tol) == dense_first_pair(c, low=r, tol=tol)
+            i, j = next(iter(on_window_pairs(rng, c, 1)))
+            d = float(pair_distances(c[i], c[j]))
+            for lo, hi in ((d + tol, math.inf), (-math.inf, d - tol), (d + tol, 2 * d)):
+                want = dense_first_pair(c, lo, hi, tol=tol)
+                assert first_pair_outside(c, lo, hi, tol=tol) == want
+        assert outcomes == {True, False}
+
+    def test_angles_on_window(self, pair_path):
+        rng = np.random.default_rng(102)
+        outcomes = set()
+        for _ in range(400):
+            n, m = int(rng.integers(2, 11)), int(rng.integers(2, 24))
+            u = random_units(int(rng.integers(0, 1 << 30)), m, n)
+            pick = rng.integers(0, m, 2)
+            u[pick[1]] = -u[pick[0]] if rng.random() < 0.5 else u[pick[0]]
+            u *= 1.0 + rng.uniform(-1e-9, 1e-9, (m, 1))
+            caps = rng.uniform(0.05, 0.7, m)
+            tol = float(rng.choice([0.0, 1e-9]))
+            for i, j in on_window_pairs(rng, u, 4):
+                d = pair_distances(u[i], u[j])
+                angle = float(2.0 * np.arcsin(np.minimum(0.5 * d, 1.0)))
+                if 0 < angle + tol - caps[i] < math.pi / 2:
+                    caps[j] = angle + tol - caps[i]
+            want = dense_first_pair(u, low=caps, angles=True, tol=tol)
+            assert first_pair_outside(u, low=caps, angles=True, tol=tol) == want
+            outcomes.add(want is None)
+            i, j = next(iter(on_window_pairs(rng, u, 1)))
+            d = pair_distances(u[i], u[j])
+            angle = float(2.0 * np.arcsin(np.minimum(0.5 * d, 1.0)))
+            for lo, hi in ((angle + tol, math.inf), (-math.inf, angle - tol),
+                           (angle + tol, math.pi), (math.pi / 3, angle - tol)):
+                want = dense_first_pair(u, lo, hi, angles=True, tol=tol)
+                assert first_pair_outside(u, lo, hi, angles=True, tol=tol) == want
+        assert outcomes == {True, False}
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e150, 1e160, 1e300])
+    def test_squares_past_the_double_range(self, pair_path, scale):
+        # Squares that underflow or overflow leave every pair to the
+        # exact formula, whose verdict (inf included) is the oracle's.
+        rng = np.random.default_rng(103)
+        for _ in range(20):
+            c = scale * rng.standard_normal((12, 3))
+            r = scale * rng.uniform(0.5, 2.0, 12)
+            assert first_pair_outside(c, high=r) == dense_first_pair(c, high=r)
+            assert first_pair_outside(c, low=r) == dense_first_pair(c, low=r)
+
+    def test_verify_piercing_points_on_spheres(self, pair_path):
+        rng = np.random.default_rng(104)
+        outcomes = set()
+        for _ in range(300):
+            n, m = int(rng.integers(2, 11)), int(rng.integers(1, 30))
+            v, scale = self.scaled(rng, m, n)
+            offset = v[0].copy()
+            centers = offset + 0.5 * (v - offset) / max(1.0, float(np.abs(v - offset).max()) / scale)
+            radii = scale * rng.uniform(1.0, 1.5, m)
+            family = BallFamily(n, Balls(centers, radii))
+            out = random_units(int(rng.integers(0, 1 << 30)), m, n)
+            points = centers + radii[:, None] * out
+            points = points[rng.random(m) < 0.7]
+            if points.shape[0] == 0:
+                points = centers[:1] + radii[0] * out[:1]
+            tol = float(rng.choice([0.0, 1e-9]))
+            want = dense_first_missed(centers, radii, points, tol)
+            assert verify_piercing(family, points, tol) == (want is None, want)
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_pair_distances_match_cdist(self):
+        # The exact formula sums squares in cdist's order, so the values,
+        # and every verdict taken on them, are cdist's to the bit.
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(106)
+        for n in range(2, 13):
+            x, _ = self.scaled(rng, 40, n)
+            y = x[rng.permutation(40)] + rng.standard_normal((40, n))
+            assert pair_distances(x.T, y.T).tobytes() == np.diag(cdist(x, y)).tobytes()
+            dense = pair_distances(x.T[:, :, None], y.T[:, None, :])
+            assert dense.tobytes() == cdist(x, y).tobytes()
+
+    def test_band_holds_the_true_sign(self):
+        # Outside its band the computed gap has the sign of the exact
+        # one, computed here in rationals from the float inputs.
+        from fractions import Fraction
+
+        rng = np.random.default_rng(105)
+        for _ in range(60):
+            n = int(rng.integers(2, 6))
+            x, scale = self.scaled(rng, 6, n)
+            h = scale * rng.uniform(0.0, 2.0, 6)
+            d = pair_distances(x[0], x[1])
+            h[1] = max(0.0, d - h[0])
+            rows = gram_rows(x, h, x[0])
+            gap, band = gram_gaps(rows, rows)
+            for i, j in itertools.product(range(6), repeat=2):
+                true = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x[i], x[j]))
+                true -= (Fraction(h[i]) + Fraction(h[j])) ** 2
+                if abs(gap[i, j]) > band[i]:
+                    assert (gap[i, j] > 0) == (true > 0)

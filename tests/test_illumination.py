@@ -1,5 +1,6 @@
 """Tests for spiky balls, cap bodies, and the illumination engine."""
 
+import json
 import math
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from gallai import (
     verifies_illumination,
 )
 from gallai import sphere_cover
+from gallai.cli import main
 
 from conftest import monte_carlo_hull_margin, random_cap_body, random_direction_set
 
@@ -239,13 +241,47 @@ class TestStiemkeCertificate:
             if _certified(y, monkeypatch):
                 assert margin >= -1e-12, scale
 
-    def test_cli_import_leaves_out_scipy_optimize(self):
+    def test_cli_import_leaves_out_scipy_optimize(self, tmp_path, capsys):
+        # In a fresh interpreter: importing the CLI, lowerbound, a pierce
+        # without large balls, both verifiers and bounds load no scipy
+        # module; illuminate loads Qhull (scipy.spatial) for its cover
+        # but not scipy.optimize, whose LP runs only when the certificate
+        # fails, as it does for the half-plane set. The directions to
+        # verify are built here, before the fresh interpreter starts.
+        spikes = [[s * 1.1 if i == j else 0.0 for j in range(3)] for i in range(3) for s in (1, -1)]
+        family, body, points, dirs = (
+            str(tmp_path / name) for name in ("family.json", "body.json", "points.json", "dirs.json")
+        )
+        balls = [{"center": [0, 0], "radius": 1}, {"center": [1.5, 0], "radius": 1}]
+        with open(family, "w") as fh:
+            json.dump({"kind": "ball_family", "dimension": 2, "balls": balls}, fh)
+        with open(body, "w") as fh:
+            json.dump({"kind": "spiky_body", "dimension": 3, "vertices": spikes}, fh)
+        assert main(["illuminate", body, "--output", dirs]) == 0
+        capsys.readouterr()
+        scipy_free = [
+            ["lowerbound", "-n", "5", "--target", "10", "--samples", "1000"],
+            ["pierce", family, "--output", points],
+            ["verify", "--family", family, "--points", points],
+            ["verify", "--body", body, "--directions", dirs],
+            ["bounds"],
+        ]
         code = (
-            "import sys\n"
+            "import contextlib, io, sys\n"
             "import numpy as np\n"
             "import gallai.cli\n"
             "from gallai import positive_hull_full\n"
-            "assert 'scipy.optimize' not in sys.modules\n"
+            "def scipy():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "def run(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert gallai.cli.main(argv) == 0, argv\n"
+            "assert scipy() == [], scipy()\n"
+            f"for argv in {scipy_free!r}:\n"
+            "    run(argv)\n"
+            "    assert scipy() == [], (argv, scipy())\n"
+            f"run({['illuminate', body, '--output', dirs]!r})\n"
+            "assert 'scipy.spatial' in scipy() and 'scipy.optimize' not in scipy(), scipy()\n"
             "assert positive_hull_full(np.concatenate([np.eye(3), -np.eye(3)]))\n"
             "assert 'scipy.optimize' not in sys.modules\n"
             "assert not positive_hull_full(np.array([[1.0, 0], [-1, 0], [0, 1]]))\n"

@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 
 from gallai import (
     Ball,
@@ -24,6 +23,7 @@ from gallai import (
     verify_piercing,
 )
 from gallai import PairwiseError, files, piercing, sphere_cover
+from gallai.geometry import gram_gaps
 from gallai.sampling import ball_points, cap_points, rng_from
 
 from conftest import circle_cover_optimum, random_intersecting_family
@@ -337,16 +337,16 @@ class TestCoverPointsByBalls:
         # 44,850 midpoints are never scored, and no midpoint is formed.
         rows = []
 
-        def counting_cdist(a, b):
-            rows.append(len(a))
-            return cdist(a, b)
+        def counting_gaps(left, right):
+            rows.append(len(left.s))
+            return gram_gaps(left, right)
 
         def no_midpoints(*args, **kwargs):
             raise AssertionError("midpoints formed")
 
         pts = ball_points(rng_from(9), 3, 300, radius=0.999, center=[2.0, -1.0, 0.5])
         pts[0] = [2.0, -1.0, 0.5]
-        monkeypatch.setattr(piercing, "cdist", counting_cdist)
+        monkeypatch.setattr(piercing, "gram_gaps", counting_gaps)
         monkeypatch.setattr(piercing.np, "triu_indices", no_midpoints)
         centers = cover_points_by_balls(pts, 1.0)
         assert centers.tobytes() == pts[:1].tobytes()
@@ -361,10 +361,20 @@ class TestCoverPointsByBalls:
     @pytest.mark.parametrize("n, side", [(2, 7), (3, 4)])
     def test_lattice_ties_match_dense_reference(self, n, side, radius):
         # Grid points and their midpoints sit at distances exactly equal
-        # to these radii, so every tie must fall as in the dense tensor.
+        # to these radii, so every tie must fall as in the dense tensor,
+        # also a billion units from the origin.
         grid = np.array(list(itertools.product(range(side), repeat=n)), dtype=float)
-        for pts in (grid, grid[::-1].copy(), 3.0 * grid):
+        for pts in (grid, grid[::-1].copy(), 3.0 * grid, grid + 1e9):
             assert_same_cover(pts, radius)
+
+    def test_pair_kernel_at_every_size_matches_dense_reference(self, monkeypatch):
+        # The same covers with the pair kernel on every block, however
+        # small, so its ties fall as the exact norms' do.
+        monkeypatch.setattr(piercing, "_EXACT_PAIRS", 0)
+        self.test_many_centers_match_dense_reference()
+        for n, side in [(2, 7), (3, 4)]:
+            for radius in [1.0, math.sqrt(2.0), 0.5, 2.0]:
+                self.test_lattice_ties_match_dense_reference(n, side, radius)
 
     def test_memory_bounded(self):
         # The dense tensor alone would take 31375 x 250 x 3 doubles (188 MB).
@@ -534,6 +544,13 @@ class TestVerifyPiercing:
         pts = np.array([[-1.5, 0.0]])
         assert loop_reference_verify(family, pts, 1e-9) == (False, 1)
         assert verify_piercing(family, pts) == (False, 1)
+
+    def test_pair_kernel_at_every_size_matches_per_ball_loop(self, monkeypatch):
+        monkeypatch.setattr(piercing, "_EXACT_PAIRS", 0)
+        for seed in range(6):
+            self.test_matches_per_ball_loop(seed)
+        self.test_first_of_several_unpierced()
+        self.test_far_point_fails_with_witness()
 
     def test_dimension_mismatch(self):
         family = BallFamily(2, (Ball([0, 0], 1),))

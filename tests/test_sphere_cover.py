@@ -43,7 +43,7 @@ def no_qhull(monkeypatch):
     def broken(*args, **kwargs):
         raise QhullError("QH6361 injected")
 
-    monkeypatch.setattr(sphere_cover, "ConvexHull", broken)
+    monkeypatch.setattr("scipy.spatial.ConvexHull", broken)
 
 
 def cover_misses():
