@@ -97,31 +97,25 @@ def cmd_pierce(args) -> int:
         print(f"warning: {exc}", file=sys.stderr)
         result, witness, verified = exc.result, exc.witness, False
     acct = result.accounting
+    accounting = {
+        "large_count": acct.large_count,
+        "scale_cover_counts": {str(k): c for k, c in acct.scale_cover_counts},
+        "t": acct.t,
+        "lambda": acct.lam,
+    }
     report = {
         "report": {
             "dimension": dim,
             "balls": len(family),
             "points": len(result),
-            "large_count": acct.large_count,
-            "scale_cover_counts": {str(k): c for k, c in acct.scale_cover_counts},
-            "t": acct.t,
-            "lambda": acct.lam,
+            **accounting,
             "seed": args.seed,
             "verified": verified,
             "witness": witness,
         }
     }
     doc = files.point_set_document(
-        dim,
-        result.points,
-        result.provenance,
-        meta={
-            "seed": args.seed,
-            "large_count": acct.large_count,
-            "scale_cover_counts": {str(k): c for k, c in acct.scale_cover_counts},
-            "t": acct.t,
-            "lambda": acct.lam,
-        },
+        dim, result.points, result.provenance, meta={"seed": args.seed, **accounting}
     )
     _deliver(doc, args.output, report)
     return EXIT_OK

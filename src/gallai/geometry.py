@@ -1,8 +1,8 @@
-"""Core vector, ball, and spherical-cap primitives.
+"""Core vector and ball types and the pair kernel.
 
-Every comparison takes an explicit tolerance. Closed predicates are
-tolerance-inclusive and open predicates tolerance-exclusive, so the
-open/closed cap distinction survives floating point.
+``Ball`` and ``Balls`` hold validated balls; ``first_pair_outside``
+decides every pairwise distance or angle check of the library, over
+whole arrays, with an explicit tolerance on each window.
 """
 
 from __future__ import annotations
@@ -15,20 +15,13 @@ import numpy as np
 
 # Global slack for geometric comparisons.
 DEFAULT_TOL = 1e-9
-# Stricter slack used to validate unit norms.
-UNIT_TOL = 1e-12
 
 
-def as_vector(coords, dim: int | None = None) -> np.ndarray:
+def as_vector(coords) -> np.ndarray:
     """Validate coordinates and return them as a float vector.
 
-    Args:
-        coords: Sequence of coordinates.
-        dim: Required dimension, or None to accept any.
-
     Raises:
-        ValueError: On non-finite entries, fewer than two coordinates,
-            or a dimension mismatch.
+        ValueError: On non-finite entries or fewer than two coordinates.
     """
     v = np.asarray(coords, dtype=float)
     if v.ndim != 1:
@@ -37,17 +30,6 @@ def as_vector(coords, dim: int | None = None) -> np.ndarray:
         raise ValueError("ambient dimension must be at least 2")
     if not np.all(np.isfinite(v)):
         raise ValueError("coordinates must be finite")
-    if dim is not None and v.size != dim:
-        raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
-    return v
-
-
-def as_unit_vector(coords, dim: int | None = None, tol: float = UNIT_TOL) -> np.ndarray:
-    """Validate a vector of unit Euclidean norm (within ``tol``)."""
-    v = as_vector(coords, dim)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"not a unit vector (norm {norm!r})")
     return v
 
 
@@ -295,28 +277,6 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
     return None
 
 
-def unit(coords) -> np.ndarray:
-    """Normalize to unit length; rejects near-zero input."""
-    v = as_vector(coords)
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        raise ValueError("cannot normalize a near-zero vector")
-    return v / norm
-
-
-def angular_distance(u, v) -> float:
-    """Geodesic angle in [0, pi] between two unit vectors.
-
-    The dot product is clamped to [-1, 1] before arccos so identical or
-    antipodal pairs cannot produce NaN.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(math.acos(min(1.0, max(-1.0, float(np.dot(u, v))))))
-
-
 @dataclass(frozen=True, eq=False)
 class Ball:
     """Closed Euclidean ball with positive radius."""
@@ -396,66 +356,3 @@ class Balls(Sequence):
         if isinstance(i, slice):
             return Balls(self.centers[i], self.radii[i])
         return Ball(self.centers[i], self.radii[i])
-
-
-@dataclass(frozen=True, eq=False)
-class SphericalCap:
-    """Spherical cap on the sphere of radius ``sphere_radius``.
-
-    ``axis`` is a unit vector; membership predicates scale points down
-    by ``sphere_radius`` externally, so the axis stays unit-norm even
-    for caps living on dilated spheres.
-    """
-
-    axis: np.ndarray
-    angular_radius: float
-    closed: bool = True
-    sphere_radius: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis", as_unit_vector(self.axis))
-        object.__setattr__(self, "angular_radius", float(self.angular_radius))
-        object.__setattr__(self, "sphere_radius", float(self.sphere_radius))
-        if not 0.0 < self.angular_radius < math.pi:
-            raise ValueError(
-                f"angular radius must lie in (0, pi), got {self.angular_radius}"
-            )
-        if not self.sphere_radius > 0:
-            raise ValueError(f"sphere radius must be positive, got {self.sphere_radius}")
-
-    @property
-    def dimension(self) -> int:
-        return self.axis.size
-
-
-def cap_contains(cap: SphericalCap, p, tol: float = DEFAULT_TOL) -> bool:
-    """Membership of a unit vector in a spherical cap.
-
-    Closed caps admit dot >= cos(radius) - tol, open caps require
-    dot > cos(radius) + tol. Points on dilated spheres must be scaled
-    to unit norm by the caller.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.shape != cap.axis.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {cap.axis.shape}")
-    d = float(np.dot(cap.axis, p))
-    threshold = math.cos(cap.angular_radius)
-    if cap.closed:
-        return d >= threshold - tol
-    return d > threshold + tol
-
-
-def balls_intersect(a: Ball, b: Ball, tol: float = DEFAULT_TOL) -> bool:
-    """True iff two closed balls share a point (within ``tol``)."""
-    if a.dimension != b.dimension:
-        raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
-    gap = float(np.linalg.norm(a.center - b.center))
-    return gap <= a.radius + b.radius + tol
-
-
-def point_in_ball(p, b: Ball, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``p`` lies in the closed ball (within ``tol``)."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != b.center.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {b.center.shape}")
-    return float(np.linalg.norm(p - b.center)) <= b.radius + tol

@@ -17,8 +17,8 @@ import numpy as np
 
 from .bounds import solve_alpha
 from .errors import PairwiseError, VerificationError
-from .geometry import DEFAULT_TOL, SphericalCap, as_unit_rows, as_vector, first_pair_outside
-from .sphere_cover import CoverParams, greedy_cover
+from .geometry import DEFAULT_TOL, as_unit_rows, first_pair_outside
+from .sphere_cover import greedy_cover
 
 # A vertex must clear the unit sphere by at least this much.
 VERTEX_TOL = 1e-9
@@ -104,33 +104,6 @@ class DirectionSet:
 
 def _vertices_of(body) -> np.ndarray:
     return body.vertices if hasattr(body, "vertices") else np.asarray(body, dtype=float)
-
-
-def base_cap(x) -> SphericalCap:
-    """Closed cap the spike at ``x`` cuts on the unit sphere.
-
-    Axis x/|x|, angular radius arccos(1/|x|). Requires |x| > 1.
-    """
-    x = as_vector(x)
-    norm = float(np.linalg.norm(x))
-    if norm <= 1.0:
-        raise ValueError(f"vertex norm must exceed 1, got {norm!r}")
-    return SphericalCap(x / norm, math.acos(1.0 / norm), closed=True)
-
-
-def illumination_cap(x) -> SphericalCap:
-    """Open cap of directions that illuminate the vertex ``x``.
-
-    Axis -x/|x|, angular radius pi/2 - arccos(1/|x|); widens toward
-    pi/2 as the vertex approaches the sphere. Requires |x| > 1.
-    """
-    x = as_vector(x)
-    norm = float(np.linalg.norm(x))
-    if norm <= 1.0:
-        raise ValueError(f"vertex norm must exceed 1, got {norm!r}")
-    return SphericalCap(
-        -x / norm, math.pi / 2 - math.acos(1.0 / norm), closed=False
-    )
 
 
 def is_cap_body(s, tol: float = DEFAULT_TOL) -> tuple[bool, tuple[int, int] | None]:
@@ -251,7 +224,6 @@ def illuminate_cap_body(
     alpha: float | None = None,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    params: CoverParams | None = None,
 ) -> DirectionSet:
     """Constructive illumination of a cap body.
 
@@ -281,7 +253,7 @@ def illuminate_cap_body(
 
     need_cover = bool((~far).any()) or not positive_hull_full(u1)
     if need_cover:
-        cover = greedy_cover(n, math.pi / 2 - alpha, seed, params)
+        cover = greedy_cover(n, math.pi / 2 - alpha, seed)
         u2 = cover.centers
         tags.extend(f"U2:{j}" for j in range(u2.shape[0]))
         directions = np.concatenate([u1, u2]) if u1.size else u2
@@ -300,26 +272,11 @@ def illuminate_cap_body(
     return out
 
 
-def u1_separation_check(body, alpha: float, tol: float = DEFAULT_TOL) -> bool:
-    """Far-vertex axis directions are pairwise at least 2 alpha apart.
-
-    A consequence of cap disjointness: far vertices have cap radius at
-    least alpha each. Exposed as an independent check; accepts a
-    CapBody or a raw SpikyBall.
-    """
-    v = _vertices_of(body)
-    norms = np.linalg.norm(v, axis=1)
-    far = norms >= 1.0 / math.cos(alpha) - 1e-12
-    axes = v[far] / norms[far][:, None]
-    return first_pair_outside(axes, low=2.0 * alpha, angles=True, tol=tol) is None
-
-
 def sweep_alpha(
     body: CapBody,
     alphas,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    params: CoverParams | None = None,
 ) -> tuple[float, DirectionSet]:
     """Pick the alpha from a grid minimizing the witnessed output size.
 
@@ -329,7 +286,7 @@ def sweep_alpha(
     best: tuple[float, DirectionSet] | None = None
     for alpha in alphas:
         try:
-            d = illuminate_cap_body(body, alpha, seed, tol, params)
+            d = illuminate_cap_body(body, alpha, seed, tol)
         except VerificationError:
             continue
         if best is None or len(d) < len(best[1]):
@@ -337,4 +294,3 @@ def sweep_alpha(
     if best is None:
         raise VerificationError("no alpha in the grid produced a certified direction set")
     return best
-

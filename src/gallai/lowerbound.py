@@ -258,13 +258,14 @@ def multiplicity_report(
     and each antipodal pair {h, -h} is counted from d = u . h alone
     (-u . h > c iff d < -c, -u . -h > c iff d > c), so memory is
     O(_SAMPLE_BLOCK * len(y)) and the report equals that of one product
-    over all directions and points.
+    over all directions and points. The stream is ``_direction_rng(seed)``,
+    which no run of ``construct_separated_set`` with any seed draws from.
     """
     if samples < 1:
         raise ValueError("sample count must be positive")
     h = _one_per_pair(y.points)
     c = math.cos(ANGLE_MIN) + tol
-    rng = sampling.rng_from(seed)
+    rng = _direction_rng(seed)
     freq = np.zeros(len(y) + 1, dtype=np.int64)  # a count is at most len(y)
     total = 0
     for start in range(0, samples, _SAMPLE_BLOCK):
@@ -285,6 +286,19 @@ def multiplicity_report(
         histogram=hist,
         witness=witness,
     )
+
+
+def _direction_rng(seed: int) -> np.random.Generator:
+    """The direction stream of ``multiplicity_report``.
+
+    ``sampling.subrng(seed, tag)`` seeds PCG64 with the 32-bit words of
+    seed followed by those of tag, and numpy pads entropy of up to four
+    words with zeros, so ``subrng(seed, 0)`` is ``rng_from(seed)``. Here
+    four zero words follow the seed's: no tag's words end that way (only
+    tag 0 has a zero word, and just one), so this stream is none that
+    ``construct_separated_set`` restarts on.
+    """
+    return np.random.default_rng([int(seed), 0, 0, 0, 0])
 
 
 def _one_per_pair(points: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from .geometry import (
     gram_gaps,
     gram_rows,
 )
-from .sphere_cover import CoverParams, greedy_cover
+from .sphere_cover import greedy_cover
 
 # Distance entries evaluated at once by the blocked kernels below; bounds
 # their scratch memory whatever the number of points or balls.
@@ -111,13 +111,11 @@ def first_non_intersecting_pair(balls, tol: float = DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class PiercingConfig:
-    """Pipeline knobs; None means the dimension-dependent default."""
+    """Pipeline knobs: the seed of a sampled fallback cover (see
+    ``greedy_cover``) and the verification tolerance."""
 
-    lam: float | None = None  # scale ratio, default (1 - 1/n)^(-1/2)
-    large_threshold: float | None = None  # default n; must be >= 2
     seed: int = 0
     tol: float = DEFAULT_TOL
-    cover_params: CoverParams | None = None
 
 
 @dataclass(frozen=True)
@@ -198,16 +196,14 @@ def pierce_large(n: int, config: PiercingConfig | None = None) -> np.ndarray:
     """Points on the doubled sphere piercing every large intersecting ball.
 
     Scales a certified cover of the unit sphere (angular radius matched
-    to the large-ball cap width) by 2. Any ball of radius at least the
-    large threshold that meets the unit ball contains one of these
-    points.
+    to the large-ball cap width) by 2. Any ball of radius at least n
+    that meets the unit ball contains one of these points.
     """
     cfg = config or PiercingConfig()
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    threshold = cfg.large_threshold if cfg.large_threshold is not None else float(n)
-    theta = cap_overlap_radius(threshold, n)
-    cover = greedy_cover(n, theta, cfg.seed, cfg.cover_params)
+    theta = cap_overlap_radius(float(n), n)
+    cover = greedy_cover(n, theta, cfg.seed)
     return 2.0 * cover.centers
 
 
@@ -335,38 +331,35 @@ def refine_ball_cover(center, r2: float) -> np.ndarray:
     return np.concatenate([c + offset, c - offset])
 
 
-def _bucket_index(r: float, lam: float) -> int:
-    """Unique k >= 1 with lam^(k-1) <= r < lam^k, robust at boundaries."""
-    if r <= 1.0:
-        return 1
-    k = max(1, int(math.floor(math.log(r) / math.log(lam))) + 1)
-    while lam ** (k - 1) > r:
-        k -= 1
-    while r >= lam**k:
-        k += 1
-    return max(1, k)
+def _scale_buckets(radii: np.ndarray, lam: float, t: int) -> np.ndarray:
+    """Bucket of each radius below lam^t: the k >= 1 with
+    lam^(k-1) <= r < lam^k, and 1 for r <= 1.
+
+    The boundaries are Python float powers, as the bucket radii lam**k
+    of ``pierce`` are; numpy's power can differ from them by an ulp (at
+    n = 3, lam^3 is 1.8371173070873832 in Python and one ulp more in
+    numpy), which would put a boundary radius in the wrong bucket.
+    """
+    bounds = np.array([lam**k for k in range(t + 1)])
+    return np.maximum(np.searchsorted(bounds, radii, side="right"), 1)
 
 
 def pierce(family: BallFamily, config: PiercingConfig | None = None) -> PiercingSet:
     """Construct a verified piercing set for a pairwise intersecting family.
 
+    Balls of radius at least n (after normalization) are large. The
+    scale ratio is lam = (1 - 1/n)^(-1/2), the largest for which the
+    refined balls of bucket k, of radius lam^k sqrt(1 - 1/n), are no
+    larger than its smallest ball, of radius lam^(k-1).
+
     Raises:
-        ValueError: On invalid configuration.
         VerificationError: If the final exact check finds an unpierced
             ball (the constructed set rides on the exception).
     """
     cfg = config or PiercingConfig()
     n = family.dimension
-
-    lam_cap = (1.0 - 1.0 / n) ** -0.5
-    lam = cfg.lam if cfg.lam is not None else lam_cap
-    if not 1.0 < lam <= lam_cap + 1e-12:
-        raise ValueError(
-            f"lambda must lie in (1, {lam_cap}] so refined balls fit their bucket"
-        )
-    threshold = cfg.large_threshold if cfg.large_threshold is not None else float(n)
-    if threshold < 2.0:
-        raise ValueError("large threshold must be at least 2")
+    lam = (1.0 - 1.0 / n) ** -0.5
+    threshold = float(n)
 
     # Smallest t with lam^t strictly above the threshold; the relative
     # guard keeps exact powers (e.g. lam^2 = 2 at n = 2) below it.
@@ -400,13 +393,11 @@ def pierce(family: BallFamily, config: PiercingConfig | None = None) -> Piercing
         points.append(c0)
         provenance.extend(["large"] * large_count)
 
-    buckets: dict[int, list[int]] = {}
-    for i in np.flatnonzero(~large):
-        buckets.setdefault(_bucket_index(float(radii[i]), lam), []).append(int(i))
-
+    small = np.flatnonzero(~large)
+    ks = _scale_buckets(radii[small], lam, t)
     scale_counts = []
-    for k in sorted(buckets):
-        xk = centers[buckets[k]]
+    for k in map(int, np.unique(ks)):
+        xk = centers[small[ks == k]]
         ball_centers = cover_points_by_balls(xk, lam**k)
         scale_counts.append((k, ball_centers.shape[0]))
         for z in ball_centers:

@@ -1,4 +1,4 @@
-"""Seeded uniform samplers on spheres, balls, and caps.
+"""Seeded uniform sampling on the unit sphere.
 
 All generators are driven by numpy's PCG64 so identical seeds give
 identical streams; derived streams use ``subrng`` with an integer tag.
@@ -36,49 +36,3 @@ def unit_vectors(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
         norms = np.concatenate([norms[good], np.linalg.norm(more, axis=1)])
         good = norms >= 1e-12
     return out / norms[:, None]
-
-
-def ball_points(
-    rng: np.random.Generator,
-    dim: int,
-    count: int,
-    radius: float = 1.0,
-    center=None,
-) -> np.ndarray:
-    """Uniform points of the closed ball, shape (count, dim)."""
-    dirs = unit_vectors(rng, dim, count)
-    r = radius * rng.random(count) ** (1.0 / dim)
-    pts = dirs * r[:, None]
-    if center is not None:
-        pts = pts + np.asarray(center, dtype=float)
-    return pts
-
-
-def cap_points(
-    rng: np.random.Generator,
-    axis,
-    angular_radius: float,
-    count: int,
-    sphere_radius: float = 1.0,
-) -> np.ndarray:
-    """Seeded points of a spherical cap, shape (count, dim).
-
-    Colatitudes are uniform on [0, angular_radius] (not area-uniform),
-    which samples the rim region densely; the azimuthal part is uniform
-    on the circle of directions orthogonal to the axis.
-    """
-    a = np.asarray(axis, dtype=float)
-    dim = a.size
-    g = rng.standard_normal((count, dim))
-    w = g - np.outer(g @ a, a)
-    norms = np.linalg.norm(w, axis=1)
-    bad = norms < 1e-12
-    while np.any(bad):
-        g2 = rng.standard_normal((int(bad.sum()), dim))
-        w[bad] = g2 - np.outer(g2 @ a, a)
-        norms = np.linalg.norm(w, axis=1)
-        bad = norms < 1e-12
-    w = w / norms[:, None]
-    t = rng.random(count) * angular_radius
-    pts = np.cos(t)[:, None] * a + np.sin(t)[:, None] * w
-    return sphere_radius * pts

@@ -114,9 +114,13 @@ class PackParams:
     pool: int = 0
     max_points: int = 0  # 0 = saturate; otherwise stop early (not saturated)
     polish: bool = True
-    polish_candidates: int = 256
-    polish_steps: int = 60
-    extra_rounds: int = 1
+
+
+# Packing: fresh pools scanned after the first, near-miss candidates
+# climbed per pool, and hill-climbing steps per candidate.
+_EXTRA_ROUNDS = 1
+_POLISH_CANDIDATES = 256
+_POLISH_STEPS = 60
 
 
 def net_size(dim: int, m: int) -> int:
@@ -372,15 +376,6 @@ def verify_cover(
     raise ValueError(f"unknown certification method {method!r}")
 
 
-def covering_size_estimate(n: int, theta: float) -> float:
-    """Leading-order size estimate (1/sin theta)^n for sphere covers."""
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    if not 0.0 < theta <= math.pi / 2:
-        raise ValueError("theta must lie in (0, pi/2]")
-    return (1.0 / math.sin(theta)) ** n
-
-
 def _circle_positions(count: int) -> np.ndarray:
     angles = 2.0 * math.pi * np.arange(count) / count
     return np.column_stack([np.cos(angles), np.sin(angles)])
@@ -610,7 +605,7 @@ def maximal_packing(
 
     accepted: list[np.ndarray] = []
     truncated = False
-    for round_idx in range(1 + max(0, params.extra_rounds)):
+    for round_idx in range(1 + _EXTRA_ROUNDS):
         rng = sampling.subrng(seed, round_idx)
         pool = sampling.unit_vectors(rng, n, pool_size)
         if round_idx == 0:
@@ -633,7 +628,7 @@ def maximal_packing(
         if truncated:
             break
         if params.polish and accepted:
-            added |= _polish_packing(pool, best, accepted, theta, limit, params)
+            added |= _polish_packing(pool, best, accepted, theta, limit)
             if len(accepted) >= limit:
                 truncated = True
                 break
@@ -644,7 +639,7 @@ def maximal_packing(
     return Packing(n, theta, centers, saturated=not truncated)
 
 
-def _polish_packing(pool, best, accepted, theta, limit, params):
+def _polish_packing(pool, best, accepted, theta, limit):
     """Climb near-miss pool points into residual holes deeper than theta."""
     cos_theta = math.cos(theta) + 1e-12
     window = math.cos(max(theta - min(0.2 * theta, 0.25), 1e-9))
@@ -653,11 +648,11 @@ def _polish_packing(pool, best, accepted, theta, limit, params):
         return False
     order = near[np.argsort(best[near], kind="stable")]
     added = False
-    for idx in order[: params.polish_candidates]:
+    for idx in order[:_POLISH_CANDIDATES]:
         if len(accepted) >= limit:
             break
         centers = np.array(accepted)
-        u, reached = _repel(pool[idx].copy(), centers, math.cos(theta), params.polish_steps)
+        u, reached = _repel(pool[idx].copy(), centers, math.cos(theta), _POLISH_STEPS)
         if reached:
             accepted.append(u)
             np.maximum(best, pool @ u, out=best)

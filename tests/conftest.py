@@ -4,9 +4,90 @@ import math
 
 import numpy as np
 
-from gallai import Ball, BallFamily, CapBody, DirectionSet, maximal_packing
+from gallai import (
+    Ball,
+    BallFamily,
+    CapBody,
+    DirectionSet,
+    SpikyBall,
+    maximal_packing,
+    verifies_illumination,
+)
+from gallai.geometry import first_pair_outside
 from gallai.sampling import rng_from, unit_vectors
 from gallai.sphere_cover import PackParams
+
+
+def ball_points(rng, dim, count, radius=1.0, center=None):
+    """Uniform points of the closed ball, shape (count, dim)."""
+    dirs = unit_vectors(rng, dim, count)
+    r = radius * rng.random(count) ** (1.0 / dim)
+    pts = dirs * r[:, None]
+    if center is not None:
+        pts = pts + np.asarray(center, dtype=float)
+    return pts
+
+
+def cap_points(rng, axis, angular_radius, count, sphere_radius=1.0):
+    """Seeded points of a spherical cap, shape (count, dim).
+
+    Colatitudes are uniform on [0, angular_radius] (not area-uniform),
+    which samples the rim region densely; the azimuthal part is uniform
+    on the circle of directions orthogonal to the axis.
+    """
+    a = np.asarray(axis, dtype=float)
+    dim = a.size
+    g = rng.standard_normal((count, dim))
+    w = g - np.outer(g @ a, a)
+    norms = np.linalg.norm(w, axis=1)
+    bad = norms < 1e-12
+    while np.any(bad):
+        g2 = rng.standard_normal((int(bad.sum()), dim))
+        w[bad] = g2 - np.outer(g2 @ a, a)
+        norms = np.linalg.norm(w, axis=1)
+        bad = norms < 1e-12
+    w = w / norms[:, None]
+    t = rng.random(count) * angular_radius
+    pts = np.cos(t)[:, None] * a + np.sin(t)[:, None] * w
+    return sphere_radius * pts
+
+
+def point_in_ball(p, ball, tol=1e-9):
+    """Oracle for piercing one ball: ``p`` lies in the closed ball
+    (within ``tol``)."""
+    return float(np.linalg.norm(np.asarray(p, dtype=float) - ball.center)) <= ball.radius + tol
+
+
+def angular_distance(u, v):
+    """Oracle angle in [0, pi] between two unit vectors: arccos of the
+    dot product, clamped to [-1, 1]."""
+    return math.acos(min(1.0, max(-1.0, float(np.dot(u, v)))))
+
+
+def base_cap_radius(x):
+    """Oracle angular radius arccos(1/|x|) of the cap the spike at ``x``
+    cuts on the unit sphere."""
+    return math.acos(1.0 / float(np.linalg.norm(x)))
+
+
+def lights(norm, angle, tol=1e-9):
+    """Whether the direction ``angle`` away from -e1 lights the spike
+    (norm, 0) in the plane, by ``verifies_illumination``. The other three
+    directions complete a positively spanning set and light nothing."""
+    d = [-math.cos(angle), math.sin(angle)]
+    dirs = DirectionSet(2, [d, [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    return verifies_illumination(SpikyBall(2, [[norm, 0.0]]), dirs, tol)[0]
+
+
+def far_axes_separated(body, alpha, tol=1e-9):
+    """True iff the axes of the far vertices (norm >= 1/cos alpha) are
+    pairwise at least 2 alpha apart, as disjoint caps force: each far
+    vertex's cap is at least alpha wide."""
+    v = body.vertices
+    norms = np.linalg.norm(v, axis=1)
+    far = norms >= 1.0 / math.cos(alpha) - 1e-12
+    axes = v[far] / norms[far][:, None]
+    return first_pair_outside(axes, low=2.0 * alpha, angles=True, tol=tol) is None
 
 
 def random_intersecting_family(n, count, seed, max_ratio=None):

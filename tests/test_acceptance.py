@@ -30,18 +30,21 @@ from gallai import (
     construct_separated_set,
     symmetrize,
     build_lower_bound_body,
-    u1_separation_check,
     verifies_illumination,
     verify_piercing,
 )
 from gallai import files
 from gallai.cli import main
+from gallai.lowerbound import _direction_rng
 from gallai.piercing import cap_overlap_radius
-from gallai.sampling import ball_points, cap_points, rng_from, unit_vectors
+from gallai.sampling import rng_from, unit_vectors
 
 from conftest import (
+    ball_points,
+    cap_points,
     circle_cover_optimum,
     circle_packing_optimum,
+    far_axes_separated,
     illumination_multiplicity,
     monte_carlo_hull_margin,
     random_cap_body,
@@ -147,7 +150,7 @@ def test_criterion_07_illumination_pipeline():
         out = illuminate_cap_body(body, seed=case)
         ok, witness = verifies_illumination(body, out, 1e-9)
         assert ok, f"case {case}: vertex {witness} dark"
-        assert u1_separation_check(body, alpha_star)
+        assert far_axes_separated(body, alpha_star)
         norms = np.linalg.norm(body.vertices, axis=1)
         far = int((norms >= 1.0 / math.cos(alpha_star) - 1e-12).sum())
         u2 = sum(1 for tag in out.provenance if tag.startswith("U2:"))
@@ -208,7 +211,7 @@ def test_criterion_09_lower_bound_construction():
 
         samples = 2_000
         rep = multiplicity_report(symmetric, samples, seed=n)
-        directions = unit_vectors(rng_from(n), n, samples)
+        directions = unit_vectors(_direction_rng(n), n, samples)
         counts = [illumination_multiplicity(symmetric, u) for u in directions]
         assert max(counts) == rep.max_multiplicity
         assert sum(counts) / samples == pytest.approx(rep.mean_multiplicity)

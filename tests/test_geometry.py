@@ -14,22 +14,19 @@ from gallai import (
     BallFamily,
     Balls,
     CapBody,
+    DirectionSet,
     Packing,
     SeparatedSet,
-    SphericalCap,
     SpikyBall,
-    angular_distance,
-    balls_intersect,
-    cap_contains,
     is_cap_body,
-    point_in_ball,
+    verifies_illumination,
 )
 from gallai import geometry, piercing
 from gallai.errors import PairwiseError
 from gallai.geometry import first_pair_outside, gram_gaps, gram_rows, pair_distances
 from gallai.piercing import first_non_intersecting_pair, verify_piercing
 
-from conftest import dense_first_missed, dense_first_pair
+from conftest import angular_distance, dense_first_missed, dense_first_pair, lights
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -41,89 +38,114 @@ def random_units(seed, count, dim=3):
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
+def spikes(axes, caps):
+    """Spiky ball whose spikes cut caps of the given radii about the axes."""
+    axes = np.asarray(axes, dtype=float)
+    return SpikyBall(axes.shape[1], axes / np.cos(np.asarray(caps, dtype=float))[:, None])
+
+
 class TestAngularDistance:
+    """Angles of the pair kernel (``first_pair_outside`` with
+    ``angles``), against the arccos oracle where one is needed."""
+
     def test_identity(self):
-        assert angular_distance(E1, E1) == 0.0
+        assert first_pair_outside([E1, E1], high=0.0, angles=True) is None
+        assert first_pair_outside([E1, E1], low=1e-12, angles=True) == (0, 1)
 
     def test_orthogonal(self):
-        assert angular_distance(E1, E2) == pytest.approx(math.pi / 2, abs=1e-15)
+        right = math.pi / 2
+        assert first_pair_outside([E1, E2], right - 1e-15, right + 1e-15, angles=True) is None
+        assert first_pair_outside([E1, E2], low=right + 1e-12, angles=True) == (0, 1)
+        assert first_pair_outside([E1, E2], high=right - 1e-12, angles=True) == (0, 1)
 
     def test_antipodal(self):
-        assert angular_distance(E1, -E1) == pytest.approx(math.pi, abs=1e-15)
+        assert first_pair_outside([E1, -E1], low=math.pi - 1e-15, angles=True) is None
+        assert first_pair_outside([E1, -E1], high=math.pi - 1e-12, angles=True) == (0, 1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            angular_distance(E1, np.array([1.0, 0.0]))
+            first_pair_outside([E1, np.array([1.0, 0.0])], angles=True)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
     def test_triangle_inequality(self, seed):
         u, v, w = random_units(seed, 3)
-        assert angular_distance(u, w) <= (
-            angular_distance(u, v) + angular_distance(v, w) + 1e-9
-        )
+        bound = angular_distance(u, v) + angular_distance(v, w) + 1e-9
+        assert first_pair_outside([u, w], high=bound, angles=True) is None
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_symmetry(self, seed):
         u, v = random_units(seed, 2)
-        assert angular_distance(u, v) == angular_distance(v, u)
+        angle = angular_distance(u, v)
+        assert first_pair_outside([u, v], angle - 1e-6, angle + 1e-6, angles=True) is None
+        for lo, hi in ((angle + 1e-6, math.inf), (-math.inf, angle - 1e-6)):
+            assert first_pair_outside([u, v], lo, hi, angles=True) == (0, 1)
+            assert first_pair_outside([v, u], lo, hi, angles=True) == (0, 1)
 
 
 class TestCaps:
+    """Cap semantics of the batch checks: ``is_cap_body`` on the closed
+    caps the spikes cut, ``verifies_illumination`` on the open caps of
+    directions that light them."""
+
     def test_axis_in_closed_cap(self):
-        assert cap_contains(SphericalCap(E1, math.pi / 3), E1)
+        # The antipode of a spike's axis lights it, however short it is.
+        for norm in (1.0 + 1e-6, math.sqrt(2.0), 2.0, 10.0):
+            assert lights(norm, 0.0)
 
     def test_open_cap_boundary_excluded(self):
-        assert not cap_contains(SphericalCap(E1, math.pi / 2, closed=False), E2)
+        # The spike at norm 2 is lit by an open cap of radius pi/6.
+        assert lights(2.0, math.pi / 6 - 1e-6)
+        assert not lights(2.0, math.pi / 6)
 
     def test_closed_cap_boundary_included(self):
-        assert cap_contains(SphericalCap(E1, math.pi / 2, closed=True), E2)
+        # A pi/4 cap and a pi/6 cap may touch at their rims.
+        for gap, ok in ((5 * math.pi / 12, True), (5 * math.pi / 12 - 1e-6, False)):
+            axes = [[1.0, 0.0], [math.cos(gap), math.sin(gap)]]
+            assert is_cap_body(spikes(axes, [math.pi / 4, math.pi / 6]))[0] is ok
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SphericalCap(E1 * 2.0, 1.0)  # axis not unit
+            DirectionSet(3, [E1 * 2.0])  # direction not unit
         with pytest.raises(ValueError):
-            SphericalCap(E1, 0.0)  # empty cap
+            SpikyBall(3, [E1])  # norm 1 cuts an empty cap
         with pytest.raises(ValueError):
-            SphericalCap(E1, math.pi)  # whole sphere
-        with pytest.raises(ValueError):
-            SphericalCap(E1, 1.0, sphere_radius=0.0)
+            SpikyBall(3, [[2.0, 0.0]])  # dimension mismatch
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), st.floats(0.1, 2.8), st.floats(0.01, 0.3))
+    @given(st.integers(0, 10_000), st.floats(0.1, 1.4), st.floats(0.01, 0.3))
     def test_monotone_in_radius(self, seed, radius, widen):
+        # Widening one cap can only make two caps overlap.
         u, p = random_units(seed, 2)
-        if radius + widen >= math.pi:
+        if radius + widen >= math.pi / 2:
             return
-        small = SphericalCap(u, radius)
-        large = SphericalCap(u, radius + widen)
-        if cap_contains(small, p):
-            assert cap_contains(large, p)
+        if is_cap_body(spikes([u, p], [radius + widen, radius]))[0]:
+            assert is_cap_body(spikes([u, p], [radius, radius]))[0]
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), st.floats(0.1, 3.0))
-    def test_open_implies_closed(self, seed, radius):
-        u, p = random_units(seed, 2)
-        if not 0.0 < radius < math.pi:
-            return
-        if cap_contains(SphericalCap(u, radius, closed=False), p):
-            assert cap_contains(SphericalCap(u, radius, closed=True), p)
+    @given(st.floats(1.01, 5.0), st.floats(0.0, 1.6))
+    def test_open_implies_closed(self, norm, angle):
+        # Inside the open cap with slack tol is inside it without slack.
+        if lights(norm, angle):
+            assert lights(norm, angle, tol=0.0)
 
 
 class TestBalls:
+    """Ball intersection and containment through the batch checks."""
+
     def test_tangent_intersect(self):
-        assert balls_intersect(Ball([0, 0], 1), Ball([3, 0], 2))
+        assert first_non_intersecting_pair([Ball([0, 0], 1), Ball([3, 0], 2)]) is None
 
     def test_separated(self):
-        assert not balls_intersect(Ball([0, 0], 1), Ball([3.1, 0], 2))
+        assert first_non_intersecting_pair([Ball([0, 0], 1), Ball([3.1, 0], 2)]) == (0, 1)
 
     def test_nested(self):
-        assert balls_intersect(Ball([0, 0], 1), Ball([0, 0], 5))
+        assert first_non_intersecting_pair([Ball([0, 0], 1), Ball([0, 0], 5)]) is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            balls_intersect(Ball([0, 0], 1), Ball([0, 0, 0], 1))
+            first_non_intersecting_pair([Ball([0, 0], 1), Ball([0, 0, 0], 1)])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
@@ -131,13 +153,16 @@ class TestBalls:
         rng = np.random.default_rng(seed)
         a = Ball(rng.standard_normal(3), float(rng.uniform(0.1, 3.0)))
         b = Ball(rng.standard_normal(3), float(rng.uniform(0.1, 3.0)))
-        assert balls_intersect(a, b) == balls_intersect(b, a)
+        assert (first_non_intersecting_pair([a, b]) is None) == (
+            first_non_intersecting_pair([b, a]) is None
+        )
 
     def test_point_in_ball(self):
         tol = 1e-9
-        assert point_in_ball([0.0, 0.0], Ball([0, 0], 1), tol)
-        assert point_in_ball([1.0, 0.0], Ball([0, 0], 1), tol)
-        assert not point_in_ball([1.0 + 2 * tol, 0.0], Ball([0, 0], 1), tol)
+        family = BallFamily(2, (Ball([0, 0], 1),))
+        assert verify_piercing(family, np.array([[0.0, 0.0]]), tol) == (True, None)
+        assert verify_piercing(family, np.array([[1.0, 0.0]]), tol) == (True, None)
+        assert verify_piercing(family, np.array([[1.0 + 2 * tol, 0.0]]), tol) == (False, 0)
 
     def test_ball_validation(self):
         with pytest.raises(ValueError):

@@ -13,19 +13,22 @@ from gallai import (
     DirectionSet,
     SpikyBall,
     VerificationError,
-    base_cap,
     illuminate_cap_body,
-    illumination_cap,
     is_cap_body,
     positive_hull_full,
     solve_alpha,
-    u1_separation_check,
     verifies_illumination,
 )
 from gallai import sphere_cover
 from gallai.cli import main
 
-from conftest import monte_carlo_hull_margin, random_cap_body, random_direction_set
+from conftest import (
+    far_axes_separated,
+    lights,
+    monte_carlo_hull_margin,
+    random_cap_body,
+    random_direction_set,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -38,44 +41,56 @@ def hand_body():
     return CapBody.from_vertices(3, cross_polytope_vertices(3, SQRT2))
 
 
+def twin_cap_body(norm, gap):
+    """Whether two spikes of this norm with axes ``gap`` apart form a
+    cap body."""
+    axes = np.array([[1.0, 0.0], [math.cos(gap), math.sin(gap)]])
+    return is_cap_body(SpikyBall(2, norm * axes))[0]
+
+
 class TestBaseCap:
+    """The closed cap a spike cuts, of radius arccos(1/|x|), read off
+    ``is_cap_body``: two equal spikes form a cap body exactly when their
+    axes are at least twice that radius apart."""
+
+    @staticmethod
+    def check(norm, radius):
+        assert twin_cap_body(norm, 2 * radius)
+        assert not twin_cap_body(norm, 2 * radius - 1e-6)
+
     def test_norm_two(self):
-        cap = base_cap([2.0, 0.0, 0.0])
-        assert np.allclose(cap.axis, [1, 0, 0])
-        assert cap.angular_radius == pytest.approx(math.pi / 3, abs=1e-12)
-        assert cap.closed
+        self.check(2.0, math.pi / 3)
 
     def test_lower_bound_scale(self):
-        cap = base_cap([2.0 / math.sqrt(3.0), 0.0])
-        assert cap.angular_radius == pytest.approx(math.pi / 6, abs=1e-12)
+        self.check(2.0 / math.sqrt(3.0), math.pi / 6)
 
     def test_sqrt_two(self):
-        cap = base_cap([SQRT2, 0.0])
-        assert cap.angular_radius == pytest.approx(math.pi / 4, abs=1e-12)
+        self.check(SQRT2, math.pi / 4)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            base_cap([1.0, 0.0])
+            SpikyBall(2, [[1.0, 0.0]])
 
 
 class TestIlluminationCap:
+    """The open cap of directions that light a spike, of radius
+    pi/2 - arccos(1/|x|) about -x/|x|, read off ``verifies_illumination``."""
+
     def test_lower_bound_scale(self):
-        cap = illumination_cap([2.0 / math.sqrt(3.0), 0.0])
-        assert np.allclose(cap.axis, [-1, 0])
-        assert cap.angular_radius == pytest.approx(math.pi / 3, abs=1e-12)
-        assert not cap.closed
+        assert lights(2.0 / math.sqrt(3.0), math.pi / 3 - 1e-6)
+        assert not lights(2.0 / math.sqrt(3.0), math.pi / 3)
 
     def test_sqrt_two(self):
-        cap = illumination_cap([SQRT2, 0.0])
-        assert cap.angular_radius == pytest.approx(math.pi / 4, abs=1e-12)
+        assert lights(SQRT2, math.pi / 4 - 1e-6)
+        assert not lights(SQRT2, math.pi / 4)
 
     def test_widens_toward_hemisphere(self):
-        cap = illumination_cap([1.0 + 1e-9, 0.0])
-        assert cap.angular_radius == pytest.approx(math.pi / 2, abs=1e-4)
+        assert lights(1.0 + 1e-9, math.pi / 2 - 1e-4)
+        assert not lights(1.0 + 1e-9, math.pi / 2)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            illumination_cap([0.5, 0.0])
+            SpikyBall(2, [[0.5, 0.0]])
 
 
 class TestIsCapBody:
@@ -402,11 +417,14 @@ class TestIlluminateCapBody:
 
 
 class TestU1Separation:
+    """Far vertices (norm >= 1/cos alpha) cut caps at least alpha wide,
+    so in a cap body their axes are pairwise at least 2 alpha apart."""
+
     def test_hand_body_at_pi_quarter(self):
-        assert u1_separation_check(hand_body(), math.pi / 4)
+        assert far_axes_separated(hand_body(), math.pi / 4)
 
     def test_single_far_vertex(self):
-        assert u1_separation_check(SpikyBall(2, [[3.0, 0.0]]), 0.9)
+        assert far_axes_separated(SpikyBall(2, [[3.0, 0.0]]), 0.9)
 
     def test_violating_spiky_ball(self):
         # Two deep spikes 0.3 rad apart: their axes are far less than
@@ -414,13 +432,13 @@ class TestU1Separation:
         v = np.array(
             [[3.0, 0.0], [3.0 * math.cos(0.3), 3.0 * math.sin(0.3)]]
         )
-        assert not u1_separation_check(SpikyBall(2, v), math.pi / 4)
+        assert not far_axes_separated(SpikyBall(2, v), math.pi / 4)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_holds_for_random_cap_bodies(self, seed):
         body = random_cap_body(3 + seed % 4, 50, seed=300 + seed)
         for alpha in (0.3, solve_alpha(1e-9), 1.2):
-            assert u1_separation_check(body, alpha)
+            assert far_axes_separated(body, alpha)
 
 
 class TestRandomBodiesEndToEnd:

@@ -10,8 +10,6 @@ import pytest
 from gallai import (
     SeparatedSet,
     SymmetricSeparatedSet,
-    angular_distance,
-    base_cap,
     build_lower_bound_body,
     construct_separated_set,
     is_cap_body,
@@ -19,9 +17,9 @@ from gallai import (
     symmetrize,
 )
 from gallai import sampling
-from gallai.lowerbound import _SAMPLE_BLOCK, MultiplicityReport, _scan_block
+from gallai.lowerbound import _SAMPLE_BLOCK, MultiplicityReport, _direction_rng, _scan_block
 
-from conftest import illumination_multiplicity
+from conftest import angular_distance, base_cap_radius, illumination_multiplicity
 
 WINDOW = (math.pi / 3, 2 * math.pi / 3)
 
@@ -236,8 +234,7 @@ class TestBuildLowerBoundBody:
     def test_cap_radius_is_pi_sixth(self):
         y = symmetrize(construct_separated_set(3, 4, seed=5))
         body = build_lower_bound_body(y)
-        cap = base_cap(body.vertices[0])
-        assert cap.angular_radius == pytest.approx(math.pi / 6, abs=1e-12)
+        assert base_cap_radius(body.vertices[0]) == pytest.approx(math.pi / 6, abs=1e-12)
 
     def test_central_symmetry(self):
         y = symmetrize(construct_separated_set(4, 8, seed=3))
@@ -292,7 +289,7 @@ class TestMultiplicity:
 def one_product_report(y, samples, seed=0, tol=1e-9):
     """Reference multiplicity_report: one product of all the negated
     directions with all the points, no blocks and no pairing."""
-    u = sampling.unit_vectors(sampling.rng_from(seed), y.dimension, samples)
+    u = sampling.unit_vectors(_direction_rng(seed), y.dimension, samples)
     counts = ((-u @ y.points.T) > math.cos(math.pi / 3) + tol).sum(axis=1)
     top = int(counts.max())
     freq = np.bincount(counts)
@@ -320,7 +317,7 @@ class TestMultiplicityReport:
     def test_histogram_matches_counter(self):
         y = symmetrize(construct_separated_set(5, 15, seed=12))
         rep = multiplicity_report(y, 20_000, seed=5)
-        u = sampling.unit_vectors(sampling.rng_from(5), 5, 20_000)
+        u = sampling.unit_vectors(_direction_rng(5), 5, 20_000)
         counts = ((-u @ y.points.T) > math.cos(math.pi / 3) + 1e-9).sum(axis=1)
         assert rep.histogram == tuple(sorted(Counter(int(c) for c in counts).items()))
         assert len(rep.histogram) > 2
@@ -367,6 +364,26 @@ class TestMultiplicityReport:
             assert multiplicity_report(z, 5_000, seed=1, tol=tol) == one_product_report(
                 z, 5_000, seed=1, tol=tol
             )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_directions_are_not_a_construction_stream(self, seed, monkeypatch):
+        # The report's directions come from no stream that the sampler
+        # restarts on, so its first direction is not the set's first point.
+        drawn = []
+        real = sampling.unit_vectors
+
+        def spy(rng, dim, count):
+            out = real(rng, dim, count)
+            drawn.append(out)
+            return out
+
+        x = construct_separated_set(3, 4, seed)
+        monkeypatch.setattr(sampling, "unit_vectors", spy)
+        multiplicity_report(symmetrize(x), 16, seed)
+        u = drawn[-1]
+        for restart in range(4):
+            assert not np.array_equal(u, real(sampling.subrng(seed, restart), 3, 16))
+        assert x.points[0] @ u[0] < 1.0 - 1e-6
 
     def test_memory_independent_of_samples(self):
         # One product over all directions would take 200k x 32 doubles

@@ -18,15 +18,20 @@ from gallai import (
     normalize_family,
     pierce,
     pierce_large,
-    point_in_ball,
     refine_ball_cover,
     verify_piercing,
 )
 from gallai import PairwiseError, files, piercing, sphere_cover
 from gallai.geometry import gram_gaps
-from gallai.sampling import ball_points, cap_points, rng_from
+from gallai.sampling import rng_from
 
-from conftest import circle_cover_optimum, random_intersecting_family
+from conftest import (
+    ball_points,
+    cap_points,
+    circle_cover_optimum,
+    point_in_ball,
+    random_intersecting_family,
+)
 
 
 def dense_reference_cover(points, radius):
@@ -487,17 +492,70 @@ class TestPierce:
         b = pierce(moved, PiercingConfig(seed=5))
         assert np.allclose(b.points, scale * a.points + shift, atol=1e-8)
 
-    def test_lambda_validation(self):
-        family = BallFamily(2, (Ball([0, 0], 1), Ball([1, 0], 1)))
-        with pytest.raises(ValueError):
-            pierce(family, PiercingConfig(lam=0.9))
-        with pytest.raises(ValueError):
-            pierce(family, PiercingConfig(lam=2.0))
+    def test_large_threshold_is_n(self):
+        # A ball of radius n (the smallest being 1) is large; one a float
+        # step smaller goes to a bucket below t.
+        for n in (2, 3, 4):
+            e = np.eye(n)[0]
+            at = pierce(BallFamily(n, (Ball(np.zeros(n), 1), Ball(e, float(n)))))
+            below = BallFamily(n, (Ball(np.zeros(n), 1), Ball(e, math.nextafter(float(n), 0))))
+            assert at.accounting.large_count > 0
+            out = pierce(below)
+            assert out.accounting.large_count == 0
+            assert max(k for k, _ in out.accounting.scale_cover_counts) <= out.accounting.t
 
-    def test_threshold_validation(self):
-        family = BallFamily(2, (Ball([0, 0], 1), Ball([1, 0], 1)))
-        with pytest.raises(ValueError):
-            pierce(family, PiercingConfig(large_threshold=1.5))
+
+def scalar_bucket(r, lam):
+    """The per-ball bucket rule: the unique k >= 1 with
+    lam^(k-1) <= r < lam^k, and 1 for r <= 1."""
+    if r <= 1.0:
+        return 1
+    k = max(1, int(math.floor(math.log(r) / math.log(lam))) + 1)
+    while lam ** (k - 1) > r:
+        k -= 1
+    while r >= lam**k:
+        k += 1
+    return max(1, k)
+
+
+class TestScaleBuckets:
+    def test_matches_scalar_rule(self):
+        # Every boundary lam^k and its two float neighbours, where an
+        # ulp in the boundary table moves a radius to the next bucket.
+        rng = np.random.default_rng(0)
+        for n in range(2, 40):
+            lam = (1.0 - 1.0 / n) ** -0.5
+            t = 1
+            while lam**t <= n * (1.0 + 1e-12):
+                t += 1
+            edges = np.array([lam**k for k in range(t + 1)])
+            radii = np.concatenate([
+                edges,
+                np.nextafter(edges, 0.0),
+                np.nextafter(edges, np.inf),
+                rng.uniform(0.5, n, 2000),
+            ])
+            want = [scalar_bucket(float(r), lam) for r in radii]
+            assert piercing._scale_buckets(radii, lam, t).tolist() == want, n
+
+    def test_bucket_order_kept(self, monkeypatch):
+        # Each bucket's centers reach the cover in family order.
+        family = random_intersecting_family(3, 80, seed=6)
+        seen = []
+        real = piercing.cover_points_by_balls
+
+        def spy(points, radius):
+            seen.append(np.array(points))
+            return real(points, radius)
+
+        monkeypatch.setattr(piercing, "cover_points_by_balls", spy)
+        out = pierce(family)
+        centers, radii, _ = normalize_family(family)
+        lam = out.accounting.lam
+        assert len(seen) == len(out.accounting.scale_cover_counts) > 1
+        for (k, _), got in zip(out.accounting.scale_cover_counts, seen):
+            members = [i for i, r in enumerate(radii) if r < 3 and scalar_bucket(r, lam) == k]
+            assert got.tobytes() == centers[members].tobytes()
 
 
 class TestVerifyPiercing:
