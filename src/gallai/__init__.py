@@ -33,7 +33,6 @@ from .piercing import (
     BallFamily,
     PiercingConfig,
     PiercingSet,
-    Similarity,
     cap_overlap_radius,
     cover_points_by_balls,
     normalize_family,
@@ -74,7 +73,6 @@ __all__ = [
     "PiercingConfig",
     "PiercingSet",
     "SeparatedSet",
-    "Similarity",
     "SpikyBall",
     "SymmetricSeparatedSet",
     "VerificationError",

@@ -42,6 +42,7 @@ from .lowerbound import (
 from .piercing import (
     BallFamily,
     PiercingConfig,
+    PiercingSet,
     first_non_intersecting_pair,
     pierce,
     verify_piercing,
@@ -89,11 +90,8 @@ def cmd_pierce(args) -> int:
         result = pierce(family, config)
         witness = None
     except VerificationError as exc:
-        from .piercing import PiercingSet
-
         if not args.skip_verify or not isinstance(exc.result, PiercingSet):
-            _emit({"error": "verification", "detail": str(exc), "witness": exc.witness})
-            return EXIT_VERIFICATION
+            raise
         print(f"warning: {exc}", file=sys.stderr)
         result, witness, verified = exc.result, exc.witness, False
     acct = result.accounting
@@ -140,8 +138,7 @@ def cmd_illuminate(args) -> int:
             result = illuminate_cap_body(target, alpha, args.seed, args.tol)
     except VerificationError as exc:
         if not args.skip_verify or not isinstance(exc.result, DirectionSet):
-            _emit({"error": "verification", "detail": str(exc), "witness": exc.witness})
-            return EXIT_VERIFICATION
+            raise
         print(f"warning: {exc}", file=sys.stderr)
         result, witness, verified = exc.result, exc.witness, False
     u1 = sum(1 for tag in result.provenance if tag.startswith("U1:"))

@@ -49,8 +49,7 @@ def write_document(doc: dict, path) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ": "), indent=1)
-            fh.write("\n")
+            fh.write(dumps_document(doc))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,8 +1,11 @@
 """Core vector and ball types and the pair kernel.
 
-``Ball`` and ``Balls`` hold validated balls; ``first_pair_outside``
-decides every pairwise distance or angle check of the library, over
-whole arrays, with an explicit tolerance on each window.
+``Ball`` and ``Balls`` hold validated balls. ``first_pair_outside``
+(pairs within one array, against windows) and ``pairs_within`` (pairs
+across two arrays, against per-row limits) decide every distance or
+angle check of the library, over whole arrays. Both take each verdict
+on ``pair_distances``, the one exact formula, and switch to the Gram
+filter at one size, ``_EXACT_PAIRS``.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ def as_unit_rows(rows, dim: int, what: str) -> np.ndarray:
     return a
 
 
-# Entries per block of the pair kernel: a caller holds a few arrays of
-# this many entries at a time, whatever the number of rows.
+# Entries per block of the pair kernel and of every blocked check over
+# it: a caller holds a few arrays of this many entries at a time,
+# whatever the number of rows.
 _PAIR_BLOCK = 2**16
 # Absolute floor of the kernel's rounding band. Gradual underflow adds at
 # most a few 2^-1074 to a Gram entry or to a sum of squares, far below it.
@@ -54,10 +58,12 @@ _BAND_FLOOR = 2.0**-1000
 # A row whose squared augmented norm passes this is left to the exact
 # formula; below it no Gram entry of two rows can overflow.
 _SCALE_MAX = 2.0**1000
-# first_pair_outside checks up to this many pairs with the exact formula
-# alone: below it the Gram filter's fixed cost, some twenty array calls
-# per window, exceeds what it saves.
-_EXACT_PAIRS = 2048
+# A check of up to this many pairs uses the exact formula alone: below it
+# the Gram filter's fixed cost, some twenty array calls per window,
+# exceeds what it saves. Over the benchmark's workload cycles on a 2-core
+# x86_64 host, 2**11, 2**12 and 2**13 tied within noise; 2**13 is near
+# the crossover of ``pairs_within``, the check the piercing runs call most.
+_EXACT_PAIRS = 2**13
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,11 +143,10 @@ def gram_gaps(left: GramRows, right: GramRows) -> tuple[np.ndarray, np.ndarray]:
     (k + 2)-term product (within gamma_(k+2) of 2 (s_i + s_j), in any
     summation order), together about (3 k + 12) u (s_i + s_j) for the
     unit roundoff u = eps / 2. It also covers, with room to spare, the
-    rounding of the exact formulas the callers compare against: a sum of
-    n squares and its square root, the caller's window (limit_i +
-    limit_j) + slack, and for angles the half-chord arcsine, whose
-    rounding near pi is within a few eps in chord space. So outside the
-    band the sign of G is the true sign, and the exact formula agrees.
+    rounding of ``pair_distances``, of a window (limit_i + limit_j) +
+    slack and, for angles, of the half-chord arcsine (a few eps in chord
+    space near pi). So outside the band the sign of G is the true sign,
+    and ``pair_distances`` agrees.
     """
     # The left rows [-2 x', -2 e, a, 1]; angle rows hold -cos h on the
     # right and cos h on the left.
@@ -172,6 +177,32 @@ def pair_distances(xt, yt) -> np.ndarray:
         for c in range(1, diff.shape[0]):
             total += diff[c]
         return np.sqrt(total)
+
+
+def pairs_within(x, y, limits, y_rows=None):
+    """(inside, y_rows): inside[i, j] is the exact verdict
+    ``pair_distances(x_i, y_j) <= limits_i`` for rows x (k, n) and y
+    (l, n), with ``limits`` a scalar or one per row of x.
+
+    Up to ``_EXACT_PAIRS`` pairs it uses ``pair_distances`` alone. Past
+    it the pair kernel (``gram_gaps``, rows shifted by y[0]) settles
+    every pair outside its rounding band, and only the pairs inside it
+    are recomputed. ``y_rows`` is y's side of the kernel: None, or what
+    an earlier call on the same y returned, so that blocks of x checked
+    against one y build it once, and only past the switch.
+    """
+    limits = np.broadcast_to(np.asarray(limits, dtype=float), x.shape[:1])
+    if x.shape[0] * y.shape[0] <= _EXACT_PAIRS:
+        return pair_distances(x.T[:, :, None], y.T[:, None, :]) <= limits[:, None], y_rows
+    if y_rows is None:
+        y_rows = gram_rows(y, 0.0, y[0])
+    gap, band = gram_gaps(gram_rows(x, limits, y[0]), y_rows)
+    inside = gap < -band[:, None]
+    near = np.abs(gap, out=gap) <= band[:, None]
+    if near.any():
+        r, c = np.nonzero(near)
+        inside[r, c] = pair_distances(x[r].T, y[c].T) <= limits[r]
+    return inside, y_rows
 
 
 def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,

@@ -19,47 +19,14 @@ import numpy as np
 
 from .errors import PairwiseError, VerificationError
 from .geometry import (
+    _PAIR_BLOCK,
     DEFAULT_TOL,
     Balls,
-    as_vector,
     first_pair_outside,
-    gram_gaps,
-    gram_rows,
+    pair_distances,
+    pairs_within,
 )
 from .sphere_cover import greedy_cover
-
-# Distance entries evaluated at once by the blocked kernels below; bounds
-# their scratch memory whatever the number of points or balls.
-_BLOCK = 1 << 16
-# Checks of up to this many pairs use the exact norms alone: below it the
-# pair kernel's fixed cost, some thirty array calls, exceeds what it saves.
-_EXACT_PAIRS = 1 << 13
-
-
-@dataclass(frozen=True, eq=False)
-class Similarity:
-    """Positive similarity between original and normalized frames.
-
-    normalized = (x - offset) / scale; original = offset + scale * y.
-    """
-
-    scale: float
-    offset: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "offset", as_vector(self.offset))
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-
-    @classmethod
-    def identity(cls, dim: int) -> "Similarity":
-        return cls(1.0, np.zeros(dim))
-
-    def to_normalized(self, points) -> np.ndarray:
-        return (np.asarray(points, dtype=float) - self.offset) / self.scale
-
-    def to_original(self, points) -> np.ndarray:
-        return self.offset + self.scale * np.asarray(points, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +112,6 @@ class PiercingSet:
     dimension: int
     points: np.ndarray
     provenance: tuple[str, ...]
-    transform: Similarity
     accounting: PiercingAccounting
 
     def __post_init__(self):
@@ -160,22 +126,23 @@ class PiercingSet:
         return self.points.shape[0]
 
 
-def normalize_family(family: BallFamily) -> tuple[np.ndarray, np.ndarray, Similarity]:
+def normalize_family(family: BallFamily) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """Translate and scale so the smallest ball is the unit ball at 0.
 
     Ties on the smallest radius go to the lowest index. Returns the
-    normalized centers (m, n) and radii (m,), and the similarity mapping
-    results back. The family was validated when it was built, so its
-    mapped copy is only checked to be finite (mapping may overflow);
-    ``pierce`` verifies its result against the input family.
+    normalized centers (m, n) and radii (m,), and the scale and offset
+    (that ball's radius and center) that map a normalized point y back
+    to offset + scale * y. The family was validated when it was built,
+    so its mapped copy is only checked to be finite (mapping may
+    overflow); ``pierce`` verifies its result against the input family.
     """
     centers, radii = family.centers(), family.radii()
     idx = int(np.argmin(radii))
-    tr = Similarity(float(radii[idx]), centers[idx].copy())
-    mapped, scaled = tr.to_normalized(centers), radii / tr.scale
+    scale, offset = float(radii[idx]), centers[idx]
+    mapped, scaled = (centers - offset) / scale, radii / scale
     if not (np.isfinite(mapped).all() and np.isfinite(scaled).all()):
         raise ValueError("normalized coordinates and radii must be finite")
-    return mapped, scaled, tr
+    return mapped, scaled, scale, offset
 
 
 def cap_overlap_radius(r: float, n: int) -> float:
@@ -207,16 +174,6 @@ def pierce_large(n: int, config: PiercingConfig | None = None) -> np.ndarray:
     return 2.0 * cover.centers
 
 
-def _norms(diff: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis of a (k, i, n) difference array.
-
-    Every ``<= radius`` decision of ``cover_points_by_balls`` is taken on
-    these values. Each norm depends only on its own n differences, not
-    on the array's other axes, so slicing the work never moves a bit.
-    """
-    return np.sqrt(np.einsum("kij,kij->ki", diff, diff))
-
-
 def cover_points_by_balls(points, radius: float) -> np.ndarray:
     """Greedy center cover: every input point ends within ``radius`` of
     some returned center.
@@ -235,14 +192,12 @@ def cover_points_by_balls(points, radius: float) -> np.ndarray:
     midpoint then wins only with a strictly larger gain), so a step that
     a point serves never pays for the m (m - 1) / 2 midpoints.
 
-    Memory is O(candidates * n + _BLOCK): no candidates x points array
-    is built. The target's candidate column and the chosen center's row
-    come from ``_norms``. Gains are counted over blocks of ``_BLOCK``
-    candidate-point pairs by the pair kernel (``gram_gaps``), which
-    settles every pair outside its rounding band from one Gram product;
-    the pairs inside it are recomputed with ``_norms``, which alone
-    decides blocks of at most ``_EXACT_PAIRS`` pairs. So every decision,
-    and the cover, is the one the full ``_norms`` tensor would give.
+    Every distance is ``pair_distances``: the target's candidate column
+    and the chosen center's row directly, and the gains through
+    ``pairs_within``, over blocks of ``_PAIR_BLOCK`` candidate-point
+    pairs. So every decision, and the cover, is the one the full
+    ``pair_distances`` tensor would give, while memory stays
+    O(candidates * n + _PAIR_BLOCK).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -262,7 +217,7 @@ def cover_points_by_balls(points, radius: float) -> np.ndarray:
         open_idx = np.flatnonzero(~covered)
         target = pts[open_idx[int(np.argmax(nearest[open_idx]))]]
         free = pts[open_idx]
-        i, gain = _best_candidate(pts, target, free, radius, pts[0])
+        i, gain = _best_candidate(pts, target, free, radius)
         pick = pts[i]
         # Midpoints grow quadratically; past 600 points the points alone
         # still yield a valid cover. Neither memory nor a step that a
@@ -272,41 +227,29 @@ def cover_points_by_balls(points, radius: float) -> np.ndarray:
             if midpoints is None:
                 iu, ju = np.triu_indices(m, k=1)
                 midpoints = 0.5 * (pts[iu] + pts[ju])
-            j, mid_gain = _best_candidate(midpoints, target, free, radius, pts[0])
+            j, mid_gain = _best_candidate(midpoints, target, free, radius)
             if mid_gain > gain:
                 pick = midpoints[j]
-        row = _norms(pick[None, None, :] - pts[None, :, :])[0]
+        row = pair_distances(pick[:, None], pts.T)
         centers.append(pick)
         covered |= row <= radius
         np.minimum(nearest, row, out=nearest)
     return np.array(centers)
 
 
-def _best_candidate(candidates, target, free, radius, origin):
+def _best_candidate(candidates, target, free, radius):
     """(index, gain) of the first candidate within ``radius`` of
     ``target`` that covers the most rows of ``free``; (-1, -1) if none
     is that close. Stops after the first block holding a candidate that
-    covers every row of ``free``, since no later one can cover more.
-    The pair kernel shifts its rows by ``origin``."""
-    column = _norms(candidates[:, None, :] - target[None, None, :])[:, 0]
+    covers every row of ``free``, since no later one can cover more."""
+    column = pair_distances(candidates.T, target[:, None])
     able = np.flatnonzero(column <= radius)
-    step = max(1, _BLOCK // free.shape[0])
+    step = max(1, _PAIR_BLOCK // free.shape[0])
     best, best_gain = -1, -1
     free_rows = None
     for s in range(0, able.size, step):
         idx = able[s : s + step]
-        block = candidates[idx]
-        if block.shape[0] * free.shape[0] <= _EXACT_PAIRS:
-            inside = _norms(block[:, None, :] - free[None, :, :]) <= radius
-        else:
-            if free_rows is None:
-                free_rows = gram_rows(free, 0.0, origin)
-            gap, band = gram_gaps(gram_rows(block, radius, origin), free_rows)
-            inside = gap < -band[:, None]
-            near = np.abs(gap, out=gap) <= band[:, None]
-            if near.any():
-                r, c = np.nonzero(near)
-                inside[r, c] = _norms((block[r] - free[c])[:, None, :])[:, 0] <= radius
+        inside, free_rows = pairs_within(candidates[idx], free, radius, free_rows)
         gains = inside.sum(axis=1)
         j = int(np.argmax(gains))
         if gains[j] > best_gain:
@@ -316,19 +259,21 @@ def _best_candidate(candidates, target, free, radius, origin):
     return best, best_gain
 
 
-def refine_ball_cover(center, r2: float) -> np.ndarray:
-    """The 2n axis-offset centers covering ball(center, r2) one scale down.
+def refine_ball_cover(centers, r2: float) -> np.ndarray:
+    """The 2n axis-offset centers covering each ball(c, r2), c a row of
+    the (k, n) ``centers``, one scale down.
 
-    Returns center +- (r2 / sqrt(n)) e_i, in the order +e_1..+e_n then
-    -e_1..-e_n. Balls of radius r2 * sqrt(1 - 1/n) at these centers
-    cover the input ball, and that radius is tight along the diagonals.
+    Returns the (2 n k, n) points c +- (r2 / sqrt(n)) e_i, per center in
+    the order +e_1..+e_n then -e_1..-e_n. Balls of radius r2 * sqrt(1 -
+    1/n) at these points cover the input balls, and that radius is tight
+    along the diagonals.
     """
-    c = as_vector(center)
     if not r2 > 0:
         raise ValueError("radius must be positive")
-    n = c.size
+    centers = np.asarray(centers, dtype=float)
+    n = centers.shape[1]
     offset = (r2 / math.sqrt(n)) * np.eye(n)
-    return np.concatenate([c + offset, c - offset])
+    return (centers[:, None, :] + np.concatenate([offset, -offset])).reshape(-1, n)
 
 
 def _scale_buckets(radii: np.ndarray, lam: float, t: int) -> np.ndarray:
@@ -375,12 +320,11 @@ def pierce(family: BallFamily, config: PiercingConfig | None = None) -> Piercing
                 n,
                 family.centers().copy(),
                 ("center",),
-                Similarity.identity(n),
                 PiercingAccounting(0, (), t, lam),
             ),
         )
 
-    centers, radii, transform = normalize_family(family)
+    centers, radii, scale, offset = normalize_family(family)
 
     points: list[np.ndarray] = []
     provenance: list[str] = []
@@ -400,16 +344,14 @@ def pierce(family: BallFamily, config: PiercingConfig | None = None) -> Piercing
         xk = centers[small[ks == k]]
         ball_centers = cover_points_by_balls(xk, lam**k)
         scale_counts.append((k, ball_centers.shape[0]))
-        for z in ball_centers:
-            points.append(refine_ball_cover(z, lam**k))
-            provenance.extend([f"scale:{k}"] * (2 * n))
+        points.append(refine_ball_cover(ball_centers, lam**k))
+        provenance.extend([f"scale:{k}"] * (2 * n * ball_centers.shape[0]))
 
     raw = np.concatenate(points) if points else np.empty((0, n))
     result = PiercingSet(
         n,
-        transform.to_original(raw),
+        offset + scale * raw,
         tuple(provenance),
-        transform,
         PiercingAccounting(large_count, tuple(scale_counts), t, lam),
     )
     return _verified(family, cfg, result)
@@ -433,13 +375,10 @@ def verify_piercing(
 
     Accepts a PiercingSet or a raw (m, n) array. Returns (True, None)
     or (False, index of the first unpierced ball). A point pierces a
-    ball when ``norm(point - center) <= radius + tol``. Past
-    ``_EXACT_PAIRS`` ball-point pairs, the pair kernel (``gram_gaps``)
-    settles every pair outside its rounding band from one Gram product;
-    only the pairs inside it, of balls that no settled pair pierces, are
-    recomputed with that norm. Balls are checked in blocks of about
-    ``_BLOCK`` ball-point pairs, so memory stays bounded for any family
-    and point count.
+    ball when ``pair_distances(point, center) <= radius + tol``, as
+    ``pairs_within`` decides it. Balls are checked in blocks of about
+    ``_PAIR_BLOCK`` ball-point pairs, so memory stays bounded for any
+    family and point count.
     """
     pts = piercing.points if isinstance(piercing, PiercingSet) else np.asarray(
         piercing, dtype=float
@@ -450,25 +389,13 @@ def verify_piercing(
         return False, 0
     centers = family.centers()
     limits = family.radii() + tol
-    step = max(1, _BLOCK // pts.shape[0])
-    if centers.shape[0] * pts.shape[0] <= _EXACT_PAIRS:
-        gaps = np.linalg.norm(pts[None, :, :] - centers[:, None, :], axis=-1)
-        missed = np.flatnonzero(~(gaps <= limits[:, None]).any(axis=1))
-        return (False, int(missed[0])) if missed.size else (True, None)
-    ball_rows = gram_rows(centers, limits, centers[0])
-    point_rows = gram_rows(pts, 0.0, centers[0])
+    step = max(1, _PAIR_BLOCK // pts.shape[0])
+    point_rows = None
     for s in range(0, centers.shape[0], step):
-        gap, band = gram_gaps(ball_rows.take(slice(s, s + step)), point_rows)
-        pierced = (gap < -band[:, None]).any(axis=1)
-        if not pierced.all():
-            # Unpierced rows hold no settled inside pair, so every pair
-            # at or below the band is one to recompute.
-            open_rows = np.flatnonzero(~pierced)
-            r, c = np.nonzero(gap[open_rows] <= band[open_rows, None])
-            r = open_rows[r]
-            gaps = np.linalg.norm(pts[c] - centers[s + r], axis=-1)
-            pierced[r[gaps <= limits[s + r]]] = True
-        missed = np.flatnonzero(~pierced)
+        inside, point_rows = pairs_within(
+            centers[s : s + step], pts, limits[s : s + step], point_rows
+        )
+        missed = np.flatnonzero(~inside.any(axis=1))
         if missed.size:
             return False, s + int(missed[0])
     return True, None

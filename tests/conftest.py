@@ -238,9 +238,12 @@ def dense_first_pair(rows, low=-math.inf, high=math.inf, angles=False, tol=0.0):
 
 
 def dense_first_missed(centers, radii, points, tol=0.0):
-    """Oracle for ``verify_piercing``: all ball-point norms at once; the
-    first ball that no point lies within radius + tol of, or None."""
-    gaps = np.linalg.norm(points[None, :, :] - centers[:, None, :], axis=-1)
+    """Oracle for ``verify_piercing``: all ball-point distances at once
+    from ``cdist``; the first ball that no point lies within radius + tol
+    of, or None."""
+    from scipy.spatial.distance import cdist
+
+    gaps = cdist(centers, points)
     missed = np.flatnonzero(~(gaps <= (radii + tol)[:, None]).any(axis=1))
     return int(missed[0]) if missed.size else None
 

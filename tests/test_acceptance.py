@@ -79,7 +79,7 @@ def test_criterion_02_endpoint_identities():
 def test_criterion_03_scale_refinement_suite():
     started = time.monotonic()
     for n in range(2, 11):
-        centers = refine_ball_cover([0.0] * n, 1.0)
+        centers = refine_ball_cover([[0.0] * n], 1.0)
         bound = math.sqrt(1.0 - 1.0 / n)
         pts = ball_points(rng_from(n), n, 100_000, radius=1.0)
         gaps = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2).min(axis=1)

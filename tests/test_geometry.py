@@ -21,7 +21,7 @@ from gallai import (
     is_cap_body,
     verifies_illumination,
 )
-from gallai import geometry, piercing
+from gallai import geometry
 from gallai.errors import PairwiseError
 from gallai.geometry import first_pair_outside, gram_gaps, gram_rows, pair_distances
 from gallai.piercing import first_non_intersecting_pair, verify_piercing
@@ -368,7 +368,6 @@ def pair_path(request, monkeypatch):
     at every size, or through their exact formulas alone."""
     limit = 0 if request.param == "gram" else 10**9
     monkeypatch.setattr(geometry, "_EXACT_PAIRS", limit)
-    monkeypatch.setattr(piercing, "_EXACT_PAIRS", limit)
     return request.param
 
 

@@ -12,7 +12,6 @@ from gallai import (
     BallFamily,
     Balls,
     PiercingConfig,
-    Similarity,
     cap_overlap_radius,
     cover_points_by_balls,
     normalize_family,
@@ -21,8 +20,8 @@ from gallai import (
     refine_ball_cover,
     verify_piercing,
 )
-from gallai import PairwiseError, files, piercing, sphere_cover
-from gallai.geometry import gram_gaps
+from gallai import PairwiseError, files, geometry, piercing, sphere_cover
+from gallai.geometry import pair_distances
 from gallai.sampling import rng_from
 
 from conftest import (
@@ -38,8 +37,11 @@ def dense_reference_cover(points, radius):
     """The greedy cover over the full candidates x points distance tensor.
 
     Same candidates, order and tie-breaks as ``cover_points_by_balls``,
-    with every distance computed up front; memory grows as m^3 n.
+    with every distance computed up front by ``cdist``, whose values
+    ``pair_distances`` matches to the bit; memory grows as m^3.
     """
+    from scipy.spatial.distance import cdist
+
     pts = np.asarray(points, dtype=float)
     m = pts.shape[0]
     if m == 1:
@@ -49,8 +51,7 @@ def dense_reference_cover(points, radius):
         candidates = np.concatenate([pts, 0.5 * (pts[iu] + pts[ju])])
     else:
         candidates = pts
-    diff = candidates[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
+    dist = cdist(candidates, pts)
     covered = np.zeros(m, dtype=bool)
     nearest = np.full(m, np.inf)
     centers = []
@@ -67,11 +68,14 @@ def dense_reference_cover(points, radius):
 
 
 def loop_reference_verify(family, points, tol):
-    """One ball at a time: (True, None) or (False, first unpierced index)."""
+    """One ball at a time: (True, None) or (False, first unpierced index),
+    with ``cdist``'s distances."""
+    from scipy.spatial.distance import cdist
+
     if points.shape[0] == 0:
         return False, 0
     for i, b in enumerate(family.balls):
-        gaps = np.linalg.norm(points - b.center, axis=1)
+        gaps = cdist(b.center[None, :], points)[0]
         if not (gaps <= b.radius + tol).any():
             return False, i
     return True, None
@@ -186,17 +190,17 @@ class TestBallFamily:
 class TestNormalizeFamily:
     def test_single_ball(self):
         family = BallFamily(2, (Ball([3, 3], 2),))
-        centers, radii, tr = normalize_family(family)
+        centers, radii, scale, offset = normalize_family(family)
         assert np.allclose(centers, [[0, 0]])
         assert radii.tolist() == [1.0]
-        assert tr.scale == 2.0
-        assert np.allclose(tr.offset, [3, 3])
+        assert scale == 2.0
+        assert np.allclose(offset, [3, 3])
 
     def test_already_normalized_is_identity(self):
         family = BallFamily(2, (Ball([0, 0], 1), Ball([1.5, 0], 2)))
-        centers, radii, tr = normalize_family(family)
-        assert tr.scale == 1.0
-        assert np.allclose(tr.offset, [0, 0])
+        centers, radii, scale, offset = normalize_family(family)
+        assert scale == 1.0
+        assert np.allclose(offset, [0, 0])
         assert np.array_equal(centers, family.centers())
         assert np.array_equal(radii, family.radii())
 
@@ -204,12 +208,11 @@ class TestNormalizeFamily:
         # Smallest radius 2 at the origin: scale by 1/2 leaves centers
         # halved and radii halved.
         family = BallFamily(2, (Ball([0, 0], 2), Ball([1, 0], 4)))
-        centers, radii, tr = normalize_family(family)
+        centers, radii, scale, offset = normalize_family(family)
         assert np.allclose(centers, [[0, 0], [0.5, 0]])
         assert radii.tolist() == [1.0, 2.0]
-        # Round trip through the transform.
-        pts = np.array([[0.25, -0.5], [1.0, 1.0]])
-        assert np.allclose(tr.to_normalized(tr.to_original(pts)), pts)
+        # The map back that pierce applies to its points.
+        assert np.array_equal(offset + scale * centers, family.centers())
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_map_is_rejected(self):
@@ -341,21 +344,22 @@ class TestCoverPointsByBalls:
         # candidates settles the only step: the other points and the
         # 44,850 midpoints are never scored, and no midpoint is formed.
         rows = []
+        real_gaps = geometry.gram_gaps
 
         def counting_gaps(left, right):
             rows.append(len(left.s))
-            return gram_gaps(left, right)
+            return real_gaps(left, right)
 
         def no_midpoints(*args, **kwargs):
             raise AssertionError("midpoints formed")
 
         pts = ball_points(rng_from(9), 3, 300, radius=0.999, center=[2.0, -1.0, 0.5])
         pts[0] = [2.0, -1.0, 0.5]
-        monkeypatch.setattr(piercing, "gram_gaps", counting_gaps)
+        monkeypatch.setattr(geometry, "gram_gaps", counting_gaps)
         monkeypatch.setattr(piercing.np, "triu_indices", no_midpoints)
         centers = cover_points_by_balls(pts, 1.0)
         assert centers.tobytes() == pts[:1].tobytes()
-        assert len(rows) == 1 and rows[0] <= piercing._BLOCK // 300
+        assert len(rows) == 1 and rows[0] <= geometry._PAIR_BLOCK // 300
 
     def test_many_centers_match_dense_reference(self):
         pts = rng_from(31).uniform(-5.0, 5.0, (150, 3))
@@ -375,7 +379,7 @@ class TestCoverPointsByBalls:
     def test_pair_kernel_at_every_size_matches_dense_reference(self, monkeypatch):
         # The same covers with the pair kernel on every block, however
         # small, so its ties fall as the exact norms' do.
-        monkeypatch.setattr(piercing, "_EXACT_PAIRS", 0)
+        monkeypatch.setattr(geometry, "_EXACT_PAIRS", 0)
         self.test_many_centers_match_dense_reference()
         for n, side in [(2, 7), (3, 4)]:
             for radius in [1.0, math.sqrt(2.0), 0.5, 2.0]:
@@ -395,15 +399,18 @@ class TestCoverPointsByBalls:
 
 class TestRefineBallCover:
     def test_unit_disk_centers(self):
-        centers = refine_ball_cover([0.0, 0.0], 1.0)
+        centers = refine_ball_cover([[0.0, 0.0]], 1.0)
         d = 1.0 / math.sqrt(2.0)
         expected = np.array([[d, 0], [0, d], [-d, 0], [0, -d]])
         assert np.allclose(np.sort(centers, axis=0), np.sort(expected, axis=0), atol=1e-15)
+        # Several centers: each center's 2n points in turn, in the same order.
+        two = refine_ball_cover([[0.0, 0.0], [3.0, -1.0]], 1.0)
+        assert two.tobytes() == np.concatenate([centers, centers + [3.0, -1.0]]).tobytes()
 
     def test_boundary_tightness_dimension_four(self):
         # The all-halves point of the unit sphere in dimension 4 sits at
         # distance exactly sqrt(3/4) from the nearest refined center.
-        centers = refine_ball_cover([0.0] * 4, 1.0)
+        centers = refine_ball_cover([[0.0] * 4], 1.0)
         x = np.full(4, 0.5)
         gap = np.linalg.norm(centers - x, axis=1).min()
         assert gap == pytest.approx(math.sqrt(0.75), abs=1e-12)
@@ -411,7 +418,7 @@ class TestRefineBallCover:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_sampled_containment(self, n):
         r2 = 1.7
-        centers = refine_ball_cover([0.0] * n, r2)
+        centers = refine_ball_cover([[0.0] * n], r2)
         r1 = r2 * math.sqrt(1.0 - 1.0 / n)
         pts = ball_points(rng_from(n), n, 20_000, radius=r2)
         gaps = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2).min(axis=1)
@@ -419,7 +426,7 @@ class TestRefineBallCover:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            refine_ball_cover([0.0, 0.0], 0.0)
+            refine_ball_cover([[0.0, 0.0]], 0.0)
 
 
 class TestPierce:
@@ -550,7 +557,7 @@ class TestScaleBuckets:
 
         monkeypatch.setattr(piercing, "cover_points_by_balls", spy)
         out = pierce(family)
-        centers, radii, _ = normalize_family(family)
+        centers, radii, _, _ = normalize_family(family)
         lam = out.accounting.lam
         assert len(seen) == len(out.accounting.scale_cover_counts) > 1
         for (k, _), got in zip(out.accounting.scale_cover_counts, seen):
@@ -603,12 +610,27 @@ class TestVerifyPiercing:
         assert loop_reference_verify(family, pts, 1e-9) == (False, 1)
         assert verify_piercing(family, pts) == (False, 1)
 
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_point_on_every_sphere_pierces(self, n):
+        # One point at distance exactly radius from every center, by the
+        # exact formula, which the family check also uses. From n = 8
+        # np.linalg.norm reads some of these distances an ulp larger.
+        rng = rng_from(1)
+        centers = rng.standard_normal((40, n))
+        point = rng.standard_normal((1, n))
+        radii = pair_distances(centers.T, point.T)
+        family = BallFamily(n, Balls(centers, radii))
+        assert verify_piercing(family, point, 0.0) == (True, None)
+        assert loop_reference_verify(family, point, 0.0) == (True, None)
+
     def test_pair_kernel_at_every_size_matches_per_ball_loop(self, monkeypatch):
-        monkeypatch.setattr(piercing, "_EXACT_PAIRS", 0)
+        monkeypatch.setattr(geometry, "_EXACT_PAIRS", 0)
         for seed in range(6):
             self.test_matches_per_ball_loop(seed)
         self.test_first_of_several_unpierced()
         self.test_far_point_fails_with_witness()
+        for n in (8, 9):
+            self.test_point_on_every_sphere_pierces(n)
 
     def test_dimension_mismatch(self):
         family = BallFamily(2, (Ball([0, 0], 1),))
@@ -633,7 +655,7 @@ class TestInclusionBounds:
 
     def test_refine_tightness(self):
         for n in range(2, 8):
-            centers = refine_ball_cover([0.0] * n, 1.0)
+            centers = refine_ball_cover([[0.0] * n], 1.0)
             diag = np.full(n, 1.0 / math.sqrt(n))
             gap = np.linalg.norm(centers - diag, axis=1).min()
             bound = math.sqrt(1.0 - 1.0 / n)
