@@ -1,8 +1,12 @@
 """JSON artifact files.
 
-One self-describing document per artifact: a "kind" discriminator, a
-"dimension" field, and the payload. Numbers round-trip losslessly
-(shortest-repr doubles). Structural problems raise FileFormatError.
+One self-describing document per artifact, built by ``_document``: a
+"kind" discriminator, a "dimension" field, and the payload. Numbers
+round-trip losslessly (shortest-repr doubles). Structural problems
+raise FileFormatError. Every artifact's rows (vertices, directions,
+points, ball centers) are checked and converted by ``_rows`` in one
+pass over the whole array; a per-row (for ball families, per-entry)
+scan runs only when that pass fails, to name the first bad row.
 Meaning (radii, vertex norms, unit directions) is checked only by the
 domain constructors; a parser reports their ValueError as a
 FileFormatError. Pairwise preconditions (e.g. non-intersecting
@@ -77,43 +81,53 @@ def _check_kind(doc: dict, kind: str) -> int:
     return dim
 
 
-def _numeric_matrix(rows, dim: int, what: str) -> np.ndarray:
-    _check_rows(rows, dim, what)
-    return _finite_matrix(rows, what)
+def _is_number(v) -> bool:
+    """An int or a float; bools are not numbers."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _is_row(row, dim: int) -> bool:
-    """A list of ``dim`` numbers; bools are not numbers."""
-    return isinstance(row, list) and len(row) == dim and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
-    )
+def _check_row(row, dim: int, what: str) -> None:
+    """The per-row check, run only where a whole-array check failed."""
+    if not (isinstance(row, list) and len(row) == dim and all(map(_is_number, row))):
+        raise FileFormatError(f"{what} must be a list of {dim} numbers")
 
 
-def _check_rows(rows, dim: int, what: str) -> None:
-    """Structure only: a non-empty list of lists of ``dim`` numbers."""
-    if not isinstance(rows, list) or not rows:
-        raise FileFormatError(f"{what} must be a non-empty list")
-    for i, row in enumerate(rows):
-        if not _is_row(row, dim):
-            raise FileFormatError(
-                f"{what}[{i}] must be a list of {dim} numbers"
-            )
-
-
-def _finite_matrix(rows, what: str) -> np.ndarray:
-    """Rows that passed ``_check_rows`` as a finite float array."""
-    try:
-        out = np.asarray(rows, dtype=float)
-    except OverflowError as exc:  # an integer too large for a double
-        raise FileFormatError(f"{what}: {exc}") from exc
-    if not np.all(np.isfinite(out)):
+def _floats(cells, what: str) -> np.ndarray:
+    """Numbers that passed the structure check as a finite float array."""
+    out = _construct(what, np.asarray, cells, float)
+    if not np.isfinite(out).all():
         raise FileFormatError(f"{what} contains non-finite values")
     return out
 
 
+def _rows(rows, dim: int, what: str) -> np.ndarray:
+    """A non-empty list of lists of ``dim`` numbers as a finite (m, dim)
+    float array. Shape and types are checked on the whole array at once;
+    only if that fails is each row checked, to name the first bad one. A
+    scan that finds none (an int or float subclass such as ``np.float64``)
+    goes on to the conversion."""
+    if not isinstance(rows, list) or not rows:
+        raise FileFormatError(f"{what} must be a non-empty list")
+    try:
+        cells = np.array(rows, dtype=object)
+        ok = (
+            cells.shape == (len(rows), dim)
+            and set(map(type, rows)) <= {list}
+            and set(map(type, cells.flat)) <= {int, float}
+        )
+    except ValueError:  # rows numpy cannot stack, such as arrays
+        ok = False
+    if not ok:
+        for i, row in enumerate(rows):
+            _check_row(row, dim, f"{what}[{i}]")
+        cells = rows
+    return _floats(cells, what)
+
+
 def _construct(what: str, cls, *args):
     """``cls(*args)``, with its ValueError (or the OverflowError of an
-    integer too large for a double) reported as a FileFormatError."""
+    integer too large for a double, as from ``float``) reported as a
+    FileFormatError."""
     try:
         return cls(*args)
     except (ValueError, OverflowError) as exc:
@@ -131,66 +145,65 @@ def _provenance(doc: dict, count: int) -> tuple[str, ...]:
     return tuple(tags)
 
 
+def _document(kind: str, dimension: int, key: str, rows: list, provenance=(),
+              meta: dict | None = None) -> dict:
+    doc = {"kind": kind, "dimension": int(dimension), key: rows}
+    if provenance:
+        doc["provenance"] = list(provenance)
+    if meta:
+        doc["meta"] = meta
+    return doc
+
+
 # -- ball families -----------------------------------------------------------
 
 
 def parse_ball_family(doc: dict) -> tuple[int, Balls]:
     """Structural parse; pairwise intersection is checked downstream.
 
-    Entries are checked in order, and their centers and radii are then
-    converted and validated in one array each; the error raised is the
-    first bad entry's, as when each entry is parsed whole before the
-    next.
+    The centers and the radii are validated as one array each. If that
+    fails, the entries are scanned in order, each checked whole (center
+    structure, center values, radius structure, radius value) before the
+    next, and the first bad entry's error is raised.
     """
     dim = _check_kind(doc, KIND_BALL_FAMILY)
     raw = _require(doc, "balls", KIND_BALL_FAMILY)
     if not isinstance(raw, list) or not raw:
         raise FileFormatError("balls must be a non-empty list")
-    rows, radii = [], []
     try:
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, dict):
-                raise FileFormatError(f"balls[{i}] must be an object")
-            center = _require(entry, "center", "ball")
-            if not _is_row(center, dim):
-                raise FileFormatError(f"balls[{i}].center must be a list of {dim} numbers")
-            rows.append(center)
-            radius = _require(entry, "radius", "ball")
-            if not isinstance(radius, (int, float)) or isinstance(radius, bool):
-                raise FileFormatError(f"balls[{i}].radius must be a number")
-            radii.append(radius)
-    except FileFormatError:
-        _first_bad_entry(rows, radii)  # an earlier entry's numeric error comes first
-        raise
-    try:
-        return dim, Balls(rows, radii)
-    except (ValueError, OverflowError) as exc:
-        _first_bad_entry(rows, radii)
-        raise FileFormatError(f"balls: {exc}") from exc
+        centers = [entry["center"] for entry in raw]
+        radii = [entry["radius"] for entry in raw]
+        if set(map(type, raw)) <= {dict} and set(map(type, radii)) <= {int, float}:
+            return dim, Balls(_rows(centers, dim, "balls"), radii)
+    except (TypeError, KeyError, ValueError, OverflowError):
+        pass  # the scan names the first bad entry
+    return dim, _scan_balls(raw, dim)
 
 
-def _first_bad_entry(rows, radii) -> None:
-    """Raise the numeric error of the first bad entry, if any.
-
-    Entry by entry, as ``Ball`` checks each: its center (which may
-    overflow or not be finite), then its radius. ``rows`` may hold one
-    row more than ``radii``: the center of an entry whose radius failed
-    its structural check.
-    """
-    for i, row in enumerate(rows):
-        center = _finite_matrix([row], f"balls[{i}].center")[0]
-        if i < len(radii):
-            _construct(f"balls[{i}]", Ball, center, radii[i])
+def _scan_balls(raw: list, dim: int) -> Balls:
+    balls = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise FileFormatError(f"balls[{i}] must be an object")
+        center = _require(entry, "center", "ball")
+        _check_row(center, dim, f"balls[{i}].center")
+        center = _floats(center, f"balls[{i}].center")
+        radius = _require(entry, "radius", "ball")
+        if not _is_number(radius):
+            raise FileFormatError(f"balls[{i}].radius must be a number")
+        balls.append(_construct(f"balls[{i}]", Ball, center, radius))
+    return Balls.of(balls)
 
 
 def ball_family_document(dimension: int, balls) -> dict:
-    return {
-        "kind": KIND_BALL_FAMILY,
-        "dimension": int(dimension),
-        "balls": [
-            {"center": b.center.tolist(), "radius": float(b.radius)} for b in balls
-        ],
-    }
+    """``balls`` is a ``Balls`` or a sequence of ``Ball``s."""
+    if not isinstance(balls, Balls):
+        balls = Balls.of(balls)
+    rows = [
+        {"center": center, "radius": radius}
+        for center, radius in zip(balls.centers.tolist(), balls.radii.tolist())
+    ]
+    return _document(KIND_BALL_FAMILY, dimension, "balls", rows)
 
 
 # -- spiky bodies ------------------------------------------------------------
@@ -198,20 +211,14 @@ def ball_family_document(dimension: int, balls) -> dict:
 
 def parse_spiky_body(doc: dict) -> SpikyBall:
     dim = _check_kind(doc, KIND_SPIKY_BODY)
-    vertices = _numeric_matrix(_require(doc, "vertices", KIND_SPIKY_BODY), dim, "vertices")
+    vertices = _rows(_require(doc, "vertices", KIND_SPIKY_BODY), dim, "vertices")
     return _construct(KIND_SPIKY_BODY, SpikyBall, dim, vertices)
 
 
 def spiky_body_document(body, meta: dict | None = None) -> dict:
     vertices = body.vertices if hasattr(body, "vertices") else np.asarray(body)
-    doc = {
-        "kind": KIND_SPIKY_BODY,
-        "dimension": int(vertices.shape[1]),
-        "vertices": vertices.tolist(),
-    }
-    if meta:
-        doc["meta"] = meta
-    return doc
+    return _document(KIND_SPIKY_BODY, vertices.shape[1], "vertices", vertices.tolist(),
+                     meta=meta)
 
 
 # -- direction and point sets ------------------------------------------------
@@ -219,9 +226,7 @@ def spiky_body_document(body, meta: dict | None = None) -> dict:
 
 def parse_direction_set(doc: dict) -> DirectionSet:
     dim = _check_kind(doc, KIND_DIRECTION_SET)
-    directions = _numeric_matrix(
-        _require(doc, "directions", KIND_DIRECTION_SET), dim, "directions"
-    )
+    directions = _rows(_require(doc, "directions", KIND_DIRECTION_SET), dim, "directions")
     provenance = _provenance(doc, directions.shape[0])
     return _construct(KIND_DIRECTION_SET, DirectionSet, dim, directions, provenance)
 
@@ -234,41 +239,22 @@ def parse_angular_radius(doc: dict) -> float | None:
     theta = meta.get("angular_radius")
     if theta is None:
         return None
-    if not isinstance(theta, (int, float)) or isinstance(theta, bool):
+    if not _is_number(theta):
         raise FileFormatError(f"meta.angular_radius must be a number, got {theta!r}")
-    try:
-        return float(theta)
-    except OverflowError as exc:  # an integer too large for a double
-        raise FileFormatError(f"meta.angular_radius: {exc}") from exc
+    return _construct("meta.angular_radius", float, theta)
 
 
 def direction_set_document(d: DirectionSet, meta: dict | None = None) -> dict:
-    doc = {
-        "kind": KIND_DIRECTION_SET,
-        "dimension": int(d.dimension),
-        "directions": d.directions.tolist(),
-    }
-    if d.provenance:
-        doc["provenance"] = list(d.provenance)
-    if meta:
-        doc["meta"] = meta
-    return doc
+    return _document(KIND_DIRECTION_SET, d.dimension, "directions", d.directions.tolist(),
+                     d.provenance, meta)
 
 
 def parse_point_set(doc: dict) -> tuple[int, np.ndarray, tuple[str, ...]]:
     dim = _check_kind(doc, KIND_POINT_SET)
-    points = _numeric_matrix(_require(doc, "points", KIND_POINT_SET), dim, "points")
+    points = _rows(_require(doc, "points", KIND_POINT_SET), dim, "points")
     return dim, points, _provenance(doc, points.shape[0])
 
 
 def point_set_document(dimension: int, points, provenance=(), meta: dict | None = None) -> dict:
-    doc = {
-        "kind": KIND_POINT_SET,
-        "dimension": int(dimension),
-        "points": np.asarray(points, dtype=float).tolist(),
-    }
-    if provenance:
-        doc["provenance"] = list(provenance)
-    if meta:
-        doc["meta"] = meta
-    return doc
+    return _document(KIND_POINT_SET, dimension, "points",
+                     np.asarray(points, dtype=float).tolist(), provenance, meta)

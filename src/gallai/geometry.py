@@ -37,14 +37,15 @@ def as_vector(coords) -> np.ndarray:
 
 
 def as_unit_rows(rows, dim: int, what: str) -> np.ndarray:
-    """Validate an (m, dim) array of unit rows (norms within ``DEFAULT_TOL``)."""
+    """Validate an (m, dim) array of unit rows (norms within ``DEFAULT_TOL``;
+    a row with a NaN or infinite coordinate fails)."""
     a = np.asarray(rows, dtype=float)
     if a.ndim != 2 or a.shape[1] != dim:
         raise ValueError(f"{what} must have shape (m, {dim})")
     norms = np.linalg.norm(a, axis=1)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > DEFAULT_TOL)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= DEFAULT_TOL))
     if bad.size:
-        raise ValueError(f"{what}[{bad[0]}] is not a unit vector (norm {norms[bad[0]]!r})")
+        raise ValueError(f"{what}[{bad[0]}] is not a unit vector (norm {float(norms[bad[0]])})")
     return a
 
 
@@ -58,11 +59,13 @@ _BAND_FLOOR = 2.0**-1000
 # A row whose squared augmented norm passes this is left to the exact
 # formula; below it no Gram entry of two rows can overflow.
 _SCALE_MAX = 2.0**1000
-# A check of up to this many pairs uses the exact formula alone: below it
-# the Gram filter's fixed cost, some twenty array calls per window,
-# exceeds what it saves. Over the benchmark's workload cycles on a 2-core
-# x86_64 host, 2**11, 2**12 and 2**13 tied within noise; 2**13 is near
-# the crossover of ``pairs_within``, the check the piercing runs call most.
+# A check that evaluates up to this many pairs uses the exact formula
+# alone (``first_pair_outside`` evaluates m^2 for m rows): below it the
+# Gram filter's fixed cost, some twenty array calls per window, exceeds
+# what it saves. Over the benchmark's workload cycles on a 2-core x86_64
+# host, 2**11, 2**12 and 2**13 tied within noise. 2**13 is near the
+# crossover of ``pairs_within``; ``first_pair_outside``'s lies at or
+# below it (its two paths tie at m = 64, 4,096 evaluated pairs).
 _EXACT_PAIRS = 2**13
 
 
@@ -223,9 +226,9 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
     rounding of the coordinates. The pair kernel (``gram_gaps``, rows
     shifted by row 0) clears every pair that lies inside a window by
     more than its rounding band; only the other pairs are recomputed.
-    Up to ``_EXACT_PAIRS`` pairs go to the exact formula alone. Rows are
-    checked in blocks of about ``_PAIR_BLOCK`` pairs, so memory stays
-    O(m n + _PAIR_BLOCK n).
+    Up to ``_EXACT_PAIRS`` evaluated pairs (all m^2 ordered ones) go to
+    the exact formula alone. Rows are checked in blocks of about
+    ``_PAIR_BLOCK`` pairs, so memory stays O(m n + _PAIR_BLOCK n).
     """
     rows = np.asarray(rows, dtype=float)
     m = rows.shape[0]
@@ -267,7 +270,7 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
 
     if not sides:
         return None
-    if m * (m - 1) // 2 <= _EXACT_PAIRS:
+    if m * m <= _EXACT_PAIRS:
         index = np.arange(m)
         return first_bad(index[:, None], index[None, :])
 

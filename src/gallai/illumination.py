@@ -32,8 +32,8 @@ _SVD_SLACK = 64.0
 
 @dataclass(frozen=True, eq=False)
 class SpikyBall:
-    """Vertex list of a spiky ball; every vertex strictly outside the
-    unit ball."""
+    """Vertex list of a spiky ball; every vertex finite and strictly
+    outside the unit ball."""
 
     dimension: int
     vertices: np.ndarray
@@ -42,12 +42,13 @@ class SpikyBall:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != self.dimension or v.shape[0] == 0:
             raise ValueError(f"vertices must have shape (m, {self.dimension}), m >= 1")
+        bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+        if bad.size:
+            raise ValueError(f"vertex {bad[0]} has a non-finite coordinate")
         norms = np.linalg.norm(v, axis=1)
         if np.any(norms < 1.0 + VERTEX_TOL):
             bad = int(np.argmin(norms))
-            raise ValueError(
-                f"vertex {bad} has norm {norms[bad]!r}; must exceed 1"
-            )
+            raise ValueError(f"vertex {bad} has norm {float(norms[bad])}; must exceed 1")
         object.__setattr__(self, "vertices", v)
 
     def __len__(self):

@@ -282,6 +282,153 @@ class TestBallFamilyParse:
             files.parse_ball_family(doc)
         assert str(got.value) == "balls[3].center must be a list of 2 numbers"
 
+    @pytest.mark.parametrize("last", [
+        {"center": {"x": 1.0}, "radius": 1},
+        {"center": [0, 0, 0], "radius": 1},
+        {"center": [0], "radius": 1},
+        {"center": [True, 0], "radius": 1},
+        {"center": [0, "1.0"], "radius": 1},
+        {"center": [0, -(10**400)], "radius": 1},
+        {"center": [math.nan, 0], "radius": 1},
+        {"center": [0, -math.inf], "radius": 1},
+        {"center": [0, 0], "radius": 10**400},
+        {"center": [0, 0], "radius": math.nan},
+        {"center": [0, 0], "radius": math.inf},
+        {"center": [0, 0], "radius": 0},
+        {"center": [0, 0], "radius": -1.5},
+        {"center": [0, 0], "radius": "1.0"},
+        {"center": [0, 0], "radius": False},
+        {"center": [0, 0]},
+        {"radius": 1},
+        [0, 0],
+    ], ids=lambda last: json.dumps(last))
+    def test_fault_in_the_last_of_many_entries(self, last):
+        rng = np.random.default_rng(4)
+        balls = [
+            {"center": rng.uniform(-1.0, 1.0, 2).tolist(), "radius": float(rng.uniform(1.0, 2.0))}
+            for _ in range(1999)
+        ]
+        doc = {"kind": "ball_family", "dimension": 2, "balls": balls + [last]}
+        with pytest.raises(files.FileFormatError) as want:
+            per_entry_parse(doc)
+        with pytest.raises(files.FileFormatError) as got:
+            files.parse_ball_family(doc)
+        assert str(got.value) == str(want.value)
+        assert "1999" in str(got.value) or "missing" in str(got.value)
+
+    def test_numpy_scalars_built_in_python(self):
+        # np.float64 is a float: such a document parses as its floats do.
+        centers = np.array([[0.5, -1.25], [2.0, 0.0]])
+        doc = {"kind": "ball_family", "dimension": 2, "balls": [
+            {"center": list(c), "radius": r} for c, r in zip(centers, np.float64([1.0, 3.0]))
+        ]}
+        assert isinstance(doc["balls"][0]["center"][0], np.float64)
+        dim, balls = files.parse_ball_family(doc)
+        assert dim == 2
+        assert balls.centers.tolist() == centers.tolist()
+        assert balls.radii.tolist() == [1.0, 3.0]
+        rows = [list(np.float64([1.5, x])) for x in (0.0, -2.0)]
+        _, points, _ = files.parse_point_set({"kind": "point_set", "dimension": 2, "points": rows})
+        assert points.tolist() == [[1.5, 0.0], [1.5, -2.0]]
+        body = files.parse_spiky_body({"kind": "spiky_body", "dimension": 2, "vertices": rows})
+        assert body.vertices.tolist() == points.tolist()
+
+
+def reference_rows(rows, dim, what):
+    """The row reader before the whole-array check: every row checked in
+    turn, then the rows converted and checked for finite values."""
+    if not isinstance(rows, list) or not rows:
+        raise files.FileFormatError(f"{what} must be a non-empty list")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == dim and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
+        )):
+            raise files.FileFormatError(f"{what}[{i}] must be a list of {dim} numbers")
+    try:
+        out = np.asarray(rows, dtype=float)
+    except OverflowError as exc:
+        raise files.FileFormatError(f"{what}: {exc}") from exc
+    if not np.all(np.isfinite(out)):
+        raise files.FileFormatError(f"{what} contains non-finite values")
+    return out
+
+
+ROW_KINDS = (
+    ("spiky_body", "vertices", files.parse_spiky_body, lambda dim, rows: SpikyBall(dim, rows)),
+    ("direction_set", "directions", files.parse_direction_set,
+     lambda dim, rows: DirectionSet(dim, rows)),
+    ("point_set", "points", files.parse_point_set, lambda dim, rows: (dim, rows, ())),
+)
+
+
+class TestRowReader:
+    @pytest.mark.parametrize("kind, key, parse, build", ROW_KINDS, ids=[k[0] for k in ROW_KINDS])
+    def test_matches_reference_reader(self, kind, key, parse, build):
+        # Rows are the centers of fuzzed ball families, faults included.
+        # Half of the direction rows are scaled to unit norm, so that some
+        # direction sets parse.
+        rng = np.random.default_rng(9)
+        outcomes = {"parsed": 0, "failed": 0}
+        for _ in range(400):
+            ball_doc, faults = fuzzed_ball_family(rng)
+            dim = ball_doc["dimension"]
+            rows = [ball.get("center") for ball in ball_doc["balls"]]
+            if kind == "direction_set" and rng.random() < 0.5:
+                rows = [unit_row(r, dim) for r in rows]
+            doc = {"kind": kind, "dimension": dim, key: rows}
+            try:
+                want = build(dim, reference_rows(rows, dim, key))
+            except files.FileFormatError as exc:
+                message = str(exc)
+            except (ValueError, OverflowError) as exc:
+                message = f"{kind}: {exc}"
+            else:
+                got = parse(doc)
+                if kind == "point_set":
+                    assert got[0] == want[0] and got[2] == want[2]
+                    assert np.array_equal(got[1], want[1])
+                else:
+                    attr = key if kind == "direction_set" else "vertices"
+                    assert np.array_equal(getattr(got, attr), getattr(want, attr))
+                outcomes["parsed"] += 1
+                continue
+            with pytest.raises(files.FileFormatError) as got:
+                parse(doc)
+            assert str(got.value) == message, faults
+            outcomes["failed"] += 1
+        assert min(outcomes.values()) >= 50
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        {"0": [1.0, 2.0]},
+        [(1.0, 2.0)],
+        [[1.0, 2.0], np.array([1.0, 2.0])],
+        [[1.0, 2.0], np.array([1.0, 2.0, 3.0])],
+        [[1.0, 2.0], np.zeros((2, 2))],
+        [np.float64([1.0, 2.0]).tolist(), [np.int64(1), 2.0]],
+        [[1.0, 2.0], [[1.0], 2.0]],
+        [[1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]]],
+        [[1.0, np.nan]],
+        [[1.0, 10**400]],
+    ], ids=repr)
+    def test_python_built_rows(self, rows):
+        with pytest.raises(files.FileFormatError) as want:
+            reference_rows(rows, 2, "points")
+        with pytest.raises(files.FileFormatError) as got:
+            files.parse_point_set({"kind": "point_set", "dimension": 2, "points": rows})
+        assert str(got.value) == str(want.value)
+
+
+def unit_row(row, dim):
+    """``row`` scaled to unit norm if it is a list of ``dim`` finite
+    numbers with a norm to scale by; else ``row`` itself."""
+    try:
+        v = reference_rows([row], dim, "row")[0]
+    except files.FileFormatError:
+        return row
+    norm = np.linalg.norm(v)
+    return (v / norm).tolist() if 0.0 < norm < math.inf else row
+
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")

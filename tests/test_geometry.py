@@ -14,10 +14,12 @@ from gallai import (
     BallFamily,
     Balls,
     CapBody,
+    Cover,
     DirectionSet,
     Packing,
     SeparatedSet,
     SpikyBall,
+    SymmetricSeparatedSet,
     is_cap_body,
     verifies_illumination,
 )
@@ -185,6 +187,40 @@ class TestBalls:
         assert [b.radius for b in balls[::2]] == [1.0, 3.0]
         with pytest.raises(ValueError):
             balls[3:]  # a family is non-empty
+
+
+UNIT_ROW_TYPES = {
+    "DirectionSet": lambda rows: DirectionSet(2, rows),
+    "Cover": lambda rows: Cover(2, 1.0, rows),
+    "Packing": lambda rows: Packing(2, 0.5, rows),
+    "SeparatedSet": lambda rows: SeparatedSet(2, rows),
+    "SymmetricSeparatedSet": lambda rows: SymmetricSeparatedSet(2, rows),
+}
+
+
+class TestNonFiniteRows:
+    """Domain types reject rows with a NaN or infinite coordinate."""
+
+    @pytest.mark.parametrize("make", UNIT_ROW_TYPES.values(), ids=UNIT_ROW_TYPES.keys())
+    @pytest.mark.parametrize("row", [[math.nan, math.nan], [math.nan, 0.0], [0.0, math.inf]])
+    def test_unit_rows(self, make, row):
+        with pytest.raises(ValueError, match=r"^\w+\[0\] is not a unit vector \(norm (nan|inf)\)$"):
+            make([row, [-1.0, 0.0]])
+
+    def test_unit_row_message_prints_a_plain_float(self):
+        with pytest.raises(ValueError) as got:
+            DirectionSet(2, [[1.0, 0.0], [2.0, 0.0]])
+        assert str(got.value) == "directions[1] is not a unit vector (norm 2.0)"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_spiky_ball_vertices(self, bad):
+        with pytest.raises(ValueError, match=r"^vertex 1 has a non-finite coordinate$"):
+            SpikyBall(2, [[2.0, 0.0], [bad, 2.0]])
+
+    def test_spiky_ball_message_prints_a_plain_float(self):
+        with pytest.raises(ValueError) as got:
+            SpikyBall(2, [[2.0, 0.0], [0.5, 0.0]])
+        assert str(got.value) == "vertex 1 has norm 0.5; must exceed 1"
 
 
 def gram_first_pair(bad):
