@@ -104,7 +104,12 @@ class DirectionSet:
 
 
 def _vertices_of(body) -> np.ndarray:
-    return body.vertices if hasattr(body, "vertices") else np.asarray(body, dtype=float)
+    """The vertices of a body, or of a raw (m, n) array checked as a
+    ``SpikyBall`` (finite rows of norm above 1 + VERTEX_TOL)."""
+    if hasattr(body, "vertices"):
+        return body.vertices
+    v = np.asarray(body, dtype=float)
+    return SpikyBall(v.shape[-1] if v.ndim else 0, v).vertices
 
 
 def is_cap_body(s, tol: float = DEFAULT_TOL) -> tuple[bool, tuple[int, int] | None]:

@@ -152,21 +152,28 @@ def _scan_block(block, pts, k, target, cos_lo, cos_hi, band):
 
     A row is accepted iff ``pts[:k] @ row`` lies in [cos_lo, cos_hi], and
     is then appended to ``pts`` (doubled when full). Returns the buffer
-    and the accepted row indices. Per-row flags come from one product
-    with ``pts[:k]`` and one matrix-vector product per acceptance:
-    ``bad`` (a dot clearly outside) and ``unsure`` (a dot within ``band``
-    of an edge, where these products may differ from the per-row one in
-    the last bits, so the row is recomputed that way).
+    and the accepted row indices. Per-row flags come from the column max
+    and min of one product ``pts[:k] @ block.T`` and from one
+    matrix-vector product per acceptance (see ``_edge_flags``). These
+    products may differ from the per-row one in the last bits, far less
+    than ``band``, so a row they leave unsure is recomputed that way and
+    every decision is that of the per-row product.
     """
-    bad, unsure = _edge_flags(block @ pts[:k].T, cos_lo, cos_hi, band)
-    bad, unsure = bad.any(axis=1), unsure.any(axis=1)
+    dots = pts[:k] @ block.T
+    # 0.0, clearly inside the window, stands in for the dots of an empty set.
+    bad, unsure = _edge_flags(
+        dots.max(axis=0, initial=0.0), dots.min(axis=0, initial=0.0), cos_lo, cos_hi, band
+    )
     fits: list[int] = []
-    for i in np.flatnonzero(~bad):
-        if bad[i]:  # ruled out by a row accepted earlier in this block
-            continue
+    i = 0
+    while i < len(block):
+        i += int(bad[i:].argmin())  # the next row not ruled out
+        if bad[i]:
+            break
         if unsure[i]:
             exact = pts[:k] @ block[i].copy()  # a fresh row, like a single draw
             if exact.max() > cos_hi or exact.min() < cos_lo:
+                i += 1
                 continue
         if k == len(pts):
             pts = np.concatenate([pts, np.empty_like(pts)])
@@ -175,16 +182,21 @@ def _scan_block(block, pts, k, target, cos_lo, cos_hi, band):
         fits.append(int(i))
         if k == target:
             break
-        more_bad, more_unsure = _edge_flags(block[i + 1 :] @ block[i], cos_lo, cos_hi, band)
+        more = block[i + 1 :] @ block[i]
+        more_bad, more_unsure = _edge_flags(more, more, cos_lo, cos_hi, band)
         bad[i + 1 :] |= more_bad
         unsure[i + 1 :] |= more_unsure
+        i += 1
     return pts, fits
 
 
-def _edge_flags(dots, cos_lo, cos_hi, band):
-    """Per dot: (clearly outside [cos_lo, cos_hi], within ``band`` of an edge)."""
-    near = (np.abs(dots - cos_hi) <= band) | (np.abs(dots - cos_lo) <= band)
-    return ((dots > cos_hi) | (dots < cos_lo)) & ~near, near
+def _edge_flags(top, bottom, cos_lo, cos_hi, band):
+    """Per row, from its largest and smallest dot: (a dot more than
+    ``band`` outside [cos_lo, cos_hi], a dot not more than ``band``
+    inside it). Only a row with neither flag is decided without a
+    recheck, and only the first flag rules a row out."""
+    bad = (top > cos_hi + band) | (bottom < cos_lo - band)
+    return bad, (top >= cos_hi - band) | (bottom <= cos_lo + band)
 
 
 def symmetrize(x: SeparatedSet) -> SymmetricSeparatedSet:
@@ -256,24 +268,33 @@ def multiplicity_report(
     u illuminates y_i when -u . y_i > c = cos(pi/3) + tol. Directions
     come ``_SAMPLE_BLOCK`` at a time from one prefix-consistent stream,
     and each antipodal pair {h, -h} is counted from d = u . h alone
-    (-u . h > c iff d < -c, -u . -h > c iff d > c), so memory is
-    O(_SAMPLE_BLOCK * len(y)) and the report equals that of one product
-    over all directions and points. The stream is ``_direction_rng(seed)``,
-    which no run of ``construct_separated_set`` with any seed draws from.
+    (-u . h > c iff d < -c, -u . -h > c iff d > c): the pair counts
+    |d| > c for c >= 0, and 1 + (|d| < -c) for c < 0. A block is one
+    product, |.| and one comparison, in place in a (block, len(y) / 2)
+    buffer made once per call, and its counts are one product with a
+    vector of ones. So memory is O(_SAMPLE_BLOCK * len(y)), no block
+    allocates a temporary of that size, and the report equals that of
+    one product over all directions and points. The stream is
+    ``_direction_rng(seed)``, which no run of ``construct_separated_set``
+    with any seed draws from.
     """
     if samples < 1:
         raise ValueError("sample count must be positive")
-    h = _one_per_pair(y.points)
+    ht = np.ascontiguousarray(_one_per_pair(y.points).T)
+    pairs = ht.shape[1]
     c = math.cos(ANGLE_MIN) + tol
+    compare, edge, base = (np.greater, c, 0) if c >= 0 else (np.less, -c, pairs)
     rng = _direction_rng(seed)
     freq = np.zeros(len(y) + 1, dtype=np.int64)  # a count is at most len(y)
-    total = 0
-    for start in range(0, samples, _SAMPLE_BLOCK):
-        u = sampling.unit_vectors(rng, y.dimension, min(_SAMPLE_BLOCK, samples - start))
-        d = u @ h.T
-        counts = (d > c).sum(axis=1) + (d < -c).sum(axis=1)
-        total += int(counts.sum())
-        freq += np.bincount(counts, minlength=len(freq))
+    block = min(_SAMPLE_BLOCK, samples)
+    buf, sums, ones = np.empty((block, pairs)), np.empty(block), np.ones(pairs)
+    for start in range(0, samples, block):
+        u = sampling.unit_vectors(rng, y.dimension, min(block, samples - start))
+        dots = np.matmul(u, ht, out=buf[: len(u)])
+        np.abs(dots, out=dots)
+        compare(dots, edge, out=dots)
+        counts = np.matmul(dots, ones, out=sums[: len(u)]).astype(np.intp)
+        freq[base:] += np.bincount(counts, minlength=len(freq) - base)
     seen = np.flatnonzero(freq)
     top = int(seen[-1])
     hist = tuple((int(k), int(freq[k])) for k in seen)
@@ -282,7 +303,7 @@ def multiplicity_report(
         samples=samples,
         max_multiplicity=top,
         # Exact: an integer total below 2**53 and one rounded division.
-        mean_multiplicity=total / samples,
+        mean_multiplicity=int(np.arange(len(freq)) @ freq) / samples,
         histogram=hist,
         witness=witness,
     )

@@ -22,7 +22,9 @@ def unit_vectors(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     """Uniform points on the unit sphere, shape (count, dim).
 
     Prefix-consistent: one call for a + b vectors returns what a call for
-    a followed by a call for b returns on the same stream.
+    a followed by a call for b returns on the same stream. The rows are
+    normalized in place in the freshly drawn array, which each call
+    returns as a new array.
     """
     out = rng.standard_normal((count, dim))
     norms = np.linalg.norm(out, axis=1)
@@ -35,4 +37,5 @@ def unit_vectors(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
         out = np.concatenate([out[good], more])
         norms = np.concatenate([norms[good], np.linalg.norm(more, axis=1)])
         good = norms >= 1e-12
-    return out / norms[:, None]
+    out /= norms[:, None]
+    return out

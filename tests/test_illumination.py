@@ -118,6 +118,39 @@ class TestIsCapBody:
             SpikyBall(2, [[1.0, 0.0]])
 
 
+# Raw vertex arrays that SpikyBall rejects: a non-finite row, a vertex
+# inside the unit ball, and one on the unit sphere.
+_BAD_RAW_VERTICES = [
+    ([[math.inf, 0.0], [0.0, 2.0]], "non-finite"),
+    ([[-math.inf, 0.0], [0.0, 2.0]], "non-finite"),
+    ([[math.nan, 0.0], [0.0, 2.0]], "non-finite"),
+    ([[0.0, 2.0], [0.0, math.nan]], "vertex 1 has a non-finite"),
+    ([[0.5, 0.0], [0.0, 2.0]], "vertex 0 has norm 0.5"),
+    ([[0.0, 2.0], [1.0, 0.0]], "vertex 1 has norm 1.0"),
+]
+
+
+class TestRawVertexArrays:
+    """A raw array passed in place of a body is checked as a SpikyBall."""
+
+    @pytest.mark.parametrize("rows, message", _BAD_RAW_VERTICES)
+    def test_is_cap_body_rejects(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            is_cap_body(np.array(rows))
+
+    @pytest.mark.parametrize("rows, message", _BAD_RAW_VERTICES)
+    def test_verifies_illumination_rejects(self, rows, message):
+        dirs = DirectionSet(2, cross_polytope_vertices(2, 1.0))
+        with pytest.raises(ValueError, match=message):
+            verifies_illumination(np.array(rows), dirs)
+
+    def test_valid_array_matches_body(self):
+        v = cross_polytope_vertices(3, SQRT2)
+        dirs = DirectionSet(3, cross_polytope_vertices(3, 1.0))
+        assert is_cap_body(v) == is_cap_body(SpikyBall(3, v)) == (True, None)
+        assert verifies_illumination(v, dirs) == verifies_illumination(hand_body(), dirs)
+
+
 def _raise_on_lp(*args, **kwargs):
     raise AssertionError("the LP fallback ran")
 

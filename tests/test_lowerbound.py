@@ -354,7 +354,8 @@ class TestMultiplicityReport:
             y, samples, seed=samples
         )
 
-    @pytest.mark.parametrize("tol", [1e-9, 0.0, -0.3, -0.7, 0.6])
+    # -cos(pi/3) puts the threshold exactly at 0.0.
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, -0.3, -0.7, 0.6, -math.cos(math.pi / 3)])
     def test_any_order_and_threshold(self, tol):
         # Pairs need not be split into halves, and a threshold at or below
         # zero lets both points of a pair count.
@@ -364,6 +365,38 @@ class TestMultiplicityReport:
             assert multiplicity_report(z, 5_000, seed=1, tol=tol) == one_product_report(
                 z, 5_000, seed=1, tol=tol
             )
+
+    @pytest.mark.parametrize("tol", [0.0, 0.3, -0.75, -math.cos(math.pi / 3)])
+    def test_dots_on_the_threshold(self, tol, monkeypatch):
+        # Directions whose dots with the axes are exactly +-c, 0 and +-1,
+        # or one ulp either side of +-c, on both sides of c = 0, over a
+        # full block and a partial one.
+        c = math.cos(math.pi / 3) + tol
+        s = math.sqrt(1.0 - c * c)
+        up, down = np.nextafter(c, 2.0), np.nextafter(c, -2.0)
+        chosen = np.array([
+            [c, s, 0.0], [-c, 0.0, s], [0.0, -c, s], [s, 0.0, -c], [c, -c, 0.0],
+            [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0],
+            [up, 0.0, -down], [-up, down, 0.0], [-0.0, 0.0, -c],
+        ])
+        samples = _SAMPLE_BLOCK + 5
+        rows = np.tile(chosen, (samples // len(chosen) + 1, 1))[:samples]
+        y = symmetrize(SeparatedSet(3, np.eye(3)))
+
+        def report(fn):
+            served = [0]
+
+            def stub(rng, dim, count):
+                served[0] += count
+                return rows[served[0] - count : served[0]].copy()
+
+            with monkeypatch.context() as m:
+                m.setattr(sampling, "unit_vectors", stub)
+                out = fn(y, samples, seed=0, tol=tol)
+            assert served[0] == samples
+            return out
+
+        assert report(multiplicity_report) == report(one_product_report)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_directions_are_not_a_construction_stream(self, seed, monkeypatch):

@@ -22,7 +22,36 @@ class StubStream:
         return out
 
 
+def divided_unit_vectors(rng, dim, count):
+    """unit_vectors with its rows divided into a new array, not in place."""
+    out = rng.standard_normal((count, dim))
+    norms = np.linalg.norm(out, axis=1)
+    good = norms >= 1e-12
+    while not good.all():
+        more = rng.standard_normal((count - int(good.sum()), dim))
+        out = np.concatenate([out[good], more])
+        norms = np.concatenate([norms[good], np.linalg.norm(more, axis=1)])
+        good = norms >= 1e-12
+    return out / norms[:, None]
+
+
 class TestUnitVectors:
+    @pytest.mark.parametrize("dim", range(2, 11))
+    @pytest.mark.parametrize("count", [1, 511, 512, 4097])
+    def test_in_place_division_keeps_the_bits(self, dim, count):
+        seed = 100 * dim + count
+        new = unit_vectors(rng_from(seed), dim, count)
+        assert new.tobytes() == divided_unit_vectors(rng_from(seed), dim, count).tobytes()
+
+    def test_calls_return_separate_arrays(self):
+        rng = rng_from(3)
+        a = unit_vectors(rng, 4, 8)
+        b = unit_vectors(rng, 4, 8)
+        kept = b.copy()
+        assert not np.shares_memory(a, b)
+        a[:] = 7.0
+        assert np.array_equal(b, kept)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_prefix_consistent(self, seed):
         rng = np.random.default_rng(1000 + seed)
