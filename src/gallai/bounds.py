@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 GALLAI_UPPER = math.sqrt(1.5)  # base of the piercing-set size bound
 GALLAI_LOWER = 2.0 / math.sqrt(3.0)  # base of the lower-bound construction
+# Rows of the exponent table, at theta = (pi/2) i / (_TABLE_POINTS + 1).
+_TABLE_POINTS = 9
 
 
 def kl_exponent(theta: float) -> float:
@@ -126,12 +128,12 @@ class ExponentReport:
         }
 
 
-def exponent_report(table_points: int = 9) -> ExponentReport:
+def exponent_report() -> ExponentReport:
     """Assemble the headline constants and a grid of both exponents."""
     alpha = solve_alpha(1e-9)
     rows = []
-    for i in range(1, table_points + 1):
-        theta = (math.pi / 2) * i / (table_points + 1)
+    for i in range(1, _TABLE_POINTS + 1):
+        theta = (math.pi / 2) * i / (_TABLE_POINTS + 1)
         rows.append((theta, kl_exponent(theta), covering_exponent(theta)))
     return ExponentReport(
         alpha_star=alpha,

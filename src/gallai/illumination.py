@@ -112,21 +112,21 @@ def _vertices_of(body) -> np.ndarray:
     return SpikyBall(v.shape[-1] if v.ndim else 0, v).vertices
 
 
-def is_cap_body(s, tol: float = DEFAULT_TOL) -> tuple[bool, tuple[int, int] | None]:
+def is_cap_body(s) -> tuple[bool, tuple[int, int] | None]:
     """Pairwise disjointness check for the associated open caps.
 
     Tangency is allowed: axes must be at least the sum of the two cap
-    radii apart, minus ``tol``. Returns (True, None) or (False, (i, j))
-    with the first violating pair in row-major order.
+    radii apart, minus ``DEFAULT_TOL``. Returns (True, None) or
+    (False, (i, j)) with the first violating pair in row-major order.
     """
     v = _vertices_of(s)
     norms = np.linalg.norm(v, axis=1)
     radii = np.arccos(np.clip(1.0 / norms, -1.0, 1.0))
-    pair = first_pair_outside(v / norms[:, None], low=radii, angles=True, tol=tol)
+    pair = first_pair_outside(v / norms[:, None], low=radii, angles=True, tol=DEFAULT_TOL)
     return pair is None, pair
 
 
-def positive_hull_full(directions, tol: float = 1e-9) -> bool:
+def positive_hull_full(directions) -> bool:
     """True iff the strictly positive combinations of the directions
     fill the whole space.
 
@@ -147,8 +147,9 @@ def positive_hull_full(directions, tol: float = 1e-9) -> bool:
     When the certificate is not found, the decision falls back to one
     feasibility solve: maximize sum(s) subject to Y u + s <= 0,
     0 <= s <= 1. A full positive hull forces optimum 0; any nonzero
-    dual vector gives a positive optimum. The fallback is the only
-    place that loads ``scipy.optimize``.
+    dual vector gives a positive optimum, and one above ``DEFAULT_TOL``
+    decides. The fallback is the only place that loads
+    ``scipy.optimize``.
     """
     y = directions.directions if isinstance(directions, DirectionSet) else np.asarray(
         directions, dtype=float
@@ -171,7 +172,7 @@ def positive_hull_full(directions, tol: float = 1e-9) -> bool:
     res = linprog(c, A_ub=a_ub, b_ub=np.zeros(k), bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"feasibility solve failed: {res.message}")
-    return -res.fun <= tol
+    return -res.fun <= DEFAULT_TOL
 
 
 def _stiemke_certified(y: np.ndarray, u: np.ndarray, s: np.ndarray) -> bool:

@@ -30,6 +30,8 @@ VERTEX_SCALE = 2.0 / math.sqrt(3.0)
 
 # Candidates drawn per sampling.unit_vectors call in construct_separated_set.
 _BLOCK = 512
+# Consecutive rejections after which construct_separated_set restarts.
+_STALL_LIMIT = 600
 # Band around each window edge inside which a block's dots are recomputed
 # with the per-candidate product of construct_separated_set.
 _RECHECK = 1e-12
@@ -93,14 +95,13 @@ def construct_separated_set(
     target_size: int,
     seed: int = 0,
     max_draws: int | None = None,
-    stall_limit: int = 600,
 ) -> SeparatedSet:
     """Seeded rejection sampling of a separated set.
 
     Draws uniform unit vectors and accepts one iff its angular distance
     to every accepted point stays in [pi/3, 2pi/3] (checked exactly, no
     tolerance). Greedy acceptance can jam below the target, so after
-    ``stall_limit`` consecutive rejections the run restarts on a fresh
+    ``_STALL_LIMIT`` consecutive rejections the run restarts on a fresh
     derived stream and the largest run wins. Stops at ``target_size``
     or once ``max_draws`` total draws are spent; an undersized result
     is flagged via ``reached_target``, never returned silently.
@@ -117,8 +118,6 @@ def construct_separated_set(
         raise ValueError("target size must be positive")
     if max_draws is not None and max_draws < 1:
         raise ValueError(f"max_draws must be positive, got {max_draws}")
-    if stall_limit < 0:
-        raise ValueError(f"stall_limit must be non-negative, got {stall_limit}")
     budget = max_draws if max_draws is not None else max(20_000, 400 * target_size)
     cos_hi = math.cos(ANGLE_MIN)  # dots above this are too close
     cos_lo = math.cos(ANGLE_MAX)  # dots below this are too far
@@ -131,11 +130,11 @@ def construct_separated_set(
         restart += 1
         pts, k = np.empty((16, n)), 0
         stall = 0
-        while drawn < budget and k < target_size and stall <= stall_limit:
+        while drawn < budget and k < target_size and stall <= _STALL_LIMIT:
             # A block never passes the budget or the stall limit, so the
             # run stops after the same draw as a one-at-a-time loop; only a
             # run that reaches its target leaves the rest of a block unused.
-            count = min(_BLOCK, budget - drawn, stall_limit + 1 - stall)
+            count = min(_BLOCK, budget - drawn, _STALL_LIMIT + 1 - stall)
             block = sampling.unit_vectors(rng, n, count)
             pts, fits = _scan_block(block, pts, k, target_size, cos_lo, cos_hi, band)
             k += len(fits)

@@ -66,14 +66,15 @@ class BallFamily:
         return len(self.balls)
 
 
-def first_non_intersecting_pair(balls, tol: float = DEFAULT_TOL):
-    """Index pair of the first disjoint pair, or None if all intersect.
+def first_non_intersecting_pair(balls):
+    """Index pair of the first pair farther apart than its radii sum plus
+    ``DEFAULT_TOL``, or None if all intersect.
 
     ``balls`` is a ``Balls`` or a non-empty sequence of ``Ball``s.
     """
     if not isinstance(balls, Balls):
         balls = Balls.of(balls)
-    return first_pair_outside(balls.centers, high=balls.radii, tol=tol)
+    return first_pair_outside(balls.centers, high=balls.radii, tol=DEFAULT_TOL)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,9 @@ from .geometry import DEFAULT_TOL, as_unit_rows, first_pair_outside
 # Hard ceiling on exact-net sizes; nets grow exponentially with the
 # dimension, so past this the sampled certificate is the only option.
 MAX_NET_POINTS = 2_000_000
+# Uniform points the sampled certificate checks unless told otherwise;
+# the sampled fallback cover is certified with this many.
+_SAMPLES = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,15 +98,8 @@ class Packing:
 
 @dataclass(frozen=True)
 class CoverParams:
-    """Knobs for cover construction. Zero means adaptive.
+    """Cover construction limit: more centers raise ``RuntimeError``."""
 
-    ``candidates``, ``margin`` and ``certify_samples`` apply to the
-    sampled greedy only, which runs where a hull cover cannot be built.
-    """
-
-    candidates: int = 0
-    margin: float = 0.0
-    certify_samples: int = 100_000
     max_centers: int = 20_000
 
 
@@ -114,6 +110,11 @@ class PackParams:
     pool: int = 0
     max_points: int = 0  # 0 = saturate; otherwise stop early (not saturated)
     polish: bool = True
+
+    def __post_init__(self):
+        for name in ("pool", "max_points"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 # Packing: fresh pools scanned after the first, near-miss candidates
@@ -131,9 +132,7 @@ def net_size(dim: int, m: int) -> int:
     )
 
 
-def sphere_net(
-    dim: int, resolution: float, max_points: int = MAX_NET_POINTS
-) -> tuple[np.ndarray, float]:
+def sphere_net(dim: int, resolution: float) -> tuple[np.ndarray, float]:
     """Deterministic net of the unit sphere with a proven resolution.
 
     Takes the integer points of L1 norm m in Z^dim, radially projected
@@ -147,7 +146,7 @@ def sphere_net(
         guaranteed angular resolution.
 
     Raises:
-        RuntimeError: If the net would exceed ``max_points``.
+        RuntimeError: If the net would exceed ``MAX_NET_POINTS``.
     """
     if dim < 2:
         raise ValueError("dimension must be at least 2")
@@ -155,10 +154,10 @@ def sphere_net(
         raise ValueError("resolution must lie in (0, pi)")
     m = max(dim, math.ceil(dim / resolution))
     size = net_size(dim, m)
-    if size > max_points:
+    if size > MAX_NET_POINTS:
         raise RuntimeError(
             f"net of resolution {resolution} in dimension {dim} needs {size} points "
-            f"(limit {max_points}); use the sampled certificate instead"
+            f"(limit {MAX_NET_POINTS}); use the sampled certificate instead"
         )
     rows = np.zeros((size, dim))
     i = 0
@@ -337,7 +336,6 @@ def verify_cover(
     resolution_or_samples: float | int | None = None,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    max_net_points: int = MAX_NET_POINTS,
 ) -> CoverCertificate:
     """Certify a cover exactly from its convex hull or over a net, or by
     uniform sampling.
@@ -350,21 +348,22 @@ def verify_cover(
     passes iff every net point lies within theta - delta of a center,
     which proves the cover is complete. Requires delta < theta. Sampled
     method: passes iff all of k uniform points are covered (closed caps,
-    tolerance-inclusive).
+    tolerance-inclusive). ``resolution_or_samples`` None means delta =
+    theta / 8 or k = ``_SAMPLES``; a delta or k of 0 raises ``ValueError``.
     """
     theta = cover.angular_radius
     if method == "hull":
         return _hull_certificate(cover.centers, theta, tol)
     if method == "net":
-        delta = float(resolution_or_samples) if resolution_or_samples else theta / 8
-        if delta >= theta:
-            raise ValueError(f"net resolution {delta} must be below the cap radius {theta}")
-        net, exact_delta = sphere_net(cover.dimension, delta, max_net_points)
+        delta = theta / 8 if resolution_or_samples is None else float(resolution_or_samples)
+        if not 0 < delta < theta:
+            raise ValueError(f"net resolution {delta} must lie in (0, cap radius {theta})")
+        net, exact_delta = sphere_net(cover.dimension, delta)
         worst = _max_gap(net, cover.centers)
         margin = (theta - exact_delta) - worst
         return CoverCertificate("net", exact_delta, margin, margin >= -tol)
     if method == "sampled":
-        k = int(resolution_or_samples) if resolution_or_samples else 100_000
+        k = _SAMPLES if resolution_or_samples is None else int(resolution_or_samples)
         if k < 1:
             raise ValueError("sample count must be positive")
         pts = sampling.unit_vectors(sampling.rng_from(seed), cover.dimension, k)
@@ -418,26 +417,27 @@ def greedy_cover(
     sampling. Deterministic for fixed (n, theta, seed, params).
 
     Covers are memoized per process, keyed by (n, theta,
-    params.max_centers) for hull covers and (n, theta, seed, params) for
-    sampled ones, in caches of ``_COVER_CACHE_SIZE`` entries, so each is
-    built and certified on its first request only; ``params=None`` and
-    ``CoverParams()`` share an entry. The returned cover is shared
-    between callers and its ``centers`` array is read-only.
+    params.max_centers) for hull covers and (n, theta, seed,
+    params.max_centers) for sampled ones, in caches of
+    ``_COVER_CACHE_SIZE`` entries, so each is built and certified on its
+    first request only; ``params=None`` and ``CoverParams()`` share an
+    entry. The returned cover is shared between callers and its
+    ``centers`` array is read-only.
 
     Raises:
         RuntimeError: If the configured center limit is exceeded.
         VerificationError: If the final certificate does not pass.
     """
     n, theta = operator.index(n), float(theta)
-    params = params or CoverParams()
+    max_centers = (params or CoverParams()).max_centers
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if not 0.0 < theta <= math.pi / 2:
         raise ValueError("theta must lie in (0, pi/2]")
-    cover = _hull_cover(n, theta, params.max_centers)
+    cover = _hull_cover(n, theta, max_centers)
     if cover is not None:
         return cover
-    return _sampled_cover(n, theta, int(seed), params)
+    return _sampled_cover(n, theta, int(seed), max_centers)
 
 
 # pierce_large asks for the same cover on every family of a dimension,
@@ -506,10 +506,9 @@ def _hull_centers(n: int, theta: float, max_centers: int) -> np.ndarray | None:
 
 
 @functools.lru_cache(maxsize=_COVER_CACHE_SIZE)
-def _sampled_cover(n: int, theta: float, seed: int, params: CoverParams) -> Cover:
-    cover = Cover(n, theta, _greedy_cover_nd(n, theta, seed, params))
-    cert = verify_cover(cover, "sampled", params.certify_samples, seed=_derived_seed(seed, 1))
-    return _certified(cover, cert)
+def _sampled_cover(n: int, theta: float, seed: int, max_centers: int) -> Cover:
+    cover = Cover(n, theta, _greedy_cover_nd(n, theta, seed, max_centers))
+    return _certified(cover, verify_cover(cover, "sampled", seed=_derived_seed(seed, 1)))
 
 
 def _derived_seed(seed: int, tag: int) -> int:
@@ -518,32 +517,39 @@ def _derived_seed(seed: int, tag: int) -> int:
     return (int(seed) * 1_000_003 + tag) % (2**63)
 
 
-def _greedy_cover_nd(n, theta, seed, params):
-    pool = params.candidates or _adaptive_pool(n)
-    margin = params.margin or _adaptive_margin(n, theta, pool)
+def _greedy_cover_nd(n, theta, seed, max_centers):
+    pool = _adaptive_pool(n)
     cross = np.concatenate([np.eye(n), -np.eye(n)])
     candidates = np.concatenate(
         [cross, sampling.unit_vectors(sampling.rng_from(seed), n, pool)]
     )
-    mark_depth = theta - margin
-    if mark_depth <= 0:
-        raise ValueError(f"cap radius {theta} too small for the candidate resolution")
-
-    cos_mark = math.cos(mark_depth)
-    best = np.full(candidates.shape[0], -2.0)
+    # The margin is at most 0.45 theta, so candidates are marked at a
+    # positive depth.
+    cos_mark = math.cos(theta - _adaptive_margin(n, theta, pool))
     picked: list[np.ndarray] = []
+    best = np.full(candidates.shape[0], -2.0)
+    if not _farthest_first(candidates, best, picked, lambda d: d >= cos_mark, max_centers):
+        raise RuntimeError(f"cover construction exceeded {max_centers} centers")
+    return np.array(picked)
+
+
+def _farthest_first(rows, best, chosen, covered, limit) -> bool:
+    """Farthest-point greedy over ``rows``.
+
+    ``best`` holds each row's largest dot with the rows in ``chosen``
+    (-2 with none). While the row with the smallest ``best`` (ties by
+    index) is not ``covered(best)``, it is appended to ``chosen`` and
+    ``best`` is raised by its dots, in place. Returns True once every
+    row is covered, False when a row would be chosen past ``limit``.
+    """
     while True:
         j = int(np.argmin(best))
-        if best[j] >= cos_mark:
-            break
-        c = candidates[j]
-        picked.append(c)
-        if len(picked) > params.max_centers:
-            raise RuntimeError(
-                f"cover construction exceeded {params.max_centers} centers"
-            )
-        np.maximum(best, candidates @ c, out=best)
-    return np.array(picked)
+        if covered(best[j]):
+            return True
+        if len(chosen) >= limit:
+            return False
+        chosen.append(rows[j])
+        np.maximum(best, rows @ rows[j], out=best)
 
 
 def _repel(u, centers, cos_target, steps):
@@ -604,7 +610,6 @@ def maximal_packing(
     cross = np.concatenate([np.eye(n), -np.eye(n)])
 
     accepted: list[np.ndarray] = []
-    truncated = False
     for round_idx in range(1 + _EXTRA_ROUNDS):
         rng = sampling.subrng(seed, round_idx)
         pool = sampling.unit_vectors(rng, n, pool_size)
@@ -614,25 +619,16 @@ def maximal_packing(
             best = (pool @ np.array(accepted).T).max(axis=1)
         else:
             best = np.full(pool.shape[0], -2.0)
-        added = False
-        while True:
-            j = int(np.argmin(best))
-            if best[j] > cos_theta:
-                break
-            if len(accepted) >= limit:
-                truncated = True
-                break
-            accepted.append(pool[j])
-            np.maximum(best, pool @ pool[j], out=best)
-            added = True
+        before = len(accepted)
+        truncated = not _farthest_first(pool, best, accepted, lambda d: d > cos_theta, limit)
         if truncated:
             break
         if params.polish and accepted:
-            added |= _polish_packing(pool, best, accepted, theta, limit)
+            _polish_packing(pool, best, accepted, theta, limit)
             if len(accepted) >= limit:
                 truncated = True
                 break
-        if round_idx > 0 and not added:
+        if round_idx > 0 and len(accepted) == before:
             break
 
     centers = np.array(accepted)
@@ -640,14 +636,12 @@ def maximal_packing(
 
 
 def _polish_packing(pool, best, accepted, theta, limit):
-    """Climb near-miss pool points into residual holes deeper than theta."""
+    """Climb near-miss pool points into residual holes deeper than theta,
+    appending each to ``accepted`` and raising ``best`` by its dots."""
     cos_theta = math.cos(theta) + 1e-12
     window = math.cos(max(theta - min(0.2 * theta, 0.25), 1e-9))
     near = np.flatnonzero((best > cos_theta) & (best <= window))
-    if near.size == 0:
-        return False
     order = near[np.argsort(best[near], kind="stable")]
-    added = False
     for idx in order[:_POLISH_CANDIDATES]:
         if len(accepted) >= limit:
             break
@@ -656,5 +650,3 @@ def _polish_packing(pool, best, accepted, theta, limit):
         if reached:
             accepted.append(u)
             np.maximum(best, pool @ u, out=best)
-            added = True
-    return added

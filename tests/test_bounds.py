@@ -12,6 +12,7 @@ from gallai import (
     kl_exponent,
     solve_alpha,
 )
+from gallai import bounds
 
 from conftest import betainc_share
 
@@ -103,8 +104,9 @@ class TestExponentReport:
         assert rep.bound_base == pytest.approx(1.0 / math.cos(rep.alpha_star), abs=1e-12)
         assert rep.bound_base < 1.19851 + 1e-5
 
-    def test_table_consistency(self):
-        rep = exponent_report(table_points=5)
+    def test_table_consistency(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_TABLE_POINTS", 5)
+        rep = exponent_report()
         assert len(rep.table) == 5
         for theta, packing, covering in rep.table:
             assert packing == pytest.approx(kl_exponent(theta), abs=1e-12)

@@ -627,6 +627,28 @@ class TestExitCodes:
         assert self.run("verify", "--cover", cover_path) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "parse"
 
+    @pytest.mark.parametrize("extra", [
+        ("--samples", "0"),
+        ("--method", "net", "--resolution", "0"),
+    ])
+    def test_verify_cover_zero_budget_is_precondition(self, extra, tmp_path, capsys):
+        # 0 is not "use the default": a certificate over no points or at
+        # resolution 0 is refused.
+        cover_path = str(tmp_path / "cover.json")
+        assert self.run("cover", "-n", "3", "--theta", "0.987", "--output", cover_path) == 0
+        capsys.readouterr()
+        assert self.run("verify", "--cover", cover_path, *extra) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "precondition"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pack_negative_max_points_is_precondition(self, n, tmp_path, capsys):
+        out = str(tmp_path / "pack.json")
+        assert self.run("pack", "-n", str(n), "--theta", "1", "--max-points", "-1",
+                        "--output", out) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "precondition" and "max_points" in report["detail"]
+        assert not (tmp_path / "pack.json").exists()
+
     def test_verify_requires_exactly_one_target(self, capsys):
         assert self.run("verify") == 3
 

@@ -16,7 +16,7 @@ from gallai import (
     multiplicity_report,
     symmetrize,
 )
-from gallai import sampling
+from gallai import lowerbound, sampling
 from gallai.lowerbound import _SAMPLE_BLOCK, MultiplicityReport, _direction_rng, _scan_block
 
 from conftest import angular_distance, base_cap_radius, illumination_multiplicity
@@ -108,14 +108,10 @@ class TestConstructSeparatedSet:
         with pytest.raises(ValueError, match="max_draws"):
             construct_separated_set(3, 4, max_draws=max_draws)
 
-    def test_rejects_negative_stall_limit(self):
-        # Before this check the run never drew a vector and never ended.
-        with pytest.raises(ValueError, match="stall_limit"):
-            construct_separated_set(3, 4, stall_limit=-1)
-
     @pytest.mark.parametrize("n,target,seed,max_draws,stall_limit", SAMPLER_CASES)
-    def test_matches_per_draw_loop(self, n, target, seed, max_draws, stall_limit):
-        s = construct_separated_set(n, target, seed, max_draws, stall_limit)
+    def test_matches_per_draw_loop(self, n, target, seed, max_draws, stall_limit, monkeypatch):
+        monkeypatch.setattr(lowerbound, "_STALL_LIMIT", stall_limit)
+        s = construct_separated_set(n, target, seed, max_draws)
         points, reached = per_draw_separated_set(n, target, seed, max_draws, stall_limit)
         assert s.points.tobytes() == points.tobytes()
         assert s.reached_target == reached

@@ -139,12 +139,31 @@ class TestVerifyCover:
         assert cert.passed
         assert cert.method == "sampled"
 
-    def test_three_tangent_arcs_net_has_no_margin(self):
+    @pytest.mark.parametrize("cover", [
+        Cover(2, math.pi / 3, arc_centers([0, 2 * math.pi / 3, 4 * math.pi / 3])),
+        # Four caps of radius pi/2 at +-e1, +-e2 in R^3, tangent at +-e3:
+        # their hull is a square through the origin, so only sampling
+        # passes them.
+        Cover(3, math.pi / 2, np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])),
+    ], ids=["arcs", "square"])
+    def test_tangent_cover_net_has_no_margin(self, cover):
         # A tangent cover cannot be certified by the net method: the
         # sound condition needs strictly positive depth behind theta.
-        cover = Cover(2, math.pi / 3, arc_centers([0, 2 * math.pi / 3, 4 * math.pi / 3]))
-        cert = verify_cover(cover, "net", 0.01)
-        assert not cert.passed
+        for delta in (0.01, 0.05, 0.3):
+            cert = verify_cover(cover, "net", delta)
+            assert not cert.passed
+            if cover.dimension == 3:
+                # The net holds e3, exactly pi/2 from every center.
+                assert cert.margin == pytest.approx(-cert.resolution_or_samples, abs=1e-12)
+        assert verify_cover(cover, "sampled", 20_000, seed=5).passed
+        assert verify_cover(cover, "hull").passed == (cover.dimension == 2)
+
+    @pytest.mark.parametrize("method,default", [("sampled", 100_000), ("net", 0.5 / 8)])
+    def test_only_none_means_the_default_budget(self, method, default):
+        cover = Cover(2, 0.5, arc_centers(np.linspace(0, 2 * math.pi, 8, endpoint=False)))
+        assert verify_cover(cover, method).resolution_or_samples == default
+        with pytest.raises(ValueError):
+            verify_cover(cover, method, 0)
 
     def test_enlarged_arcs_net_pass(self):
         cover = Cover(2, math.pi / 3 + 0.05, arc_centers([0, 2 * math.pi / 3, 4 * math.pi / 3]))
@@ -428,7 +447,6 @@ class TestCoverCache:
         a = greedy_cover(3, 0.9, seed=7)
         assert greedy_cover(3, 0.9, seed=np.int64(7), params=CoverParams()) is a
         assert greedy_cover(np.int64(3), np.float64(0.9), 7, None) is a
-        assert greedy_cover(3, 0.9, seed=7, params=CoverParams(certify_samples=10)) is a
         assert sphere_cover._hull_cover.cache_info().currsize == 1
 
     @pytest.mark.parametrize(
@@ -518,11 +536,69 @@ class TestMaximalPacking:
         assert len(packing) == 5
         assert not packing.saturated
 
+    @pytest.mark.parametrize("field", ["pool", "max_points"])
+    def test_negative_params_are_refused(self, field):
+        with pytest.raises(ValueError, match=field):
+            PackParams(**{field: -1})
+
     def test_domain(self):
         with pytest.raises(ValueError):
             maximal_packing(3, 0.0)
         with pytest.raises(ValueError):
             maximal_packing(3, math.pi)
+
+
+def looped_cover_nd(n, theta, seed, max_centers=20_000):
+    """The sampled greedy's own loop, which _greedy_cover_nd must
+    reproduce byte for byte."""
+    pool = sphere_cover._adaptive_pool(n)
+    margin = sphere_cover._adaptive_margin(n, theta, pool)
+    candidates = np.concatenate([np.eye(n), -np.eye(n), sphere_cover.sampling.unit_vectors(
+        sphere_cover.sampling.rng_from(seed), n, pool)])
+    cos_mark = math.cos(theta - margin)
+    best = np.full(candidates.shape[0], -2.0)
+    picked = []
+    while True:
+        j = int(np.argmin(best))
+        if best[j] >= cos_mark:
+            break
+        picked.append(candidates[j])
+        if len(picked) > max_centers:
+            raise RuntimeError("limit")
+        np.maximum(best, candidates @ candidates[j], out=best)
+    return np.array(picked)
+
+
+class TestFarthestFirst:
+    # The four unit vectors +-e1, +-e2 of the plane, none chosen yet.
+    ROWS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+    def run(self, covered, limit=math.inf):
+        chosen = []
+        done = sphere_cover._farthest_first(
+            self.ROWS, np.full(4, -2.0), chosen, covered, limit)
+        return done, [self.ROWS.tolist().index(list(c)) for c in chosen]
+
+    def test_closed_stop_test(self):
+        # Ties go to the first index: e1, then -e1 (dot -1); e2 and -e2
+        # then sit at dot 0, which a closed test counts as covered.
+        assert self.run(lambda d: d >= 0.0) == (True, [0, 1])
+
+    def test_open_stop_test(self):
+        assert self.run(lambda d: d > 0.0) == (True, [0, 1, 2, 3])
+
+    def test_limit(self):
+        assert self.run(lambda d: d > 0.0, limit=3) == (False, [0, 1, 2])
+        assert self.run(lambda d: d >= 0.0, limit=2) == (True, [0, 1])
+
+    @pytest.mark.parametrize("n,theta,seed", [(3, 0.9, 0), (3, 1.3, 4), (4, 1.0, 2)])
+    def test_sampled_cover_matches_own_loop(self, n, theta, seed):
+        centers = sphere_cover._greedy_cover_nd(n, theta, seed, 20_000)
+        assert centers.tobytes() == looped_cover_nd(n, theta, seed).tobytes()
+
+    def test_sampled_cover_limit_raises(self):
+        with pytest.raises(RuntimeError, match="exceeded 5 centers"):
+            sphere_cover._greedy_cover_nd(3, 0.9, 0, 5)
 
 
 class TestCoveringSizeEstimate:
