@@ -47,7 +47,7 @@ from .piercing import (
     pierce,
     verify_piercing,
 )
-from .sphere_cover import Cover, PackParams, greedy_cover, maximal_packing, verify_cover
+from .sphere_cover import _SAMPLES, Cover, PackParams, greedy_cover, maximal_packing, verify_cover
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -376,7 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    "on the circle from the gaps between the centers), net "
                    "(exact, over a net; low dimensions) or sampled (--samples "
                    "uniform points; default)")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int, default=None,
+                   help=f"uniform points for --method sampled (default {_SAMPLES:,})")
     p.add_argument("--resolution", type=float, default=None,
                    help="net resolution for --method net")
     p.add_argument("--theta", type=float, default=None,

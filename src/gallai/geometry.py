@@ -5,7 +5,10 @@
 across two arrays, against per-row limits) decide every distance or
 angle check of the library, over whole arrays. Both take each verdict
 on ``pair_distances``, the one exact formula, and switch to the Gram
-filter at one size, ``_EXACT_PAIRS``.
+filter at one size, ``_EXACT_PAIRS``. Against upper windows on
+distances (the ball family check), ``first_pair_outside`` first clears
+the pairs that the triangle inequality through the row mean settles,
+and checks only the rows it leaves.
 """
 
 from __future__ import annotations
@@ -223,12 +226,32 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
     Every verdict is that of the exact formula: the distance from
     coordinate differences (``pair_distances``), never from the expansion
     |a|^2 + |b|^2 - 2 a.b, so translating the rows moves it only by the
-    rounding of the coordinates. The pair kernel (``gram_gaps``, rows
-    shifted by row 0) clears every pair that lies inside a window by
-    more than its rounding band; only the other pairs are recomputed.
-    Up to ``_EXACT_PAIRS`` evaluated pairs (all m^2 ordered ones) go to
-    the exact formula alone. Rows are checked in blocks of about
-    ``_PAIR_BLOCK`` pairs, so memory stays O(m n + _PAIR_BLOCK n).
+    rounding of the coordinates.
+
+    When the only window is an upper one on distances (the family check),
+    the anchor bound clears most pairs first (the triangle-inequality
+    pruning of Elkan, ICML 2003). With o the row mean, d_i = |x_i - o|
+    and e_i = d_i - h_i (h_i = high[i], or high / 2 for a scalar),
+    |x_i - x_j| - h_i - h_j <= e_i + e_j. Row i is "cold" when e_i <=
+    (tol - M) / 2 and "hot" otherwise, and a pair of two cold rows is
+    inside its window. The margin M = 8 (n + 8) eps (max d_i + max |h_i|
+    + |tol|) + sqrt(``_BAND_FLOOR``), for n coordinates, covers the
+    rounding of every d_i, e_i, pair distance and window, with room to
+    spare. Its floor is a square root because a distance is the root of
+    a sum of squares: underflow in the squares moves it by up to about
+    sqrt(n) 2^-537. A NaN or infinite limit makes M NaN or infinite, so
+    every row is hot but those with e_i = -inf (h_i = inf), whose windows
+    no distance exceeds. Other windows (cap bodies, packings, separated
+    sets) leave every row hot.
+
+    The hot rows, moved ahead of the cold ones, are checked against every
+    row after them in that order, so each pair with a hot end once. The
+    pair kernel (``gram_gaps``, rows shifted by the first hot row) clears
+    every pair that lies inside a window by more than its rounding band;
+    only the other pairs are recomputed. Up to ``_EXACT_PAIRS`` evaluated
+    pairs (k m for k hot rows) go to the exact formula alone. Hot rows
+    are taken in blocks of about ``_PAIR_BLOCK`` pairs, so memory stays
+    O(m n + _PAIR_BLOCK n).
     """
     rows = np.asarray(rows, dtype=float)
     m = rows.shape[0]
@@ -247,32 +270,54 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
         for limit, slack, outside in ((low, -tol, -1), (high, tol, 1))
         if limit.ndim or ((limit + slack > 0.0) if outside < 0 else (limit + slack < top))
     ]
+    if not sides:
+        return None
 
-    columns = rows.T
+    # The k hot rows first, then the cold ones, each in index order; the
+    # checks below run on positions in this order, and only the first k
+    # as rows. Without the anchor bound every row is hot.
+    order, k = np.arange(m), m
+    if not angles and len(sides) == 1 and sides[0][2] > 0:
+        limit, slack, _ = sides[0]
+        half = limit if limit.ndim else limit / 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = pair_distances(rows.T, rows.mean(axis=0)[:, None])
+            scale = d.max() + np.abs(half).max() + abs(slack)
+            margin = 8 * (rows.shape[1] + 8) * np.finfo(float).eps * scale
+            margin += math.sqrt(_BAND_FLOOR)
+            hot = ~(d - half <= (slack - margin) / 2)
+        order = np.concatenate([np.flatnonzero(hot), np.flatnonzero(~hot)])
+        k = int(np.count_nonzero(hot))
+    # A pair found in a later block starts at a later hot row or at a cold
+    # one, so none comes before a pair (r, s) found earlier with r <= the
+    # first cold index.
+    first_cold = int(order[k]) if k < m else m
+    x = rows[order]
+    sides = [(limit[order] if limit.ndim else limit, slack, outside)
+             for limit, slack, outside in sides]
+    columns = x.T
 
-    def first_bad(i, j):
-        # The exact verdict on the pairs (i, j) with i < j, for index
-        # arrays broadcast against each other, first in row-major order;
-        # every window is formed as (limit_i + limit_j) + slack.
-        d = pair_distances(columns[:, i], columns[:, j])
+    def first_bad(p, q):
+        # The exact verdict on the positions (p, q) with p < q, index
+        # arrays broadcast against each other; the first bad pair by row
+        # indices (min, max) in row-major order. Every window is formed
+        # as (limit_i + limit_j) + slack, which is symmetric in i and j.
+        d = pair_distances(columns[:, p], columns[:, q])
         if angles:
             d = 2.0 * np.arcsin(np.minimum(0.5 * d, 1.0))
         bad = np.zeros(d.shape, dtype=bool)
         for limit, slack, outside in sides:
-            w = limit + slack if limit.ndim == 0 else limit[i] + limit[j] + slack
+            w = limit + slack if limit.ndim == 0 else limit[p] + limit[q] + slack
             bad |= d < w if outside < 0 else d > w
-        bad &= i < j
+        bad &= p < q
         if not bad.any():
             return None
-        first = int(np.argmax(bad))
-        return int(np.broadcast_to(i, bad.shape).flat[first]), int(
-            np.broadcast_to(j, bad.shape).flat[first])
+        i, j = order[p], order[q]
+        key = np.broadcast_to(np.minimum(i, j) * m + np.maximum(i, j), bad.shape)
+        return divmod(int(key[bad].min()), m)
 
-    if not sides:
-        return None
-    if m * m <= _EXACT_PAIRS:
-        index = np.arange(m)
-        return first_bad(index[:, None], index[None, :])
+    if k * m <= _EXACT_PAIRS:
+        return first_bad(np.arange(k)[:, None], np.arange(m)[None, :])
 
     # One kernel side per window. A scalar half-window is exact; a
     # per-row one is left to the exact formula where the slack is not
@@ -285,13 +330,14 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
         else:
             h = limit + slack / 2
             h = np.where(h >= abs(slack), h, math.nan)
-        kernels.append((outside, gram_rows(rows, h, rows[0], angles)))
+        kernels.append((outside, gram_rows(x, h, x[0], angles)))
 
     step = max(1, _PAIR_BLOCK // m)
-    for start in range(0, m - 1, step):
-        stop = min(start + step, m - 1)
-        # Row i of the block against columns j = start + 1, ..., m - 1;
-        # only j > i (c >= r) counts. A pair is cleared when its gap is
+    first = None
+    for start in range(0, min(k, m - 1), step):
+        stop = min(start + step, k, m - 1)
+        # Row p of the block against columns q = start + 1, ..., m - 1;
+        # only q > p (c >= r) counts. A pair is cleared when its gap is
         # past the band on the inner side of every window.
         unsure = None
         for outside, side in kernels:
@@ -307,8 +353,10 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
             r, c = np.nonzero(unsure)
             pair = first_bad(start + r, start + 1 + c)
             if pair is not None:
-                return pair
-    return None
+                first = pair if first is None else min(first, pair)
+                if first[0] <= first_cold:
+                    return first
+    return first
 
 
 @dataclass(frozen=True, eq=False)

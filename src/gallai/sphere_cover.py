@@ -179,11 +179,16 @@ def sphere_net(dim: int, resolution: float) -> tuple[np.ndarray, float]:
     return rows, dim / m
 
 
-def _max_gap(points: np.ndarray, centers: np.ndarray, chunk: int = 20_000) -> float:
+# Points per block of ``_max_gap``: it holds one (block, centers) array
+# of dot products at a time.
+_GAP_CHUNK = 20_000
+
+
+def _max_gap(points: np.ndarray, centers: np.ndarray) -> float:
     """Largest angular distance from a point to its nearest center."""
     worst = -1.0
-    for start in range(0, points.shape[0], chunk):
-        block = points[start : start + chunk]
+    for start in range(0, points.shape[0], _GAP_CHUNK):
+        block = points[start : start + _GAP_CHUNK]
         best_dot = (block @ centers.T).max(axis=1)
         worst = max(worst, float(np.arccos(np.clip(best_dot, -1.0, 1.0)).max()))
     return worst

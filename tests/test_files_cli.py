@@ -640,6 +640,29 @@ class TestExitCodes:
         assert self.run("verify", "--cover", cover_path, *extra) == 3
         assert json.loads(capsys.readouterr().out)["error"] == "precondition"
 
+    def test_verify_cover_default_samples_follow_the_library(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # Without --samples the CLI passes None, so verify_cover's own
+        # default, sphere_cover._SAMPLES, sets the count.
+        from gallai import sphere_cover
+
+        cover_path = str(tmp_path / "cover.json")
+        assert self.run("cover", "-n", "3", "--theta", "0.987", "--output", cover_path) == 0
+        capsys.readouterr()
+        for samples in (sphere_cover._SAMPLES, 1234):
+            monkeypatch.setattr(sphere_cover, "_SAMPLES", samples)
+            assert self.run("verify", "--cover", cover_path) == 0
+            cert = json.loads(capsys.readouterr().out)["report"]["certificate"]
+            assert cert["resolution_or_samples"] == samples
+
+    def test_verify_samples_help_names_the_default(self, capsys):
+        from gallai.sphere_cover import _SAMPLES
+
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"(default {_SAMPLES:,})" in help_text
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_pack_negative_max_points_is_precondition(self, n, tmp_path, capsys):
         out = str(tmp_path / "pack.json")

@@ -28,7 +28,13 @@ from gallai.errors import PairwiseError
 from gallai.geometry import first_pair_outside, gram_gaps, gram_rows, pair_distances
 from gallai.piercing import first_non_intersecting_pair, verify_piercing
 
-from conftest import angular_distance, dense_first_missed, dense_first_pair, lights
+from conftest import (
+    angular_distance,
+    ball_points,
+    dense_first_missed,
+    dense_first_pair,
+    lights,
+)
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -373,21 +379,47 @@ class TestBlockedPairs:
         with pytest.raises(ValueError):
             first_pair_outside(np.eye(3), high=np.ones(2))
 
+    @staticmethod
+    def two_clusters(m):
+        """About half the rows radius-1 balls within 0.2 of (10.5, 0, 0),
+        the rest radius-10 balls within 0.2 of the origin: pairwise
+        intersecting, and the small balls miss the centroid, so their rows
+        are hot."""
+        rng = np.random.default_rng(4)
+        small = rng.random(m) < 0.5
+        centers = ball_points(rng, 3, m, radius=0.2)
+        centers[small, 0] += 10.5
+        return centers, np.where(small, 1.0, 10.0)
+
+    @staticmethod
+    def traced_peak(make):
+        tracemalloc.start()
+        try:
+            make()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_memory_bounded(self):
         # The dense check held m x m distances and limits: 163 MB traced
-        # for these 3,000 balls.
+        # for these 3,000 balls inside the unit ball. All but 21 of their
+        # rows are cold (the centroid is 0.01 off the origin), so the
+        # kernel sees few pairs; the family below keeps it busy.
         rng = np.random.default_rng(3)
         d = rng.standard_normal((3000, 3))
         centers = d / np.linalg.norm(d, axis=1)[:, None] * rng.random(3000)[:, None] ** (1 / 3)
         balls = tuple(Ball(c, 1.0) for c in centers)
-        tracemalloc.start()
-        try:
-            family = BallFamily(3, balls)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(family) == 3000
-        assert peak < 8 * 2**20
+        assert clear_hot_rows(centers, np.ones(3000), DEFAULT_TOL).size == 21
+        assert self.traced_peak(lambda: BallFamily(3, balls)) < 8 * 2**20
+
+    def test_memory_bounded_with_hot_rows(self):
+        centers, radii = self.two_clusters(300)
+        assert first_non_intersecting_pair(Balls(centers, radii)) is None
+        assert dense_first_pair(centers, high=radii, tol=DEFAULT_TOL) is None
+        centers, radii = self.two_clusters(3000)
+        assert clear_hot_rows(centers, radii, DEFAULT_TOL).size >= 1000
+        balls = Balls(centers, radii)
+        assert self.traced_peak(lambda: BallFamily(3, balls)) < 8 * 2**20
 
 
 def on_window_pairs(rng, rows, count):
@@ -396,6 +428,12 @@ def on_window_pairs(rng, rows, count):
     i = rng.integers(0, m, count)
     j = (i + rng.integers(1, m, count)) % m
     return zip(i.tolist(), j.tolist())
+
+
+def scale_and_offset(rng, n):
+    """A scale in 1e-9..1e9 and an offset of up to 1e9 per coordinate."""
+    scale = 10.0 ** rng.uniform(-9.0, 9.0)
+    return scale, rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(0.0, 9.0)
 
 
 @pytest.fixture(params=["gram", "exact"])
@@ -413,8 +451,7 @@ class TestPairKernel:
 
     @staticmethod
     def scaled(rng, m, n):
-        scale = 10.0 ** rng.uniform(-9.0, 9.0)
-        offset = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(0.0, 9.0)
+        scale, offset = scale_and_offset(rng, n)
         return offset + scale * rng.standard_normal((m, n)), scale
 
     def test_tangent_balls(self, pair_path):
@@ -533,3 +570,154 @@ class TestPairKernel:
                 true -= (Fraction(h[i]) + Fraction(h[j])) ** 2
                 if abs(gap[i, j]) > band[i]:
                     assert (gap[i, j] > 0) == (true > 0)
+
+
+def clear_hot_rows(c, r, tol):
+    """The rows the anchor bound of ``first_pair_outside`` must call hot:
+    those with e_i = |c_i - o| - r_i (o the row mean) above tol / 2. None
+    if some e_i lies within 1e-6 of the family's scale of tol / 2, where
+    rounding decides, or if some radius is not finite."""
+    if not np.isfinite(r).all():
+        return None
+    d = np.linalg.norm(c - c.mean(axis=0), axis=1)
+    e = d - r
+    if (np.abs(e - tol / 2) <= 1e-6 * (d.max() + np.abs(r).max() + abs(tol))).any():
+        return None
+    return np.flatnonzero(e > tol / 2)
+
+
+class TestAnchorBound:
+    """``first_pair_outside`` on ball families whose rows the anchor bound
+    calls cold (no hot rows), partly hot or all hot, scaled and offset,
+    with violating or tangent pairs planted, against the dense oracle,
+    through the Gram filter in blocks of a few rows."""
+
+    @staticmethod
+    def family(rng, kind):
+        """Unscaled centers and radii. "cold": every ball holds the
+        centroid with room to spare. "few": that cluster plus one to three
+        balls 3 away, whose radii fall short of the centroid. "hot":
+        random unit vectors in R^30..R^39, radii 0.8..0.9."""
+        if kind == "hot":
+            n, m = int(rng.integers(30, 40)), int(rng.integers(8, 40))
+            return random_units(int(rng.integers(0, 1 << 30)), m, n), rng.uniform(0.8, 0.9, m)
+        n, m = int(rng.integers(2, 8)), int(rng.integers(20, 60))
+        c = 0.3 * rng.uniform(-1.0, 1.0, (m, n)) / math.sqrt(n)
+        r = rng.uniform(1.0, 1.2, m)
+        if kind == "few":
+            few = rng.choice(m, int(rng.integers(1, 4)), replace=False)
+            axis = random_units(int(rng.integers(0, 1 << 30)), 1, n)[0]
+            c[few] = 3.0 * axis + 0.2 * random_units(int(rng.integers(0, 1 << 30)), few.size, n)
+            r[few] = 2.4
+        return c, r
+
+    @staticmethod
+    def plant(rng, c, r, tol, hot):
+        """Shrink hot radii so that chosen pairs leave their windows, or,
+        half the time, sit exactly on them: one hot-hot pair; a cold row
+        and an earlier hot row against the last hot row, so that the first
+        pair is the cold row's; or three pairs with a hot end. Returns
+        what was planted."""
+        cold = np.setdiff1d(np.arange(r.size), hot)
+        tangent = bool(rng.random() < 0.5)
+
+        def shrink(i, j):
+            # Radius j on the window of the pair (i, j), or just inside it.
+            w = float(pair_distances(c[i], c[j])) - r[i] - tol
+            r[j] = min(r[j], w if tangent else w - 1e-6 * (abs(w) + abs(r[i])))
+
+        kinds = ["none"]
+        if hot.size >= 2:
+            kinds.append("hot-hot")
+        if hot.size and cold.size and cold[0] < hot[-1]:
+            kinds.append("cold-first")
+        if hot.size:
+            kinds.append("several")
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind == "hot-hot":
+            shrink(*rng.choice(hot, 2, replace=False))
+        elif kind == "cold-first":
+            last = hot[-1]
+            if hot.size >= 2:
+                shrink(hot[0], last)
+            shrink(cold[0], last)
+        elif kind == "several":
+            for i in rng.choice(hot, 3):
+                j = int(rng.integers(r.size))
+                if j != i:
+                    shrink(j, i)
+        return kind
+
+    def test_first_pair_matches_dense(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_EXACT_PAIRS", 0)
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", 97)
+        kernel_rows = []
+        gaps = geometry.gram_gaps
+
+        def counted(left, right):
+            kernel_rows.append(left.w.shape[0])
+            return gaps(left, right)
+
+        monkeypatch.setattr(geometry, "gram_gaps", counted)
+        rng = np.random.default_rng(107)
+        seen = []
+        for case in range(900):
+            c, r = self.family(rng, ("cold", "few", "hot")[case % 3])
+            scale, offset = scale_and_offset(rng, c.shape[1])
+            c, r = offset + scale * c, scale * r
+            tol = float(rng.choice([0.0, 1e-9, 1e-9 * scale]))
+            hot = clear_hot_rows(c, r, tol)
+            if hot is None:
+                continue
+            planted = self.plant(rng, c, r, tol, hot)
+            if rng.random() < 0.1:
+                r[rng.integers(r.size)] = rng.choice([math.inf, -math.inf, math.nan])
+            want = dense_first_pair(c, high=r, tol=tol)
+            kernel_rows.clear()
+            assert first_pair_outside(c, high=r, tol=tol) == want
+            # Without a violating pair the kernel takes every hot row as a
+            # row and no cold one (the m - 1 rows with a later row when
+            # every row is hot).
+            hot_after = clear_hot_rows(c, r, tol)
+            if want is None and hot_after is not None:
+                assert sum(kernel_rows) == min(hot_after.size, r.size - 1)
+            share = "cold" if hot.size == 0 else "hot" if hot.size == r.size else "few"
+            seen.append((share, planted, want is None, want is not None and want[0] not in hot))
+        for share in ("cold", "few", "hot"):
+            assert sum(s == (share, "none", True, False) for s in seen) >= 20
+        for planted in ("hot-hot", "cold-first", "several"):
+            assert sum(s[1] == planted and not s[2] for s in seen) >= 20
+        # The row-major first pair starts at a cold row, found in a later
+        # block than a hot-hot pair.
+        assert sum(s[1] == "cold-first" and s[3] for s in seen) >= 20
+
+    def test_tangent_through_the_anchor(self, pair_path):
+        # Rows in pairs o + v, o - v with each radius the computed distance
+        # to the row mean: every e_i is 0, and each pair (o + v, o - v) is
+        # tangent through the anchor, so rounding alone decides whether it
+        # leaves its window. Without the margin every row would be cold.
+        rng = np.random.default_rng(109)
+        outcomes = set()
+        for _ in range(300):
+            n, half = int(rng.integers(2, 9)), int(rng.integers(1, 12))
+            scale, offset = scale_and_offset(rng, n)
+            v = scale * rng.standard_normal((half, n))
+            c = (offset + np.concatenate([v, -v]))[rng.permutation(2 * half)]
+            r = pair_distances(c.T, c.mean(axis=0)[:, None])
+            want = dense_first_pair(c, high=r)
+            assert first_pair_outside(c, high=r) == want
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_limits_that_are_not_finite(self, monkeypatch):
+        # A NaN limit leaves every window of its row unexceeded, so does
+        # an infinite one; -inf exceeds every window of its row.
+        monkeypatch.setattr(geometry, "_EXACT_PAIRS", 0)
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", 5)
+        rng = np.random.default_rng(108)
+        for _ in range(100):
+            c, r = self.family(rng, "few")
+            for value in (math.inf, -math.inf, math.nan):
+                r2 = r.copy()
+                r2[rng.choice(r.size, int(rng.integers(1, 4)))] = value
+                assert first_pair_outside(c, high=r2) == dense_first_pair(c, high=r2)
