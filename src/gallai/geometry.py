@@ -63,12 +63,15 @@ _BAND_FLOOR = 2.0**-1000
 # formula; below it no Gram entry of two rows can overflow.
 _SCALE_MAX = 2.0**1000
 # A check that evaluates up to this many pairs uses the exact formula
-# alone (``first_pair_outside`` evaluates m^2 for m rows): below it the
-# Gram filter's fixed cost, some twenty array calls per window, exceeds
-# what it saves. Over the benchmark's workload cycles on a 2-core x86_64
-# host, 2**11, 2**12 and 2**13 tied within noise. 2**13 is near the
-# crossover of ``pairs_within``; ``first_pair_outside``'s lies at or
-# below it (its two paths tie at m = 64, 4,096 evaluated pairs).
+# alone (``first_pair_outside`` evaluates k m for k hot rows of m): below
+# it the Gram filter's fixed cost, some twenty array calls per window,
+# exceeds what it saves. Over the benchmark's workload cycles on a 2-core
+# x86_64 host, 2**11, 2**12 and 2**13 tied within noise. 2**13 is near
+# the crossover of ``pairs_within``; that of a square (k = m)
+# ``first_pair_outside`` lies at or below it (its two paths tie at m =
+# 64). With k much smaller than m the Gram path still builds its rows
+# for all m, and on the same host the paths tie later, between 2**15 and
+# 2**16 pairs at m = 1,024 and 4,096; the one constant serves both.
 _EXACT_PAIRS = 2**13
 
 
@@ -275,8 +278,9 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
 
     # The k hot rows first, then the cold ones, each in index order; the
     # checks below run on positions in this order, and only the first k
-    # as rows. Without the anchor bound every row is hot.
-    order, k = np.arange(m), m
+    # as rows. Without the anchor bound, or with every row hot, positions
+    # are row indices (order is None).
+    order, k = None, m
     if not angles and len(sides) == 1 and sides[0][2] > 0:
         limit, slack, _ = sides[0]
         half = limit if limit.ndim else limit / 2
@@ -286,15 +290,19 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
             margin = 8 * (rows.shape[1] + 8) * np.finfo(float).eps * scale
             margin += math.sqrt(_BAND_FLOOR)
             hot = ~(d - half <= (slack - margin) / 2)
-        order = np.concatenate([np.flatnonzero(hot), np.flatnonzero(~hot)])
         k = int(np.count_nonzero(hot))
+        if k == 0:
+            return None
+        if k < m:
+            order = np.concatenate([np.flatnonzero(hot), np.flatnonzero(~hot)])
     # A pair found in a later block starts at a later hot row or at a cold
     # one, so none comes before a pair (r, s) found earlier with r <= the
     # first cold index.
-    first_cold = int(order[k]) if k < m else m
-    x = rows[order]
-    sides = [(limit[order] if limit.ndim else limit, slack, outside)
-             for limit, slack, outside in sides]
+    x, first_cold = rows, m
+    if order is not None:
+        x, first_cold = rows[order], int(order[k])
+        sides = [(limit[order] if limit.ndim else limit, slack, outside)
+                 for limit, slack, outside in sides]
     columns = x.T
 
     def first_bad(p, q):
@@ -312,6 +320,10 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
         bad &= p < q
         if not bad.any():
             return None
+        if order is None:
+            first = int(np.argmax(bad))
+            return int(np.broadcast_to(p, bad.shape).flat[first]), int(
+                np.broadcast_to(q, bad.shape).flat[first])
         i, j = order[p], order[q]
         key = np.broadcast_to(np.minimum(i, j) * m + np.maximum(i, j), bad.shape)
         return divmod(int(key[bad].min()), m)

@@ -393,10 +393,11 @@ class TestBlockedPairs:
 
     @staticmethod
     def traced_peak(make):
+        # What ``make()`` returns, and the traced peak while it ran.
         tracemalloc.start()
         try:
-            make()
-            return tracemalloc.get_traced_memory()[1]
+            made = make()
+            return made, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
@@ -410,7 +411,9 @@ class TestBlockedPairs:
         centers = d / np.linalg.norm(d, axis=1)[:, None] * rng.random(3000)[:, None] ** (1 / 3)
         balls = tuple(Ball(c, 1.0) for c in centers)
         assert clear_hot_rows(centers, np.ones(3000), DEFAULT_TOL).size == 21
-        assert self.traced_peak(lambda: BallFamily(3, balls)) < 8 * 2**20
+        family, peak = self.traced_peak(lambda: BallFamily(3, balls))
+        assert len(family) == 3000
+        assert peak < 8 * 2**20
 
     def test_memory_bounded_with_hot_rows(self):
         centers, radii = self.two_clusters(300)
@@ -419,7 +422,9 @@ class TestBlockedPairs:
         centers, radii = self.two_clusters(3000)
         assert clear_hot_rows(centers, radii, DEFAULT_TOL).size >= 1000
         balls = Balls(centers, radii)
-        assert self.traced_peak(lambda: BallFamily(3, balls)) < 8 * 2**20
+        family, peak = self.traced_peak(lambda: BallFamily(3, balls))
+        assert len(family) == 3000
+        assert peak < 8 * 2**20
 
 
 def on_window_pairs(rng, rows, count):
