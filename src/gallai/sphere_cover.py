@@ -4,8 +4,10 @@ Covers are upper witnesses for the covering number N(n, theta) and
 packings lower witnesses for the packing number M(n, theta); neither is
 claimed optimal. On the circle both problems are solved exactly. In
 higher dimensions a cover grows at the deepest facet of the convex hull
-of its centers and is proved complete from the facet offsets; past a
-facet budget a seeded greedy over sampled candidates takes over, with a
+of its centers and is proved complete from the facet offsets of a
+fresh hull; both hulls come from ``_Hull``, an incremental hull in
+numpy, and the proof checks the simplices it is handed. Past a facet
+budget a seeded greedy over sampled candidates takes over, with a
 seeded Monte-Carlo certificate. Packings come from a seeded greedy.
 """
 
@@ -196,13 +198,19 @@ def _max_gap(points: np.ndarray, centers: np.ndarray) -> float:
 
 # A simplex whose edge vectors have a smallest singular value this small
 # is affinely degenerate (flat): it spans no hyperplane, and its cone has
-# no interior. Edges of unit rows have length at most 2.
+# no interior. Edges of unit rows have length at most 2. The hull leaves
+# out a row this close to a vertex of a facet it sees, so a near
+# duplicate makes no sliver facet.
 _FLAT_FLOOR = 1e-9
-# A simplex that is not flat but whose vertex determinant is this small
-# has no trusted orientation. For unit rows |det| <= 1 (Hadamard), and
-# the rounding of an LU determinant of an n x n matrix stays near n^3
-# machine epsilons.
-_DET_FLOOR = 1e-9
+# A row sees a facet of ``_Hull`` when it lies more than this beyond the
+# facet's hyperplane. That is far above the rounding of a unit normal's
+# dot product with a unit row, and a row no farther out than this is
+# left out of the hull, which only the certificate's offsets can notice.
+_VISIBLE = 1e-12
+# Facet offsets this close to the smallest count as tied when a hull
+# cover picks the facet to deepen; the oldest tied facet wins, so the
+# cross-polytope's equal facets are taken in the order they were made.
+_TIE = 1e-12
 
 
 def _rounding(n: int) -> float:
@@ -210,6 +218,160 @@ def _rounding(n: int) -> float:
     # quotient of unit-scale rows (each within (n + 2) machine epsilons,
     # Higham's gamma_n), with room to spare.
     return 8 * (n + 2) * float(np.finfo(float).eps)
+
+
+def _det_rounding(n: int) -> float:
+    """Bound on the error of ``np.linalg.det`` of n rows of norm <= 1.
+
+    LU with partial pivoting gives L U = A + E with |E| <= gamma_n |L||U|
+    (Higham, Thm 9.3), |L| <= 1 and entries of U at most the growth
+    factor 2^(n - 1), so each row of E has norm under
+    gamma_n n^1.5 2^(n - 1). By Hadamard's bound every determinant with
+    some rows of A replaced by rows of E is at most the product of the
+    replaced rows' norms, so det(A + E) is within about n times that of
+    det(A) <= 1. numpy forms the determinant from the logarithms of the
+    pivots, which adds a relative error of a few gamma_n. All of it stays
+    under n^3 2^n machine epsilons: 5e-14 at n = 3, 3e-11 at n = 8.
+    """
+    return n**3 * 2.0**n * float(np.finfo(float).eps)
+
+
+class _Hull:
+    """Convex hull of unit rows, grown one row at a time (beneath-beyond;
+    Edelsbrunner, *Algorithms in Combinatorial Geometry*, 1987).
+
+    Each facet is a simplex of ``n`` indices into ``points`` (``labels``
+    holds each point's index among the caller's rows) with its outward
+    hyperplane ``normals . x = offsets``, oriented away from the
+    centroid of the initial simplex, which stays inside every later hull.
+    An added row kills the facets it sees and joins itself to their
+    horizon ridges, the ridges that only one of them holds. Facets are
+    appended to arrays with an ``alive`` mask, and dead ones are dropped
+    only when the arrays are full, order kept, so a facet's index orders
+    it by age. A row that sees no facet, or lies within ``_FLAT_FLOOR``
+    of a vertex of a facet it sees, is left out.
+
+    Nothing here is trusted: ``_hull_certificate`` checks the simplices.
+    """
+
+    def __init__(self, simplex: np.ndarray, labels: list[int]):
+        n = simplex.shape[1]
+        self.n = n
+        self.inner = simplex.mean(axis=0)
+        # Vertex positions of each facet's ridges: ridge i drops vertex i.
+        self._ridges = np.array([[j for j in range(n) if j != i] for i in range(n)])
+        self.points = np.empty((64, n))
+        self.labels = np.empty(64, dtype=np.intp)
+        self.npoints = 0
+        self.facets = np.empty((0, n), dtype=np.intp)
+        self.normals = np.empty((0, n))
+        self.offsets = np.empty(0)
+        self.alive = np.empty(0, dtype=bool)
+        self.nfacets = self.nalive = 0
+        for row, label in zip(simplex, labels):
+            self._append_point(row, label)
+        facets = np.array([[j for j in range(n + 1) if j != i] for i in range(n + 1)])
+        v = simplex[facets]
+        self._append_facets(facets, _null_vectors(v[:, 1:] - v[:, :1]))
+
+    def live(self) -> np.ndarray:
+        """Indices of the live facets, oldest first."""
+        return np.flatnonzero(self.alive[: self.nfacets])
+
+    def add(self, point: np.ndarray, label: int) -> bool:
+        """Add ``point`` to the hull; False where it is left out."""
+        k = self.nfacets
+        seen = np.flatnonzero(
+            self.alive[:k] & (self.normals[:k] @ point - self.offsets[:k] > _VISIBLE)
+        )
+        if not len(seen):
+            return False
+        facets = self.facets[seen]
+        if (((self.points[facets.ravel()] - point) ** 2).sum(axis=1) <= _FLAT_FLOOR**2).any():
+            return False
+        ridges = np.sort(facets[:, self._ridges].reshape(-1, self.n - 1), axis=1)
+        ridges = ridges[np.lexsort(ridges.T[::-1])]
+        repeat = (ridges[1:] == ridges[:-1]).all(axis=1)
+        once = np.ones(len(ridges), dtype=bool)
+        once[1:] &= ~repeat
+        once[:-1] &= ~repeat
+        horizon = ridges[once]
+        if not len(horizon):
+            return False
+        normals = _null_vectors(self.points[horizon] - point)
+        self.alive[seen] = False
+        self.nalive -= len(seen)
+        self._append_point(point, label)
+        new = np.empty((len(horizon), self.n), dtype=np.intp)
+        new[:, :-1], new[:, -1] = horizon, self.npoints - 1
+        self._append_facets(new, normals)
+        return True
+
+    def _append_point(self, point, label):
+        if self.npoints == len(self.points):
+            self.points = np.concatenate([self.points, np.empty_like(self.points)])
+            self.labels = np.concatenate([self.labels, np.empty_like(self.labels)])
+        self.points[self.npoints] = point
+        self.labels[self.npoints] = label
+        self.npoints += 1
+
+    def _append_facets(self, facets, normals):
+        """Append facets (rows of point indices) whose hyperplanes have
+        the unit ``normals``, up to sign."""
+        offsets = np.einsum("fj,fj->f", normals, self.points[facets[:, 0]])
+        flip = normals @ self.inner > offsets
+        normals[flip] *= -1.0
+        offsets[flip] *= -1.0
+        self._reserve(len(facets))
+        a, b = self.nfacets, self.nfacets + len(facets)
+        self.facets[a:b], self.normals[a:b], self.offsets[a:b] = facets, normals, offsets
+        self.alive[a:b] = True
+        self.nfacets, self.nalive = b, self.nalive + len(facets)
+
+    def _reserve(self, extra):
+        """Make room for ``extra`` more facets: when the arrays are full,
+        the dead facets are dropped, order kept, into arrays twice the
+        size of what is left."""
+        if self.nfacets + extra <= len(self.alive):
+            return
+        keep = self.live()
+        size = 2 * (len(keep) + extra)
+        for name in ("facets", "normals", "offsets", "alive"):
+            old = getattr(self, name)
+            new = np.zeros((size,) + old.shape[1:], dtype=old.dtype)
+            new[: len(keep)] = old[keep]
+            setattr(self, name, new)
+        self.nfacets = len(keep)
+
+
+def _null_vectors(edges: np.ndarray) -> np.ndarray:
+    """A unit vector orthogonal to the n - 1 rows of each (n - 1, n)
+    block of ``edges``: the last column of Q in a complete QR of its
+    transpose, which costs a third of an SVD."""
+    return np.linalg.qr(np.swapaxes(edges, 1, 2), mode="complete")[0][:, :, -1]
+
+
+def _hull_of(rows: np.ndarray) -> _Hull | None:
+    """Hull of ``rows``: an initial simplex, then every other row in
+    order. The simplex is row 0 and, n times, the first row farthest
+    from the affine hull of those chosen. None where no row is farther
+    than ``_FLAT_FLOOR`` from it, or the hull passes
+    ``_HULL_FACET_BUDGET`` live facets."""
+    chosen = [0]
+    rel = rows - rows[0]
+    for _ in range(rows.shape[1]):
+        dist = np.linalg.norm(rel, axis=1)
+        i = int(np.argmax(dist))
+        if not dist[i] > _FLAT_FLOOR:
+            return None
+        chosen.append(i)
+        rel = rel - np.outer(rel @ rel[i], rel[i] / dist[i] ** 2)
+    hull = _Hull(rows[chosen], chosen)
+    for i in sorted(set(range(len(rows))) - set(chosen)):
+        hull.add(rows[i], i)
+        if hull.nalive > _HULL_FACET_BUDGET:
+            return None
+    return hull
 
 
 def _closed_cycle(simplices: np.ndarray, orientation: np.ndarray) -> bool:
@@ -278,16 +440,18 @@ def _hull_certificate(centers: np.ndarray, theta: float, tol: float) -> CoverCer
     """Exact cover check from the facets of conv(centers); on the circle,
     from the gaps between the centers (``_arc_certificate``).
 
-    Only Qhull's ``simplices`` are used, and they are checked, not
-    trusted:
+    The facets come from a fresh ``_Hull`` of the centers, added in row
+    order; past ``_HULL_FACET_BUDGET`` live facets the build stops and
+    the certificate fails. Only the facets' vertex indices are used, and
+    they are checked, not trusted:
 
     1. A simplex is flat when its edge vectors v_i - v_0 have rank below
        n - 1 (smallest singular value <= ``_FLAT_FLOOR``); its cone has
        no interior, and it is oriented to fit its neighbours. Every other
        simplex is oriented positively about the origin by the sign of
-       the determinant of its vertex rows, which must exceed
-       ``_DET_FLOOR`` in size: a solid simplex whose hyperplane passes
-       that close to the origin fails the certificate.
+       the determinant of its vertex rows, which must exceed its rounding
+       bound ``_det_rounding(n)`` in size: a solid simplex whose
+       hyperplane passes that close to the origin fails the certificate.
     2. Every ridge must occur once with each orientation. The simplices
        then form a closed cycle whose radial projection has degree at
        least 1, so the cones over the solid simplices cover every
@@ -307,19 +471,15 @@ def _hull_certificate(centers: np.ndarray, theta: float, tol: float) -> CoverCer
     n = centers.shape[1]
     if n == 2:
         return _arc_certificate(centers, theta, tol)
-    # Qhull (scipy.spatial) is loaded here and in _hull_centers only, so
-    # commands that build no hull do not pay for it.
-    from scipy.spatial import ConvexHull, QhullError
-
     failed = CoverCertificate("hull", 0, theta - math.pi, False)
-    try:
-        simplices = ConvexHull(centers).simplices
-    except (QhullError, ValueError):
+    hull = _hull_of(centers)
+    if hull is None:
         return failed
+    simplices = hull.labels[hull.facets[hull.live()]]
     v = centers[simplices]
     det = np.linalg.det(v)
     flat = np.linalg.svd(v[:, 1:] - v[:, :1], compute_uv=False)[:, -1] <= _FLAT_FLOOR
-    if flat.all() or not (np.abs(det[~flat]) > _DET_FLOOR).all():
+    if flat.all() or not (np.abs(det[~flat]) > _det_rounding(n)).all():
         return failed
     if not _closed_cycle(simplices, np.where(flat, 0.0, det)):
         return failed
@@ -346,12 +506,12 @@ def verify_cover(
     uniform sampling.
 
     Hull method: proves the cover complete from the facets of the
-    centers' convex hull (see ``_hull_certificate``), in any dimension
-    where Qhull can build that hull and it holds the origin strictly
-    inside; on the circle, from the gaps between the centers. Net
-    method: builds a delta-net and
-    passes iff every net point lies within theta - delta of a center,
-    which proves the cover is complete. Requires delta < theta. Sampled
+    centers' convex hull (see ``_hull_certificate``) when that hull holds
+    the origin strictly inside and has at most ``_HULL_FACET_BUDGET``
+    facets; on the circle, from the gaps between the centers. Net
+    method: builds a delta-net and passes iff every net point lies
+    within theta - delta of a center, which proves the cover is
+    complete. Requires delta < theta. Sampled
     method: passes iff all of k uniform points are covered (closed caps,
     tolerance-inclusive). ``resolution_or_samples`` None means delta =
     theta / 8 or k = ``_SAMPLES``; a delta or k of 0 raises ``ValueError``.
@@ -411,14 +571,15 @@ def greedy_cover(
     cross-polytope, and the unit normal of the hull facet nearest the
     origin, which is the point of the sphere farthest from every
     center, is added until every facet lies at least cos(theta) from
-    the origin. Either cover is proved by ``verify_cover(method="hull")``
+    the origin; of facets whose offsets tie within ``_TIE`` the oldest
+    is taken. Either cover is proved by ``verify_cover(method="hull")``
     and depends on (n, theta) only; ``seed`` is not used.
 
     A seeded greedy over sampled candidates runs instead when the hull
-    passes ``_HULL_FACET_BUDGET`` facets or Qhull fails (it does from
-    n = 8). It repeatedly promotes the uncovered pool candidate farthest
-    from the chosen centers (ties by index) and marks candidates within
-    a safety margin below theta as covered. Its covers are certified by
+    passes ``_HULL_FACET_BUDGET`` facets (it does from n = 8 at the
+    library's radii). It repeatedly promotes the uncovered pool
+    candidate farthest from the chosen centers (ties by index) and marks
+    candidates within a safety margin below theta as covered. Its covers are certified by
     sampling. Deterministic for fixed (n, theta, seed, params).
 
     Covers are memoized per process, keyed by (n, theta,
@@ -449,13 +610,16 @@ def greedy_cover(
 # while a caller of the sampled greedy may pass a new seed every time:
 # the bound keeps that from growing memory with the number of calls.
 _COVER_CACHE_SIZE = 16
-# Facets a hull cover may reach before the sampled greedy takes over.
-# At the illumination and large-ball radii hull covers end with 1,184
-# facets at n = 6 and 10,992 and 14,800 at n = 7 (about 1 s to build).
+# Live facets a hull may reach: past it a hull cover's build gives way
+# to the sampled greedy, and the hull certificate fails. At the
+# illumination and large-ball radii hull covers end with 1,184 facets at
+# n = 6 and 10,926 and 14,120 at n = 7 (under 1 s to build); at n = 8
+# the build passes the budget at 56 centers.
 _HULL_FACET_BUDGET = 20_000
-# The build stops once Qhull's smallest offset clears cos(theta) by this,
-# far above Qhull's and the certificate's rounding, so the certificate
-# of a finished build has a positive margin.
+# The build stops once the hull's smallest offset clears cos(theta) by
+# this, far above the rounding of the build's normals and of the
+# certificate, so the certificate of a finished build has a positive
+# margin.
 _BUILD_SLACK = 1e-10
 
 
@@ -483,31 +647,29 @@ def _hull_cover(n: int, theta: float, max_centers: int) -> Cover | None:
 
 
 def _hull_centers(n: int, theta: float, max_centers: int) -> np.ndarray | None:
-    from scipy.spatial import ConvexHull, QhullError
-
     if 2 * n > max_centers:
         raise RuntimeError(f"cover construction exceeded {max_centers} centers")
     target = math.cos(theta) + _BUILD_SLACK
-    try:
-        hull = ConvexHull(np.concatenate([np.eye(n), -np.eye(n)]), incremental=True)
-    except QhullError:
+    cross = np.concatenate([np.eye(n), -np.eye(n)])
+    hull = _hull_of(cross)
+    if hull is None:
         return None
-    try:
-        while True:
-            offsets = -hull.equations[:, -1]
-            j = int(np.argmin(offsets))
-            if offsets[j] >= target:
-                return np.array(hull.points)
-            if len(offsets) > _HULL_FACET_BUDGET:
-                return None
-            if hull.npoints >= max_centers:
-                raise RuntimeError(f"cover construction exceeded {max_centers} centers")
-            normal = hull.equations[j, :-1]
-            hull.add_points((normal / np.linalg.norm(normal))[None, :])
-    except QhullError:
-        return None
-    finally:
-        hull.close()
+    centers = list(cross)
+    while True:
+        live = hull.live()
+        offsets = hull.offsets[live]
+        low = float(offsets.min())
+        if low >= target:
+            return np.array(centers)
+        if len(live) > _HULL_FACET_BUDGET:
+            return None
+        if len(centers) >= max_centers:
+            raise RuntimeError(f"cover construction exceeded {max_centers} centers")
+        j = live[int(np.argmax(offsets <= low + _TIE))]
+        normal = hull.normals[j] / np.linalg.norm(hull.normals[j])
+        if not hull.add(normal, len(centers)):
+            return None
+        centers.append(normal)
 
 
 @functools.lru_cache(maxsize=_COVER_CACHE_SIZE)

@@ -290,19 +290,26 @@ class TestStiemkeCertificate:
                 assert margin >= -1e-12, scale
 
     def test_cli_import_leaves_out_scipy_optimize(self, tmp_path, capsys):
-        # In a fresh interpreter: importing the CLI, lowerbound, a pierce
-        # without large balls, both verifiers and bounds load no scipy
-        # module; illuminate loads Qhull (scipy.spatial) for its cover
-        # but not scipy.optimize, whose LP runs only when the certificate
-        # fails, as it does for the half-plane set. The directions to
-        # verify are built here, before the fresh interpreter starts.
+        # In a fresh interpreter: importing the CLI, lowerbound, both
+        # pierce paths (with large balls, which build a hull cover in
+        # R^3, and without), illuminate, cover, a hull-certified verify,
+        # both other verifiers and bounds load no scipy module; only the
+        # LP fallback of positive_hull_full loads scipy.optimize, when the
+        # certificate fails, as it does for the half-plane set. The
+        # directions to verify are built here, before the fresh
+        # interpreter starts.
         spikes = [[s * 1.1 if i == j else 0.0 for j in range(3)] for i in range(3) for s in (1, -1)]
-        family, body, points, dirs = (
-            str(tmp_path / name) for name in ("family.json", "body.json", "points.json", "dirs.json")
+        family, large, body, points, dirs, cover = (
+            str(tmp_path / name) for name in (
+                "family.json", "large.json", "body.json", "points.json", "dirs.json",
+                "cover.json")
         )
         balls = [{"center": [0, 0], "radius": 1}, {"center": [1.5, 0], "radius": 1}]
         with open(family, "w") as fh:
             json.dump({"kind": "ball_family", "dimension": 2, "balls": balls}, fh)
+        balls = [{"center": [0, 0, 0], "radius": 1}, {"center": [3, 0, 0], "radius": 4}]
+        with open(large, "w") as fh:
+            json.dump({"kind": "ball_family", "dimension": 3, "balls": balls}, fh)
         with open(body, "w") as fh:
             json.dump({"kind": "spiky_body", "dimension": 3, "vertices": spikes}, fh)
         assert main(["illuminate", body, "--output", dirs]) == 0
@@ -311,7 +318,12 @@ class TestStiemkeCertificate:
             ["lowerbound", "-n", "5", "--target", "10", "--samples", "1000"],
             ["pierce", family, "--output", points],
             ["verify", "--family", family, "--points", points],
+            ["pierce", large, "--output", points],
+            ["verify", "--family", large, "--points", points],
             ["verify", "--body", body, "--directions", dirs],
+            ["illuminate", body, "--output", dirs],
+            ["cover", "-n", "6", "--theta", "0.987", "--output", cover],
+            ["verify", "--cover", cover, "--method", "hull"],
             ["bounds"],
         ]
         code = (
@@ -328,10 +340,8 @@ class TestStiemkeCertificate:
             f"for argv in {scipy_free!r}:\n"
             "    run(argv)\n"
             "    assert scipy() == [], (argv, scipy())\n"
-            f"run({['illuminate', body, '--output', dirs]!r})\n"
-            "assert 'scipy.spatial' in scipy() and 'scipy.optimize' not in scipy(), scipy()\n"
             "assert positive_hull_full(np.concatenate([np.eye(3), -np.eye(3)]))\n"
-            "assert 'scipy.optimize' not in sys.modules\n"
+            "assert scipy() == [], scipy()\n"
             "assert not positive_hull_full(np.array([[1.0, 0], [-1, 0], [0, 1]]))\n"
             "assert 'scipy.optimize' in sys.modules\n"
         )

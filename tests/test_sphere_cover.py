@@ -23,7 +23,7 @@ from gallai import sphere_cover
 from gallai.geometry import first_pair_outside
 from gallai.piercing import cap_overlap_radius
 from gallai.sphere_cover import net_size
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull
 
 from conftest import circle_cover_optimum, circle_packing_optimum
 
@@ -38,12 +38,9 @@ def clear_cover_caches():
 
 
 @pytest.fixture
-def no_qhull(monkeypatch):
-    """Make every Qhull call fail, so greedy_cover falls back to sampling."""
-    def broken(*args, **kwargs):
-        raise QhullError("QH6361 injected")
-
-    monkeypatch.setattr("scipy.spatial.ConvexHull", broken)
+def no_hull(monkeypatch):
+    """Make every hull build fail, so greedy_cover falls back to sampling."""
+    monkeypatch.setattr(sphere_cover, "_hull_of", lambda rows: None)
 
 
 def cover_misses():
@@ -61,9 +58,10 @@ LIBRARY_RADII = [(n, theta) for n in range(2, 7)
 
 
 def facet_offsets(centers):
-    """Distances from the origin to the facet hyperplanes of conv(centers),
-    each from the null vector of its edge vectors (SVD), not from a
-    linear solve; flat simplices span no hyperplane and are skipped."""
+    """Distances from the origin to the facet hyperplanes of conv(centers)
+    from Qhull (scipy.spatial), the test-only oracle for ``_Hull``, each
+    from the null vector of its edge vectors (SVD), not from a linear
+    solve; flat simplices span no hyperplane and are skipped."""
     v = centers[ConvexHull(centers).simplices]
     _, sv, vh = np.linalg.svd(v[:, 1:] - v[:, :1])
     solid = sv[:, -1] > 1e-9
@@ -261,26 +259,29 @@ class TestHullCertificate:
         cert = verify_cover(Cover(2, theta, arc_centers(angles)), "hull")
         assert cert.margin == pytest.approx(1e-9 - 5e-4, abs=1e-13)
 
-    @pytest.mark.parametrize("depth", [1e-10, 1e-6])
+    @pytest.mark.parametrize("depth", [1e-15, 1e-10, 1e-6])
     def test_facet_near_the_origin_fails(self, depth):
         # A pentagon of centers on the plane x_3 = -depth and the north
         # pole: the hull encloses the origin, but its bottom facets pass
         # within depth of it, so -e_3 is about pi/2 from every center.
-        # At depth 1e-10 the bottom triangles are not flat, yet their
-        # determinants fall below the orientation floor.
+        # At depth 1e-15 the bottom triangles are not flat, yet their
+        # determinants fall below their rounding bound.
         phi = 2 * math.pi * np.arange(5) / 5
         ring = np.column_stack([np.cos(phi), np.sin(phi), np.full(5, -depth)])
         centers = np.concatenate([ring, [[0.0, 0.0, 1.0]]])
         v = Cover(3, 1.2, centers).centers[ConvexHull(centers).simplices]
         edges = np.linalg.svd(v[:, 1:] - v[:, :1], compute_uv=False)[:, -1]
         assert (edges > 0.1).all()
-        assert (np.abs(np.linalg.det(v)) < 1e-9).any() == (depth < 1e-9)
+        floor = sphere_cover._det_rounding(3)
+        assert (np.abs(np.linalg.det(v)) < floor).any() == (depth < floor)
         for theta in (1.2, math.pi / 2 - 1e-3):
             assert not verify_cover(Cover(3, theta, centers), "hull").passed
         # Closed caps of radius pi/2 do cover once the origin lies inside
-        # by a trusted distance.
+        # by more than the determinant's rounding.
         exact = verify_cover(Cover(3, math.pi / 2, centers), "hull")
-        assert exact.passed == (depth > 1e-9)
+        assert exact.passed == (depth > floor)
+        if not exact.passed:
+            assert exact.margin == -math.pi / 2
 
     def test_cycle_check(self):
         # The octahedron's eight triangles, each oriented positively.
@@ -331,6 +332,125 @@ class TestHullCertificate:
         assert theta - radius == pytest.approx(hull.margin, abs=1e-9)
 
 
+def unit_rows(rng, count, n):
+    rows = rng.standard_normal((count, n))
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+def hull_facets(rows, original=None):
+    """The facets of ``sphere_cover._hull_of(rows)`` as sorted index
+    tuples, each index mapped through ``original`` when given."""
+    hull = sphere_cover._hull_of(rows)
+    simplices = hull.labels[hull.facets[hull.live()]]
+    if original is not None:
+        simplices = original[simplices]
+    return {tuple(sorted(s)) for s in simplices.tolist()}
+
+
+def qhull_facets(rows):
+    return {tuple(sorted(s)) for s in ConvexHull(rows).simplices.tolist()}
+
+
+# Centers +-e1, +-e2, +-e3 and two rows 1.4e-9 from e1 and e2, at a
+# radius 0.05 above the octahedron's covering radius: every facet of
+# their hull is a sliver or an octahedron facet.
+SLIVER_CENTERS = np.concatenate([
+    np.eye(3), -np.eye(3),
+    np.array([[1.0, 1e-9, -1e-9], [-1e-9, 1.0, 1e-9]]) / math.sqrt(1 + 2e-18)])
+SLIVER_THETA = math.acos(1 / math.sqrt(3)) + 0.05
+
+
+class TestHull:
+    """``_Hull`` against Qhull (scipy.spatial), the test-only oracle."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_sets_match_qhull(self, n, seed):
+        # Points in general position have one triangulation, their facets.
+        rng = np.random.default_rng([n, seed])
+        rows = unit_rows(rng, int(rng.integers(10, 201)), n)
+        assert hull_facets(rows) == qhull_facets(rows)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_cross_polytope_matches_qhull(self, n):
+        rows = np.concatenate([np.eye(n), -np.eye(n)])
+        facets = hull_facets(rows)
+        assert len(facets) == 2**n and facets == qhull_facets(rows)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_cube_offsets_match_qhull(self, n):
+        # The cube's facets are not simplices, so the two triangulations
+        # may differ; every simplex still lies on a facet, 1/sqrt(n) out.
+        rows = np.array(list(itertools.product((1.0, -1.0), repeat=n))) / math.sqrt(n)
+        hull = sphere_cover._hull_of(rows)
+        offsets = hull.offsets[hull.live()]
+        assert np.abs(offsets - 1 / math.sqrt(n)).max() < 1e-15
+        assert abs(facet_offsets(rows).min() - 1 / math.sqrt(n)) < 1e-15
+        theta = math.acos(1 / math.sqrt(n))
+        cert = verify_cover(Cover(n, theta + 1e-9, rows), "hull")
+        assert cert.passed and cert.margin == pytest.approx(1e-9, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_near_duplicates_are_left_out(self, n):
+        # Each of 15 rows gets a copy within 1e-10 (under _FLAT_FLOOR);
+        # one of each pair is left out, so the facets are those of the
+        # rows without copies, whichever of a pair comes first.
+        rng = np.random.default_rng(n)
+        rows = unit_rows(rng, 40, n)
+        copies = rows[:15] + unit_rows(rng, 15, n) * rng.uniform(1e-11, 1e-10, (15, 1))
+        copies /= np.linalg.norm(copies, axis=1)[:, None]
+        order = rng.permutation(55)
+        original = np.concatenate([np.arange(40), np.arange(15)])[order]
+        both = np.concatenate([rows, copies])[order]
+        assert hull_facets(both, original) == qhull_facets(rows)
+        theta = math.acos(float(facet_offsets(rows).min())) + 1e-6
+        cert = verify_cover(Cover(n, theta, both), "hull")
+        assert cert.passed and cert.margin == pytest.approx(1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_closed_hemisphere_fails_cleanly(self, n):
+        # e1 and the equator's cross-polytope: the origin lies on the
+        # hull's boundary, so -e1 is exactly pi/2 from every center.
+        rows = np.concatenate([np.eye(n), -np.eye(n)[1:]])
+        cert = verify_cover(Cover(n, math.pi / 2, rows), "hull")
+        assert not cert.passed and cert.margin == -math.pi / 2
+
+    def test_sliver_cover_in_every_row_order(self):
+        # The two near pairs make sliver facets whose determinants are
+        # about 1e-9: above their rounding bound, so no order is refused.
+        # The facet (-e1, -e2, -e3) keeps the covering radius of the
+        # octahedron, so the exact margin is 0.05; a sliver's offset,
+        # solved from a matrix of condition ~1e9, may read it lower.
+        rng = np.random.default_rng(0)
+        assert verify_cover(Cover(3, SLIVER_THETA, SLIVER_CENTERS), "net", 0.01).passed
+        for _ in range(300):
+            centers = SLIVER_CENTERS[rng.permutation(8)]
+            cert = verify_cover(Cover(3, SLIVER_THETA, centers), "hull")
+            assert cert.passed and 0.05 - 1e-6 < cert.margin <= 0.05 + 1e-12
+
+    def test_facet_budget_fails_the_certificate(self, monkeypatch):
+        rows = unit_rows(np.random.default_rng(3), 100, 4)
+        theta = math.acos(float(facet_offsets(rows).min())) + 1e-6
+        assert verify_cover(Cover(4, theta, rows), "hull").passed
+        monkeypatch.setattr(sphere_cover, "_HULL_FACET_BUDGET", 100)
+        cert = verify_cover(Cover(4, theta, rows), "hull")
+        assert not cert.passed and cert.margin == theta - math.pi
+
+    def test_sampled_n8_cover_fails_within_the_budget(self):
+        # 2,119 sampled centers in R^8 pass the facet budget long before
+        # the last one is added.
+        cover = greedy_cover(8, 0.987)
+        assert cover.certificate.method == "sampled" and len(cover) == 2119
+        cert = verify_cover(cover, "hull")
+        assert not cert.passed and cert.margin == 0.987 - math.pi
+
+    def test_five_thousand_points(self):
+        rows = unit_rows(np.random.default_rng(5), 5000, 3)
+        cert = verify_cover(Cover(3, 0.2, rows), "hull")
+        # Every row is a vertex: 2 * 5000 - 4 triangles.
+        assert cert.passed and cert.resolution_or_samples == 9996
+
+
 class TestGreedyCover:
     @pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 4, math.pi / 6, 0.9])
     def test_circle_optimum(self, theta):
@@ -367,9 +487,12 @@ class TestGreedyCover:
         assert cert.passed and cert.margin > 0
 
     def test_sizes(self):
-        # Witnessed hull cover sizes at the illumination radius.
-        assert [len(greedy_cover(n, ILLUMINATION_THETA)) for n in range(2, 7)] == [
-            4, 6, 24, 26, 44]
+        # Witnessed hull cover sizes at the illumination radius and at
+        # the large-ball radius.
+        assert [len(greedy_cover(n, ILLUMINATION_THETA)) for n in range(2, 8)] == [
+            4, 6, 24, 26, 44, 71]
+        assert [len(greedy_cover(n, cap_overlap_radius(n, n))) for n in range(2, 8)] == [
+            5, 14, 24, 42, 44, 82]
 
     def test_two_point_circle_is_exact(self):
         # Two antipodal arcs of radius pi/2 enclose no polygon around the
@@ -387,7 +510,7 @@ class TestGreedyCover:
         assert sphere_cover._hull_cover(4, 0.9, 20_000) is None
         clear_cover_caches()
 
-    def test_qhull_error_falls_back_to_sampling(self, no_qhull):
+    def test_hull_failure_falls_back_to_sampling(self, no_hull):
         clear_cover_caches()
         cover = greedy_cover(3, 0.9, seed=7)
         assert cover.certificate.method == "sampled"
@@ -463,14 +586,14 @@ class TestCoverCache:
         assert b is not a
         assert cover_misses() == 2
 
-    def test_sampled_path_keys_on_seed(self, no_qhull):
+    def test_sampled_path_keys_on_seed(self, no_hull):
         a = greedy_cover(3, 0.9, seed=7)
         assert a.certificate.method == "sampled"
         assert greedy_cover(3, 0.9, seed=7) is a
         assert greedy_cover(3, 0.9, seed=8) is not a
         assert sphere_cover._sampled_cover.cache_info().misses == 2
 
-    def test_size_is_bounded(self, no_qhull):
+    def test_size_is_bounded(self, no_hull):
         for seed in range(50):
             greedy_cover(3, 1.2, seed=seed)
         info = sphere_cover._sampled_cover.cache_info()
