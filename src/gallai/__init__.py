@@ -31,7 +31,6 @@ from .lowerbound import (
 )
 from .piercing import (
     BallFamily,
-    PiercingConfig,
     PiercingSet,
     cap_overlap_radius,
     cover_points_by_balls,
@@ -70,7 +69,6 @@ __all__ = [
     "PackParams",
     "Packing",
     "PairwiseError",
-    "PiercingConfig",
     "PiercingSet",
     "SeparatedSet",
     "SpikyBall",

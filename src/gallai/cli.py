@@ -10,6 +10,7 @@ instead of exiting 4.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -41,7 +42,6 @@ from .lowerbound import (
 )
 from .piercing import (
     BallFamily,
-    PiercingConfig,
     PiercingSet,
     first_non_intersecting_pair,
     pierce,
@@ -70,30 +70,28 @@ def _deliver(doc: dict, output: str | None, report: dict) -> None:
 
 
 def _certificate_dict(cert) -> dict:
-    out = {
-        "method": cert.method,
-        "resolution_or_samples": cert.resolution_or_samples,
-        "margin": cert.margin,
-        "passed": cert.passed,
-    }
-    if cert.undetected_measure is not None:
-        out["undetected_measure"] = cert.undetected_measure
-    return out
+    return {k: v for k, v in dataclasses.asdict(cert).items() if v is not None}
+
+
+def _built(args, kind, make):
+    """(result, verified, witness) of ``make()``. With --skip-verify, a
+    verification failure that carries a ``kind`` result is reported as a
+    warning and that result is returned unverified."""
+    try:
+        return make(), True, None
+    except VerificationError as exc:
+        if not args.skip_verify or not isinstance(exc.result, kind):
+            raise
+        print(f"warning: {exc}", file=sys.stderr)
+        return exc.result, False, exc.witness
 
 
 def cmd_pierce(args) -> int:
     dim, balls = files.parse_ball_family(files.load_document(args.input))
     family = BallFamily(dim, balls)
-    config = PiercingConfig(seed=args.seed, tol=args.tol)
-    verified = True
-    try:
-        result = pierce(family, config)
-        witness = None
-    except VerificationError as exc:
-        if not args.skip_verify or not isinstance(exc.result, PiercingSet):
-            raise
-        print(f"warning: {exc}", file=sys.stderr)
-        result, witness, verified = exc.result, exc.witness, False
+    result, verified, witness = _built(
+        args, PiercingSet, lambda: pierce(family, args.seed, args.tol)
+    )
     acct = result.accounting
     accounting = {
         "large_count": acct.large_count,
@@ -122,25 +120,22 @@ def cmd_pierce(args) -> int:
 def cmd_illuminate(args) -> int:
     body = files.parse_spiky_body(files.load_document(args.input))
     try:
-        target = CapBody(body)
+        target = CapBody(body.dimension, body.vertices)
     except PairwiseError:
         if not args.skip_cap_check:
             raise
         target = body
     alpha = args.alpha if args.alpha is not None else solve_alpha(1e-9)
-    verified = True
-    witness = None
-    try:
-        if args.sweep > 0:
-            grid = np.linspace(0.1, math.pi / 2 - 0.1, args.sweep)
-            alpha, result = sweep_alpha(target, grid, args.seed, args.tol)
-        else:
-            result = illuminate_cap_body(target, alpha, args.seed, args.tol)
-    except VerificationError as exc:
-        if not args.skip_verify or not isinstance(exc.result, DirectionSet):
-            raise
-        print(f"warning: {exc}", file=sys.stderr)
-        result, witness, verified = exc.result, exc.witness, False
+    if args.sweep > 0:
+        # A failed sweep carries no direction set, so --skip-verify does
+        # not apply to it.
+        grid = np.linspace(0.1, math.pi / 2 - 0.1, args.sweep)
+        alpha, result = sweep_alpha(target, grid, args.seed, args.tol)
+        verified, witness = True, None
+    else:
+        result, verified, witness = _built(
+            args, DirectionSet, lambda: illuminate_cap_body(target, alpha, args.seed, args.tol)
+        )
     u1 = sum(1 for tag in result.provenance if tag.startswith("U1:"))
     u2 = len(result) - u1
     report = {

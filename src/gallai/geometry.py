@@ -8,7 +8,9 @@ on ``pair_distances``, the one exact formula, and switch to the Gram
 filter at one size, ``_EXACT_PAIRS``. Against upper windows on
 distances (the ball family check), ``first_pair_outside`` first clears
 the pairs that the triangle inequality through the row mean settles,
-and checks only the rows it leaves.
+and checks only the rows it leaves. ``max_dots`` takes the largest dot
+product of each row against a set. All three size their blocks from
+``_PAIR_BLOCK``, so no caller holds a whole pairwise array.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ def as_unit_rows(rows, dim: int, what: str) -> np.ndarray:
     return a
 
 
-# Entries per block of the pair kernel and of every blocked check over
-# it: a caller holds a few arrays of this many entries at a time,
-# whatever the number of rows.
+# Entries per block of the pair kernel, of every blocked check over it
+# and of ``max_dots``: a caller holds a few arrays of this many entries
+# at a time, whatever the number of rows.
 _PAIR_BLOCK = 2**16
 # Absolute floor of the kernel's rounding band. Gradual underflow adds at
 # most a few 2^-1074 to a Gram entry or to a sum of squares, far below it.
@@ -188,30 +190,50 @@ def pair_distances(xt, yt) -> np.ndarray:
         return np.sqrt(total)
 
 
-def pairs_within(x, y, limits, y_rows=None):
-    """(inside, y_rows): inside[i, j] is the exact verdict
-    ``pair_distances(x_i, y_j) <= limits_i`` for rows x (k, n) and y
-    (l, n), with ``limits`` a scalar or one per row of x.
+def pairs_within(x, y, limits, index=None):
+    """Blocks (rows, inside) of the exact verdicts ``pair_distances(x_i,
+    y_j) <= limits_i`` for rows x (k, n) and y (l, n), with ``limits`` a
+    scalar or one per row of x: ``inside[r, j]`` is the verdict on row
+    ``rows[r]`` of x. The rows are ``index`` (all of x if None), in its
+    order, taken about ``_PAIR_BLOCK`` pairs to a block, so a caller
+    holds one block at a time and may stop early.
 
-    Up to ``_EXACT_PAIRS`` pairs it uses ``pair_distances`` alone. Past
-    it the pair kernel (``gram_gaps``, rows shifted by y[0]) settles
-    every pair outside its rounding band, and only the pairs inside it
-    are recomputed. ``y_rows`` is y's side of the kernel: None, or what
-    an earlier call on the same y returned, so that blocks of x checked
-    against one y build it once, and only past the switch.
+    A block of up to ``_EXACT_PAIRS`` pairs uses ``pair_distances``
+    alone. Past it the pair kernel (``gram_gaps``, rows shifted by y[0])
+    settles every pair outside its rounding band, and only the pairs
+    inside it are recomputed; y's side of the kernel is built once, by
+    the first such block.
     """
     limits = np.broadcast_to(np.asarray(limits, dtype=float), x.shape[:1])
-    if x.shape[0] * y.shape[0] <= _EXACT_PAIRS:
-        return pair_distances(x.T[:, :, None], y.T[:, None, :]) <= limits[:, None], y_rows
-    if y_rows is None:
-        y_rows = gram_rows(y, 0.0, y[0])
-    gap, band = gram_gaps(gram_rows(x, limits, y[0]), y_rows)
-    inside = gap < -band[:, None]
-    near = np.abs(gap, out=gap) <= band[:, None]
-    if near.any():
-        r, c = np.nonzero(near)
-        inside[r, c] = pair_distances(x[r].T, y[c].T) <= limits[r]
-    return inside, y_rows
+    index = np.arange(x.shape[0]) if index is None else np.asarray(index, dtype=np.intp)
+    step = max(1, _PAIR_BLOCK // max(1, y.shape[0]))
+    y_rows = None
+    for start in range(0, index.size, step):
+        rows = index[start : start + step]
+        xb, lb = x[rows], limits[rows]
+        if rows.size * y.shape[0] <= _EXACT_PAIRS:
+            yield rows, pair_distances(xb.T[:, :, None], y.T[:, None, :]) <= lb[:, None]
+            continue
+        if y_rows is None:
+            y_rows = gram_rows(y, 0.0, y[0])
+        gap, band = gram_gaps(gram_rows(xb, lb, y[0]), y_rows)
+        inside = gap < -band[:, None]
+        near = np.abs(gap, out=gap) <= band[:, None]
+        if near.any():
+            r, c = np.nonzero(near)
+            inside[r, c] = pair_distances(xb[r].T, y[c].T) <= lb[r]
+        yield rows, inside
+
+
+def max_dots(a, b) -> np.ndarray:
+    """For each row of ``a``, its largest dot product with a row of ``b``
+    (non-empty), from blocks of about ``_PAIR_BLOCK`` products, so memory
+    stays O(``_PAIR_BLOCK``) beside the output, whatever the row counts."""
+    step = max(1, _PAIR_BLOCK // b.shape[0])
+    out = np.empty(a.shape[0])
+    for start in range(0, a.shape[0], step):
+        out[start : start + step] = (a[start : start + step] @ b.T).max(axis=1)
+    return out
 
 
 def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import solve_alpha
 from .errors import PairwiseError, VerificationError
-from .geometry import DEFAULT_TOL, as_unit_rows, first_pair_outside
+from .geometry import DEFAULT_TOL, as_unit_rows, first_pair_outside, max_dots
 from .sphere_cover import greedy_cover
 
 # A vertex must clear the unit sphere by at least this much.
@@ -56,13 +56,12 @@ class SpikyBall:
 
 
 @dataclass(frozen=True, eq=False)
-class CapBody:
+class CapBody(SpikyBall):
     """Spiky ball whose associated open caps are pairwise disjoint."""
 
-    spiky: SpikyBall
-
     def __post_init__(self):
-        ok, pair = is_cap_body(self.spiky)
+        super().__post_init__()
+        ok, pair = is_cap_body(self)
         if not ok:
             raise PairwiseError(
                 f"not a cap body: caps of vertices {pair[0]} and {pair[1]} overlap", pair
@@ -70,18 +69,7 @@ class CapBody:
 
     @classmethod
     def from_vertices(cls, dimension: int, vertices) -> "CapBody":
-        return cls(SpikyBall(dimension, vertices))
-
-    @property
-    def dimension(self) -> int:
-        return self.spiky.dimension
-
-    @property
-    def vertices(self) -> np.ndarray:
-        return self.spiky.vertices
-
-    def __len__(self):
-        return len(self.spiky)
+        return cls(dimension, vertices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +207,7 @@ def verifies_illumination(
     axes = v / norms[:, None]
     # Open-cap membership: dot with -axis must exceed cos(radius) + tol.
     thresholds = np.cos(math.pi / 2 - np.arccos(np.clip(1.0 / norms, -1.0, 1.0)))
-    best = (-axes @ d.directions.T).max(axis=1)
+    best = max_dots(-axes, d.directions)
     failing = np.flatnonzero(best <= thresholds + tol)
     if failing.size:
         return False, int(failing[0])

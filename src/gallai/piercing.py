@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PairwiseError, VerificationError
-from .geometry import (
-    _PAIR_BLOCK,
-    DEFAULT_TOL,
-    Balls,
-    first_pair_outside,
-    pair_distances,
-    pairs_within,
-)
+from .geometry import DEFAULT_TOL, Balls, first_pair_outside, pair_distances, pairs_within
 from .sphere_cover import greedy_cover
 
 
@@ -78,15 +71,6 @@ def first_non_intersecting_pair(balls):
 
 
 @dataclass(frozen=True)
-class PiercingConfig:
-    """Pipeline knobs: the seed of a sampled fallback cover (see
-    ``greedy_cover``) and the verification tolerance."""
-
-    seed: int = 0
-    tol: float = DEFAULT_TOL
-
-
-@dataclass(frozen=True)
 class PiercingAccounting:
     """Witnessed counts behind the output cardinality."""
 
@@ -94,11 +78,6 @@ class PiercingAccounting:
     scale_cover_counts: tuple[tuple[int, int], ...]  # (k, cover balls for bucket k)
     t: int
     lam: float
-
-    def total(self, dimension: int) -> int:
-        return self.large_count + sum(
-            2 * dimension * c for _, c in self.scale_cover_counts
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,18 +139,18 @@ def cap_overlap_radius(r: float, n: int) -> float:
     return math.acos((2.0 * r + 5.0) / (4.0 * (r + 1.0)))
 
 
-def pierce_large(n: int, config: PiercingConfig | None = None) -> np.ndarray:
+def pierce_large(n: int, seed: int = 0) -> np.ndarray:
     """Points on the doubled sphere piercing every large intersecting ball.
 
     Scales a certified cover of the unit sphere (angular radius matched
     to the large-ball cap width) by 2. Any ball of radius at least n
-    that meets the unit ball contains one of these points.
+    that meets the unit ball contains one of these points. ``seed``
+    reaches only a sampled fallback cover (see ``greedy_cover``).
     """
-    cfg = config or PiercingConfig()
     if n < 2:
         raise ValueError("dimension must be at least 2")
     theta = cap_overlap_radius(float(n), n)
-    cover = greedy_cover(n, theta, cfg.seed)
+    cover = greedy_cover(n, theta, seed)
     return 2.0 * cover.centers
 
 
@@ -194,11 +173,10 @@ def cover_points_by_balls(points, radius: float) -> np.ndarray:
     a point serves never pays for the m (m - 1) / 2 midpoints.
 
     Every distance is ``pair_distances``: the target's candidate column
-    and the chosen center's row directly, and the gains through
-    ``pairs_within``, over blocks of ``_PAIR_BLOCK`` candidate-point
-    pairs. So every decision, and the cover, is the one the full
-    ``pair_distances`` tensor would give, while memory stays
-    O(candidates * n + _PAIR_BLOCK).
+    and the chosen center's row directly, and the gains through the
+    blocks of ``pairs_within``. So every decision, and the cover, is the
+    one the full ``pair_distances`` tensor would give, while memory stays
+    bounded by the candidates and one block.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -244,17 +222,12 @@ def _best_candidate(candidates, target, free, radius):
     is that close. Stops after the first block holding a candidate that
     covers every row of ``free``, since no later one can cover more."""
     column = pair_distances(candidates.T, target[:, None])
-    able = np.flatnonzero(column <= radius)
-    step = max(1, _PAIR_BLOCK // free.shape[0])
     best, best_gain = -1, -1
-    free_rows = None
-    for s in range(0, able.size, step):
-        idx = able[s : s + step]
-        inside, free_rows = pairs_within(candidates[idx], free, radius, free_rows)
+    for rows, inside in pairs_within(candidates, free, radius, np.flatnonzero(column <= radius)):
         gains = inside.sum(axis=1)
         j = int(np.argmax(gains))
         if gains[j] > best_gain:
-            best, best_gain = int(idx[j]), int(gains[j])
+            best, best_gain = int(rows[j]), int(gains[j])
             if best_gain == free.shape[0]:
                 break
     return best, best_gain
@@ -290,19 +263,20 @@ def _scale_buckets(radii: np.ndarray, lam: float, t: int) -> np.ndarray:
     return np.maximum(np.searchsorted(bounds, radii, side="right"), 1)
 
 
-def pierce(family: BallFamily, config: PiercingConfig | None = None) -> PiercingSet:
+def pierce(family: BallFamily, seed: int = 0, tol: float = DEFAULT_TOL) -> PiercingSet:
     """Construct a verified piercing set for a pairwise intersecting family.
 
     Balls of radius at least n (after normalization) are large. The
     scale ratio is lam = (1 - 1/n)^(-1/2), the largest for which the
     refined balls of bucket k, of radius lam^k sqrt(1 - 1/n), are no
-    larger than its smallest ball, of radius lam^(k-1).
+    larger than its smallest ball, of radius lam^(k-1). ``seed`` reaches
+    only a sampled fallback cover of the large balls (see
+    ``greedy_cover``); ``tol`` is the tolerance of the final check.
 
     Raises:
         VerificationError: If the final exact check finds an unpierced
             ball (the constructed set rides on the exception).
     """
-    cfg = config or PiercingConfig()
     n = family.dimension
     lam = (1.0 - 1.0 / n) ** -0.5
     threshold = float(n)
@@ -316,7 +290,7 @@ def pierce(family: BallFamily, config: PiercingConfig | None = None) -> Piercing
     if len(family) == 1:
         return _verified(
             family,
-            cfg,
+            tol,
             PiercingSet(
                 n,
                 family.centers().copy(),
@@ -333,7 +307,7 @@ def pierce(family: BallFamily, config: PiercingConfig | None = None) -> Piercing
     large = radii >= threshold
     large_count = 0
     if large.any():
-        c0 = pierce_large(n, cfg)
+        c0 = pierce_large(n, seed)
         large_count = c0.shape[0]
         points.append(c0)
         provenance.extend(["large"] * large_count)
@@ -355,11 +329,11 @@ def pierce(family: BallFamily, config: PiercingConfig | None = None) -> Piercing
         tuple(provenance),
         PiercingAccounting(large_count, tuple(scale_counts), t, lam),
     )
-    return _verified(family, cfg, result)
+    return _verified(family, tol, result)
 
 
-def _verified(family, cfg, result: PiercingSet) -> PiercingSet:
-    ok, witness = verify_piercing(family, result, cfg.tol)
+def _verified(family, tol, result: PiercingSet) -> PiercingSet:
+    ok, witness = verify_piercing(family, result, tol)
     if not ok:
         raise VerificationError(
             f"piercing verification failed at ball index {witness}",
@@ -377,9 +351,8 @@ def verify_piercing(
     Accepts a PiercingSet or a raw (m, n) array. Returns (True, None)
     or (False, index of the first unpierced ball). A point pierces a
     ball when ``pair_distances(point, center) <= radius + tol``, as
-    ``pairs_within`` decides it. Balls are checked in blocks of about
-    ``_PAIR_BLOCK`` ball-point pairs, so memory stays bounded for any
-    family and point count.
+    ``pairs_within`` decides it, block by block, so memory stays bounded
+    for any family and point count.
     """
     pts = piercing.points if isinstance(piercing, PiercingSet) else np.asarray(
         piercing, dtype=float
@@ -388,15 +361,8 @@ def verify_piercing(
         raise ValueError(f"points must have shape (m, {family.dimension})")
     if pts.shape[0] == 0:
         return False, 0
-    centers = family.centers()
-    limits = family.radii() + tol
-    step = max(1, _PAIR_BLOCK // pts.shape[0])
-    point_rows = None
-    for s in range(0, centers.shape[0], step):
-        inside, point_rows = pairs_within(
-            centers[s : s + step], pts, limits[s : s + step], point_rows
-        )
+    for rows, inside in pairs_within(family.centers(), pts, family.radii() + tol):
         missed = np.flatnonzero(~inside.any(axis=1))
         if missed.size:
-            return False, s + int(missed[0])
+            return False, int(rows[missed[0]])
     return True, None

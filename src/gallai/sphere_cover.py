@@ -23,7 +23,7 @@ import numpy as np
 
 from . import sampling
 from .errors import PairwiseError, VerificationError
-from .geometry import DEFAULT_TOL, as_unit_rows, first_pair_outside
+from .geometry import DEFAULT_TOL, as_unit_rows, first_pair_outside, max_dots
 
 # Hard ceiling on exact-net sizes; nets grow exponentially with the
 # dimension, so past this the sampled certificate is the only option.
@@ -181,19 +181,9 @@ def sphere_net(dim: int, resolution: float) -> tuple[np.ndarray, float]:
     return rows, dim / m
 
 
-# Points per block of ``_max_gap``: it holds one (block, centers) array
-# of dot products at a time.
-_GAP_CHUNK = 20_000
-
-
 def _max_gap(points: np.ndarray, centers: np.ndarray) -> float:
     """Largest angular distance from a point to its nearest center."""
-    worst = -1.0
-    for start in range(0, points.shape[0], _GAP_CHUNK):
-        block = points[start : start + _GAP_CHUNK]
-        best_dot = (block @ centers.T).max(axis=1)
-        worst = max(worst, float(np.arccos(np.clip(best_dot, -1.0, 1.0)).max()))
-    return worst
+    return float(np.arccos(np.clip(max_dots(points, centers), -1.0, 1.0)).max())
 
 
 # A simplex whose edge vectors have a smallest singular value this small

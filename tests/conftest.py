@@ -1,6 +1,7 @@
 """Shared seeded generators for the test suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -16,6 +17,16 @@ from gallai import (
 from gallai.geometry import first_pair_outside
 from gallai.sampling import rng_from, unit_vectors
 from gallai.sphere_cover import PackParams
+
+
+def traced_peak(make):
+    """What ``make()`` returns, and the traced peak while it ran."""
+    tracemalloc.start()
+    try:
+        made = make()
+        return made, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def ball_points(rng, dim, count, radius=1.0, center=None):

@@ -15,7 +15,6 @@ from gallai import (
     Ball,
     BallFamily,
     CapBody,
-    PiercingConfig,
     SpikyBall,
     covering_exponent,
     illuminate_cap_body,
@@ -113,7 +112,7 @@ def test_criterion_05_piercing_pipeline():
         n = 2 + case % 4
         count = int(rng.integers(2, 201))
         family = random_intersecting_family(n, count, seed=10_000 + case)
-        out = pierce(family, PiercingConfig(seed=case))
+        out = pierce(family, seed=case)
         ok, witness = verify_piercing(family, out, 1e-9)
         assert ok, f"case {case}: ball {witness} unpierced"
         acct = out.accounting
@@ -157,7 +156,7 @@ def test_criterion_07_illumination_pipeline():
         assert len(out) <= far + u2
     # Hand-checked body: exactly its six antipodal vertex directions.
     v = math.sqrt(2.0) * np.concatenate([np.eye(3), -np.eye(3)])
-    hand = CapBody(SpikyBall(3, v))
+    hand = CapBody(3, v)
     out = illuminate_cap_body(hand, alpha=math.pi / 4, seed=0)
     assert len(out) == 6
     assert all(tag.startswith("U1:") for tag in out.provenance)

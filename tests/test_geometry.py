@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from conftest import (
     dense_first_missed,
     dense_first_pair,
     lights,
+    traced_peak,
 )
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -309,7 +309,7 @@ class TestPairwiseKernel:
                 body = SpikyBall(n, axes / np.cos(caps)[:, None])
                 old = gram_first_pair(angles < need)
                 assert is_cap_body(body) == (old is None, old)
-                yield old, pair_raised(lambda: CapBody(body))
+                yield old, pair_raised(lambda: CapBody(n, body.vertices))
 
         self.check(itertools.islice(cases(), 300), 60)
 
@@ -391,16 +391,6 @@ class TestBlockedPairs:
         centers[small, 0] += 10.5
         return centers, np.where(small, 1.0, 10.0)
 
-    @staticmethod
-    def traced_peak(make):
-        # What ``make()`` returns, and the traced peak while it ran.
-        tracemalloc.start()
-        try:
-            made = make()
-            return made, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_memory_bounded(self):
         # The dense check held m x m distances and limits: 163 MB traced
         # for these 3,000 balls inside the unit ball. All but 21 of their
@@ -411,7 +401,7 @@ class TestBlockedPairs:
         centers = d / np.linalg.norm(d, axis=1)[:, None] * rng.random(3000)[:, None] ** (1 / 3)
         balls = tuple(Ball(c, 1.0) for c in centers)
         assert clear_hot_rows(centers, np.ones(3000), DEFAULT_TOL).size == 21
-        family, peak = self.traced_peak(lambda: BallFamily(3, balls))
+        family, peak = traced_peak(lambda: BallFamily(3, balls))
         assert len(family) == 3000
         assert peak < 8 * 2**20
 
@@ -422,9 +412,55 @@ class TestBlockedPairs:
         centers, radii = self.two_clusters(3000)
         assert clear_hot_rows(centers, radii, DEFAULT_TOL).size >= 1000
         balls = Balls(centers, radii)
-        family, peak = self.traced_peak(lambda: BallFamily(3, balls))
+        family, peak = traced_peak(lambda: BallFamily(3, balls))
         assert len(family) == 3000
         assert peak < 8 * 2**20
+
+
+class TestPairsWithin:
+    """The blocks of ``pairs_within`` against the dense verdict."""
+
+    @pytest.mark.parametrize("block", [1, 7, geometry._PAIR_BLOCK])
+    @pytest.mark.parametrize("exact", [0, geometry._EXACT_PAIRS])
+    def test_blocks_match_dense(self, block, exact, monkeypatch):
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(geometry, "_EXACT_PAIRS", exact)
+        rng = np.random.default_rng([block, exact])
+        for _ in range(30):
+            n, k, l = int(rng.integers(2, 6)), int(rng.integers(1, 60)), int(rng.integers(1, 40))
+            scale, offset = scale_and_offset(rng, n)
+            x = offset + scale * rng.standard_normal((k, n))
+            y = offset + scale * rng.standard_normal((l, n))
+            dense = pair_distances(x.T[:, :, None], y.T[:, None, :])
+            # About half the limits lie exactly on a distance of their row,
+            # where rounding decides; a scalar limit now and then.
+            limits = np.where(rng.random(k) < 0.5, dense[np.arange(k), rng.integers(0, l, k)],
+                              scale * rng.uniform(0.5, 3.0, k))
+            if rng.random() < 0.2:
+                limits = float(limits[0])
+            want = dense <= np.broadcast_to(limits, (k,))[:, None]
+            subset = rng.permutation(k)[: int(rng.integers(1, k + 1))]
+            for index in (None, subset, np.array([], dtype=int)):
+                blocks = list(geometry.pairs_within(x, y, limits, index))
+                rows = [int(i) for r, _ in blocks for i in r]
+                assert rows == (list(range(k)) if index is None else index.tolist())
+                for r, inside in blocks:
+                    assert r.size * l <= max(block, l)
+                    assert inside.tolist() == want[r].tolist()
+
+
+class TestMaxDots:
+    @pytest.mark.parametrize("block", [1, 7, geometry._PAIR_BLOCK])
+    def test_matches_dense(self, block, monkeypatch):
+        # A block's product may round a dot differently in its last bit
+        # than the whole product does (BLAS picks its kernel by shape).
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for k, l, n in ((1, 1, 2), (50, 3, 3), (301, 40, 8)):
+            a, b = rng.standard_normal((k, n)), rng.standard_normal((l, n))
+            got = geometry.max_dots(a, b)
+            assert got.shape == (k,)
+            np.testing.assert_allclose(got, (a @ b.T).max(axis=1), rtol=1e-13, atol=1e-13)
 
 
 def on_window_pairs(rng, rows, count):

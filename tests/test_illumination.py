@@ -11,6 +11,7 @@ import pytest
 from gallai import (
     CapBody,
     DirectionSet,
+    PairwiseError,
     SpikyBall,
     VerificationError,
     illuminate_cap_body,
@@ -28,6 +29,7 @@ from conftest import (
     monte_carlo_hull_margin,
     random_cap_body,
     random_direction_set,
+    traced_peak,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -110,8 +112,17 @@ class TestIsCapBody:
         assert ok and pair is None
 
     def test_cap_body_constructor_enforces(self):
-        with pytest.raises(ValueError):
-            CapBody.from_vertices(3, cross_polytope_vertices(3, 2.0))
+        with pytest.raises(PairwiseError) as err:
+            CapBody(3, cross_polytope_vertices(3, 2.0))
+        assert err.value.pair == (0, 1)
+
+    def test_cap_body_is_a_spiky_ball(self):
+        v = cross_polytope_vertices(3, SQRT2)
+        body, built = CapBody(3, v), CapBody.from_vertices(3, v)
+        assert isinstance(body, SpikyBall) and not hasattr(body, "spiky")
+        assert type(built) is CapBody and built.dimension == body.dimension == 3
+        assert built.vertices.tobytes() == body.vertices.tobytes() == v.tobytes()
+        assert len(body) == 6
 
     def test_spiky_ball_vertex_validation(self):
         with pytest.raises(ValueError):
@@ -402,6 +413,22 @@ class TestVerifiesIllumination:
         dirs = illuminate_cap_body(scaled, seed=3)
         ok, _ = verifies_illumination(body, dirs)
         assert ok
+
+    def test_memory_bounded(self):
+        # The dense check held all 5,000 x 2,000 vertex-direction dots,
+        # 77 MB traced.
+        body = SpikyBall(4, 1.5 * random_direction_set(4, 5000, 8))
+        dirs = DirectionSet(4, random_direction_set(4, 2000, 10))
+        verdict, peak = traced_peak(lambda: verifies_illumination(body, dirs))
+        assert verdict == (True, None)
+        assert peak < 8 * 2**20
+        # With all but 40 directions dropped some vertex goes dark, and
+        # its index is the dense check's first.
+        few = DirectionSet(4, dirs.directions[:40])
+        axes = body.vertices / 1.5
+        dark = (-axes @ few.directions.T).max(axis=1) <= math.sqrt(1 - 1 / 1.5**2) + 1e-9
+        assert dark.any()
+        assert verifies_illumination(body, few) == (False, int(np.argmax(dark)))
 
 
 class TestIlluminateCapBody:

@@ -11,7 +11,6 @@ from gallai import (
     Ball,
     BallFamily,
     Balls,
-    PiercingConfig,
     cap_overlap_radius,
     cover_points_by_balls,
     normalize_family,
@@ -264,7 +263,7 @@ class TestPierceLarge:
         # Any ball with radius >= n intersecting the unit ball must
         # contain a layer point.
         for n in (2, 3, 4):
-            pts = pierce_large(n, PiercingConfig(seed=11))
+            pts = pierce_large(n, seed=11)
             rng = rng_from(100 + n)
             for _ in range(25):
                 r = float(rng.uniform(n, 6 * n))
@@ -454,8 +453,9 @@ class TestPierce:
 
     def test_accounting_matches_output(self):
         family = random_intersecting_family(3, 80, seed=2)
-        out = pierce(family, PiercingConfig(seed=2))
-        assert out.accounting.total(3) == len(out)
+        out = pierce(family, seed=2)
+        acct = out.accounting
+        assert acct.large_count + sum(2 * 3 * c for _, c in acct.scale_cover_counts) == len(out)
         tags = [p for p in out.provenance if p == "large"]
         assert len(tags) == out.accounting.large_count
 
@@ -474,7 +474,7 @@ class TestPierce:
     def test_soundness_random_families(self, seed):
         n = 2 + seed % 4
         family = random_intersecting_family(n, 60, seed=seed)
-        out = pierce(family, PiercingConfig(seed=seed))
+        out = pierce(family, seed=seed)
         ok, witness = verify_piercing(family, out, 1e-9)
         assert ok, f"ball {witness} unpierced"
 
@@ -483,8 +483,8 @@ class TestPierce:
         doubled = BallFamily(
             3, tuple(Ball(2.0 * b.center, 2.0 * b.radius) for b in family.balls)
         )
-        a = pierce(family, PiercingConfig(seed=5))
-        b = pierce(doubled, PiercingConfig(seed=5))
+        a = pierce(family, seed=5)
+        b = pierce(doubled, seed=5)
         # Doubling is exact in floating point, so the pipelines agree bitwise.
         assert np.array_equal(b.points, 2.0 * a.points)
         assert a.provenance == b.provenance
@@ -495,8 +495,8 @@ class TestPierce:
         moved = BallFamily(
             3, tuple(Ball(scale * b.center + shift, scale * b.radius) for b in family.balls)
         )
-        a = pierce(family, PiercingConfig(seed=5))
-        b = pierce(moved, PiercingConfig(seed=5))
+        a = pierce(family, seed=5)
+        b = pierce(moved, seed=5)
         assert np.allclose(b.points, scale * a.points + shift, atol=1e-8)
 
     def test_large_threshold_is_n(self):
@@ -579,7 +579,7 @@ class TestVerifyPiercing:
 
     def test_accepts_piercing_set_object(self):
         family = random_intersecting_family(2, 20, seed=9)
-        out = pierce(family, PiercingConfig(seed=9))
+        out = pierce(family, seed=9)
         ok, _ = verify_piercing(family, out)
         assert ok
 

@@ -25,7 +25,7 @@ from gallai.piercing import cap_overlap_radius
 from gallai.sphere_cover import net_size
 from scipy.spatial import ConvexHull
 
-from conftest import circle_cover_optimum, circle_packing_optimum
+from conftest import circle_cover_optimum, circle_packing_optimum, traced_peak
 
 
 def arc_centers(angles):
@@ -188,6 +188,19 @@ class TestVerifyCover:
         cover = Cover(2, 0.5, arc_centers([0.0]))
         with pytest.raises(ValueError):
             verify_cover(cover, "exhaustive")
+
+    def test_max_gap_memory_bounded(self):
+        # As many centers as the n = 8 sampled cover of the CLI has. The
+        # parent held a 20,000 x centers block of dots, 324 MB traced.
+        rng = np.random.default_rng(4)
+        points = unit_rows(rng, 100_000, 8)
+        centers = unit_rows(rng, 2119, 8)
+        worst, peak = traced_peak(lambda: sphere_cover._max_gap(points, centers))
+        assert peak < 8 * 2**20
+        want = max(float(np.arccos(np.clip((points[s : s + 1000] @ centers.T).max(axis=1),
+                                           -1.0, 1.0)).max())
+                   for s in range(0, 100_000, 1000))
+        assert worst == pytest.approx(want, abs=1e-12)
 
 
 class TestHullCertificate:
