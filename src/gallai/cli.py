@@ -229,7 +229,14 @@ def cmd_lowerbound(args) -> int:
                 f"target {args.target} is unreachable in dimension {args.dimension}: "
                 f"at most {0.5 / share:.1f} antipodal pairs fit pairwise pi/3 apart"
             )
-    separated = construct_separated_set(args.dimension, args.target, args.seed)
+    separated = construct_separated_set(
+        args.dimension, args.target, args.seed, max_draws=args.max_draws
+    )
+    if args.max_draws is not None and not separated.reached_target:
+        raise ValueError(
+            f"--max-draws {args.max_draws}: all {args.max_draws} draws spent with "
+            f"{len(separated)} of the target {args.target} separated points found"
+        )
     symmetric = symmetrize(separated)
     body = build_lower_bound_body(symmetric)
     stats = multiplicity_report(symmetric, args.samples, args.seed, args.tol)
@@ -356,6 +363,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="directions sampled for the multiplicity report; the "
                         "sampled maximum can only under-count the true one, so "
                         "the reported witness (size / max) can only be too high")
+    p.add_argument("--max-draws", type=int, default=None,
+                   help="draw budget of the separated-set sampler; stopping "
+                        "short of --target within it is a precondition error "
+                        "(exit 3). Without it the budget is max(20000, 400 * "
+                        "target) and a short set is reported with "
+                        "reached_target false")
     common(p)
     p.set_defaults(func=cmd_lowerbound)
 

@@ -12,7 +12,10 @@ and is an estimate of that bound, not a bound.
 
 from __future__ import annotations
 
+import collections
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +38,12 @@ _STALL_LIMIT = 600
 # Band around each window edge inside which a block's dots are recomputed
 # with the per-candidate product of construct_separated_set.
 _RECHECK = 1e-12
-# Directions drawn per sampling.unit_vectors call in multiplicity_report;
-# the report holds a few arrays of this many rows at a time.
+# Directions drawn per block in multiplicity_report; the report holds a
+# few arrays of this many rows at a time.
 _SAMPLE_BLOCK = 4096
+# Drawn blocks left for the helper thread of multiplicity_report past
+# which the caller counts the newest one itself.
+_PENDING = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,36 +270,55 @@ def multiplicity_report(
 ) -> MultiplicityReport:
     """Multiplicity statistics over seeded uniform directions.
 
-    u illuminates y_i when -u . y_i > c = cos(pi/3) + tol. Directions
-    come ``_SAMPLE_BLOCK`` at a time from one prefix-consistent stream,
-    and each antipodal pair {h, -h} is counted from d = u . h alone
+    u illuminates y_i when -u . y_i > c = cos(pi/3) + tol. The directions
+    are the rows of ``sampling.unit_vectors(_direction_rng(seed),
+    y.dimension, samples)``: the first ``samples`` normal draws of norm
+    >= 1e-12 from a stream that no run of ``construct_separated_set``
+    with any seed draws from, each divided by its norm.
+    Each antipodal pair {h, -h} is counted from d = u . h alone
     (-u . h > c iff d < -c, -u . -h > c iff d > c): the pair counts
-    |d| > c for c >= 0, and 1 + (|d| < -c) for c < 0. A block is one
-    product, |.| and one comparison, in place in a (block, len(y) / 2)
-    buffer made once per call, and its counts are one product with a
-    vector of ones. So memory is O(_SAMPLE_BLOCK * len(y)), no block
-    allocates a temporary of that size, and the report equals that of
-    one product over all directions and points. The stream is
-    ``_direction_rng(seed)``, which no run of ``construct_separated_set``
-    with any seed draws from.
+    |d| > c for c >= 0, and 1 + (|d| < -c) for c < 0.
+
+    The calling thread draws the raw rows ``_SAMPLE_BLOCK`` at a time in
+    stream order and leaves each block in a queue. When more than one
+    CPU is usable and there is more than one block, a helper thread
+    counts the queued blocks oldest first while the caller draws on;
+    the caller counts the newest block itself when more than
+    ``_PENDING`` wait, and counts every block still queued once the
+    stream ends. Counting a block drops its degenerate rows and adds
+    its rows to the counting thread's own histogram, so it is the same
+    product, |.|, comparison and bincount whichever thread does it, and
+    the histograms sum to the same integers in any order. After the
+    helper is joined, the caller draws as many further rows as were
+    dropped, and so on, as ``unit_vectors`` tops up, so the report equals
+    that of one product over all directions and points. Each counting
+    thread holds one (block, len(y) / 2) buffer, and at most
+    ``_PENDING`` + 1 raw blocks wait, so memory is O(_SAMPLE_BLOCK *
+    len(y)) whatever ``samples`` is. An exception on the helper thread is
+    raised here once it is joined, and the helper is joined however the
+    call ends.
     """
     if samples < 1:
         raise ValueError("sample count must be positive")
     ht = np.ascontiguousarray(_one_per_pair(y.points).T)
-    pairs = ht.shape[1]
     c = math.cos(ANGLE_MIN) + tol
-    compare, edge, base = (np.greater, c, 0) if c >= 0 else (np.less, -c, pairs)
     rng = _direction_rng(seed)
-    freq = np.zeros(len(y) + 1, dtype=np.int64)  # a count is at most len(y)
     block = min(_SAMPLE_BLOCK, samples)
-    buf, sums, ones = np.empty((block, pairs)), np.empty(block), np.ones(pairs)
-    for start in range(0, samples, block):
-        u = sampling.unit_vectors(rng, y.dimension, min(block, samples - start))
-        dots = np.matmul(u, ht, out=buf[: len(u)])
-        np.abs(dots, out=dots)
-        compare(dots, edge, out=dots)
-        counts = np.matmul(dots, ones, out=sums[: len(u)]).astype(np.intp)
-        freq[base:] += np.bincount(counts, minlength=len(freq) - base)
+    sizes = [min(block, samples - start) for start in range(0, samples, block)]
+    mine = _Tally(ht, c, len(y), block)
+    if len(sizes) > 1 and _usable_cpus() > 1:
+        theirs = _Tally(ht, c, len(y), block)
+        _count_with_helper(rng, y.dimension, sizes, mine, theirs)
+        mine.freq += theirs.freq
+        missing = mine.dropped + theirs.dropped
+    else:
+        for rows in sizes:
+            mine.add(rng.standard_normal((rows, y.dimension)))
+        missing = mine.dropped
+    while missing:
+        rows = min(missing, block)
+        missing += mine.add(rng.standard_normal((rows, y.dimension))) - rows
+    freq = mine.freq
     seen = np.flatnonzero(freq)
     top = int(seen[-1])
     hist = tuple((int(k), int(freq[k])) for k in seen)
@@ -306,6 +331,92 @@ def multiplicity_report(
         histogram=hist,
         witness=witness,
     )
+
+
+class _Tally:
+    """One thread's share of a multiplicity report: ``freq[k]`` directions
+    so far illuminate k of the ``size`` points, and ``dropped`` raw rows
+    were degenerate. ``ht`` holds one point of each antipodal pair per
+    column, and ``c`` is the illumination threshold."""
+
+    def __init__(self, ht, c, size, block):
+        pairs = ht.shape[1]
+        self.ht = ht
+        self.compare, self.edge, self.base = (np.greater, c, 0) if c >= 0 else (np.less, -c, pairs)
+        self.freq = np.zeros(size + 1, dtype=np.int64)  # a count is at most size
+        self.dropped = 0
+        self.buf, self.sums, self.ones = np.empty((block, pairs)), np.empty(block), np.ones(pairs)
+
+    def add(self, raw) -> int:
+        """Count the rows of ``raw`` (at most ``block``, normalized in
+        place) and return how many were dropped as degenerate. A block is
+        one product, |.| and one comparison in place in the buffer, and its
+        counts are one product with a vector of ones."""
+        u, dropped = sampling.normalize_rows(raw)
+        self.dropped += dropped
+        dots = np.matmul(u, self.ht, out=self.buf[: len(u)])
+        np.abs(dots, out=dots)
+        self.compare(dots, self.edge, out=dots)
+        counts = np.matmul(dots, self.ones, out=self.sums[: len(u)]).astype(np.intp)
+        self.freq[self.base :] += np.bincount(counts, minlength=len(self.freq) - self.base)
+        return dropped
+
+
+def _count_with_helper(rng, dim, sizes, mine, theirs):
+    """Draw blocks of ``sizes`` rows from ``rng`` in order on this thread
+    and count them into ``mine`` and, on a helper thread, ``theirs``."""
+    pending = collections.deque()
+    ready = threading.Semaphore(0)  # one release per queued block, and at the end
+    closed = False
+    failure = []
+
+    def helper():
+        try:
+            while True:
+                ready.acquire()
+                try:
+                    raw = pending.popleft()
+                except IndexError:
+                    if closed:
+                        return
+                    continue  # the caller counted that block
+                theirs.add(raw)
+        except BaseException as exc:  # raised on the calling thread
+            failure.append(exc)
+
+    def newest():
+        """The newest queued block, or None once the helper took them all."""
+        try:
+            return pending.pop()
+        except IndexError:
+            return None
+
+    thread = threading.Thread(target=helper, name="multiplicity-count")
+    thread.start()
+    try:
+        for rows in sizes:
+            if failure:
+                break
+            pending.append(rng.standard_normal((rows, dim)))
+            ready.release()
+            if len(pending) > _PENDING and (raw := newest()) is not None:
+                mine.add(raw)
+        while not failure and (raw := newest()) is not None:
+            mine.add(raw)
+    finally:
+        closed = True
+        pending.clear()
+        ready.release()
+        thread.join()
+    if failure:
+        raise failure[0]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where the OS cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _direction_rng(seed: int) -> np.random.Generator:

@@ -26,16 +26,23 @@ def unit_vectors(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     normalized in place in the freshly drawn array, which each call
     returns as a new array.
     """
-    out = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(out, axis=1)
-    # Drop degenerate rows and top up from the stream; astronomically
-    # rare, but it keeps the output well defined for every seed and the
-    # same however the draws are split into calls.
-    good = norms >= 1e-12
-    while not good.all():
-        more = rng.standard_normal((count - int(good.sum()), dim))
-        out = np.concatenate([out[good], more])
-        norms = np.concatenate([norms[good], np.linalg.norm(more, axis=1)])
-        good = norms >= 1e-12
-    out /= norms[:, None]
+    out, dropped = normalize_rows(rng.standard_normal((count, dim)))
+    # Top up dropped rows from the stream; astronomically rare, but it
+    # keeps the output well defined for every seed and the same however
+    # the draws are split into calls.
+    while dropped:
+        more, dropped = normalize_rows(rng.standard_normal((dropped, dim)))
+        out = np.concatenate([out, more])
     return out
+
+
+def normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """(the rows of ``rows`` with norm >= 1e-12, each divided by its norm,
+    how many rows were dropped). The division is in place: in ``rows``
+    itself when no row is dropped, else in a new array of the kept rows."""
+    norms = np.linalg.norm(rows, axis=1)
+    good = norms >= 1e-12
+    if not good.all():
+        rows, norms = rows[good], norms[good]
+    rows /= norms[:, None]
+    return rows, len(good) - len(rows)

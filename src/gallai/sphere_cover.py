@@ -773,7 +773,7 @@ def maximal_packing(
         if round_idx == 0:
             pool = np.concatenate([cross, pool])
         if accepted:
-            best = (pool @ np.array(accepted).T).max(axis=1)
+            best = max_dots(pool, np.array(accepted))
         else:
             best = np.full(pool.shape[0], -2.0)
         before = len(accepted)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -772,6 +773,41 @@ class TestExitCodes:
         code = self.run("lowerbound", "-n", "4", "--target", "17", "--samples", "10")
         assert code == 0
         assert json.loads(capsys.readouterr().out)["report"]["target"] == 17
+
+    def test_lowerbound_max_draws_refuses_a_short_set(self, tmp_path, capsys):
+        # The cap-area bound (~2.5e6 pairs at n = 20) lets this target
+        # through; without a budget the sampler would take 8e8 draws.
+        out = tmp_path / "body.json"
+        start = time.perf_counter()
+        code = self.run("lowerbound", "-n", "20", "--target", "2000000", "--samples", "10",
+                        "--max-draws", "1000", "--output", str(out))
+        assert code == 3 and time.perf_counter() - start < 10
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "precondition"
+        assert report["detail"].startswith("--max-draws 1000: all 1000 draws spent with ")
+        assert "of the target 2000000" in report["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_lowerbound_max_draws_must_be_positive(self, budget, capsys):
+        assert self.run("lowerbound", "-n", "3", "--target", "4", "--max-draws", budget) == 3
+        assert "max_draws must be positive" in json.loads(capsys.readouterr().out)["detail"]
+
+    @pytest.mark.parametrize("n, target", [(4, 12), (6, 18), (5, 10)])
+    def test_lowerbound_max_draws_default_is_the_implicit_budget(self, n, target, capsys):
+        # A budget that the set reaches its target within changes no
+        # byte; the 3n requests that run out the implicit budget still
+        # exit 0 without the flag and are refused with it.
+        argv = ("lowerbound", "-n", str(n), "--target", str(target), "--samples", "100")
+        assert self.run(*argv) == 0
+        plain = capsys.readouterr().out
+        reached = json.loads(plain)["report"]["reached_target"]
+        budget = str(max(20_000, 400 * target))
+        assert self.run(*argv, "--max-draws", budget) == (0 if reached else 3)
+        if reached:
+            assert capsys.readouterr().out == plain
+        else:
+            assert json.loads(capsys.readouterr().out)["error"] == "precondition"
 
     def test_module_entry_point(self, family_file, tmp_path):
         # The package runs as python -m gallai.

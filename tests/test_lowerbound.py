@@ -1,6 +1,8 @@
 """Tests for separated sets, symmetrization, and multiplicity reports."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -282,10 +284,42 @@ class TestMultiplicity:
             assert illumination_multiplicity(y, u) == brute
 
 
+class RowStream:
+    """Generator stand-in whose standard_normal serves fixed rows in order."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.served = 0
+
+    def standard_normal(self, shape):
+        count, dim = shape
+        assert dim == self.rows.shape[1]
+        out = self.rows[self.served : self.served + count].copy()
+        assert len(out) == count, "stream exhausted"
+        self.served += count
+        return out
+
+
+def unit_row(*coords):
+    """``coords`` with each 1.0 replaced by the value that makes the row
+    unit in floating point, found next to sqrt(1 - the rest's squares):
+    normalizing the row then keeps every coordinate."""
+    row = np.array(coords)
+    fill = row == 1.0
+    rest = float((row[~fill] ** 2).sum())
+    guess = math.sqrt(max(0.0, 1.0 - rest) / fill.sum())
+    for step in range(64):
+        row[fill] = guess
+        if np.linalg.norm(row[None], axis=1)[0] == 1.0:
+            return row
+        guess = np.nextafter(guess, 2.0 if np.linalg.norm(row) < 1.0 else -2.0)
+    raise AssertionError(f"no unit row through {coords}")
+
+
 def one_product_report(y, samples, seed=0, tol=1e-9):
     """Reference multiplicity_report: one product of all the negated
     directions with all the points, no blocks and no pairing."""
-    u = sampling.unit_vectors(_direction_rng(seed), y.dimension, samples)
+    u = sampling.unit_vectors(lowerbound._direction_rng(seed), y.dimension, samples)
     counts = ((-u @ y.points.T) > math.cos(math.pi / 3) + tol).sum(axis=1)
     top = int(counts.max())
     freq = np.bincount(counts)
@@ -341,9 +375,9 @@ class TestMultiplicityReport:
         with pytest.raises(ValueError):
             multiplicity_report(y, 0)
 
-    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("samples", [1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1,
-                                         3 * _SAMPLE_BLOCK + 17])
+                                         3 * _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 17, 100_000])
     def test_matches_one_product(self, n, samples):
         y = symmetrize(construct_separated_set(n, 3 * n, seed=n))
         assert multiplicity_report(y, samples, seed=samples) == one_product_report(
@@ -366,30 +400,32 @@ class TestMultiplicityReport:
     def test_dots_on_the_threshold(self, tol, monkeypatch):
         # Directions whose dots with the axes are exactly +-c, 0 and +-1,
         # or one ulp either side of +-c, on both sides of c = 0, over a
-        # full block and a partial one.
+        # full block and a partial one. The rows are unit in floating
+        # point, so normalizing them keeps every coordinate.
         c = math.cos(math.pi / 3) + tol
-        s = math.sqrt(1.0 - c * c)
         up, down = np.nextafter(c, 2.0), np.nextafter(c, -2.0)
-        chosen = np.array([
-            [c, s, 0.0], [-c, 0.0, s], [0.0, -c, s], [s, 0.0, -c], [c, -c, 0.0],
-            [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0],
-            [up, 0.0, -down], [-up, down, 0.0], [-0.0, 0.0, -c],
-        ])
+        chosen = [
+            unit_row(c, 1.0, 0.0), unit_row(-c, 0.0, 1.0), unit_row(0.0, -c, 1.0),
+            unit_row(1.0, 0.0, -c), [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+            [-1.0, 0.0, 0.0], unit_row(up, 0.0, 1.0), unit_row(1.0, down, 0.0),
+            unit_row(-up, 1.0, 0.0), unit_row(0.0, 1.0, -down), unit_row(-0.0, 1.0, -c),
+        ]
+        if 2 * c * c <= 1.0:  # two coordinates on the threshold at once
+            chosen += [unit_row(c, -c, 1.0), unit_row(-c, 1.0, c)]
+        chosen = np.array(chosen)
+        for value in (c, -c, up, -up, down, -down):
+            assert value in chosen
         samples = _SAMPLE_BLOCK + 5
         rows = np.tile(chosen, (samples // len(chosen) + 1, 1))[:samples]
+        assert np.array_equal(sampling.normalize_rows(rows.copy())[0], rows)
         y = symmetrize(SeparatedSet(3, np.eye(3)))
 
         def report(fn):
-            served = [0]
-
-            def stub(rng, dim, count):
-                served[0] += count
-                return rows[served[0] - count : served[0]].copy()
-
+            stream = RowStream(rows)
             with monkeypatch.context() as m:
-                m.setattr(sampling, "unit_vectors", stub)
+                m.setattr(lowerbound, "_direction_rng", lambda seed: stream)
                 out = fn(y, samples, seed=0, tol=tol)
-            assert served[0] == samples
+            assert stream.served == samples
             return out
 
         assert report(multiplicity_report) == report(one_product_report)
@@ -399,20 +435,182 @@ class TestMultiplicityReport:
         # The report's directions come from no stream that the sampler
         # restarts on, so its first direction is not the set's first point.
         drawn = []
-        real = sampling.unit_vectors
+        real = lowerbound._direction_rng
 
-        def spy(rng, dim, count):
-            out = real(rng, dim, count)
-            drawn.append(out)
-            return out
+        class Spy:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def standard_normal(self, shape):
+                out = self.rng.standard_normal(shape)
+                drawn.append(out.copy())
+                return out
 
         x = construct_separated_set(3, 4, seed)
-        monkeypatch.setattr(sampling, "unit_vectors", spy)
+        monkeypatch.setattr(lowerbound, "_direction_rng", Spy)
         multiplicity_report(symmetrize(x), 16, seed)
-        u = drawn[-1]
+        u, dropped = sampling.normalize_rows(drawn[-1])
+        assert dropped == 0
         for restart in range(4):
-            assert not np.array_equal(u, real(sampling.subrng(seed, restart), 3, 16))
+            assert not np.array_equal(u, sampling.unit_vectors(sampling.subrng(seed, restart), 3, 16))
         assert x.points[0] @ u[0] < 1.0 - 1e-6
+
+    @pytest.mark.parametrize("zeros", [(0,), (_SAMPLE_BLOCK - 1,), (2 * _SAMPLE_BLOCK + 2,),
+                                       (0, _SAMPLE_BLOCK - 1, 2 * _SAMPLE_BLOCK + 2,
+                                        2 * _SAMPLE_BLOCK + 3)])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_degenerate_rows_are_topped_up_as_unit_vectors_does(self, zeros, cpus, monkeypatch):
+        # Exactly-zero rows first in a block, last in a block and as the
+        # last planned row; the last case also zeroes the first row drawn
+        # to replace them, so the top-up draws twice.
+        samples = 2 * _SAMPLE_BLOCK + 3
+        rows = np.random.default_rng(9).standard_normal((samples + 8, 5))
+        rows[list(zeros)] = 0.0
+        y = symmetrize(construct_separated_set(5, 10, seed=2))
+        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: cpus)
+
+        def report(fn):
+            stream = RowStream(rows)
+            with monkeypatch.context() as m:
+                m.setattr(lowerbound, "_direction_rng", lambda seed: stream)
+                out = fn(y, samples, seed=0)
+            assert stream.served == samples + len(zeros)
+            return out
+
+        rep = report(multiplicity_report)
+        assert rep == report(one_product_report)
+        assert sum(freq for _, freq in rep.histogram) == samples
+
+    @pytest.mark.parametrize("samples", [1, _SAMPLE_BLOCK + 1, 100_000])
+    def test_one_cpu_gives_the_same_report(self, samples, monkeypatch):
+        # On one usable CPU no helper thread starts, and the caller
+        # counts every block.
+        y = symmetrize(construct_separated_set(6, 12, seed=6))
+        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 2)
+        shared = multiplicity_report(y, samples, seed=3)
+        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("thread started"))
+        assert multiplicity_report(y, samples, seed=3) == shared
+
+    def test_no_thread_outlives_the_report(self, monkeypatch):
+        y = symmetrize(construct_separated_set(4, 8, seed=4))
+        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        multiplicity_report(y, 5 * _SAMPLE_BLOCK, seed=1)
+        assert threading.active_count() == before
+
+        class Failing:
+            calls = 0
+
+            def standard_normal(self, shape):
+                Failing.calls += 1
+                if Failing.calls == 3:
+                    raise RuntimeError("stream broke")
+                return np.random.default_rng(0).standard_normal(shape)
+
+        monkeypatch.setattr(lowerbound, "_direction_rng", lambda seed: Failing())
+        with pytest.raises(RuntimeError, match="stream broke"):
+            multiplicity_report(y, 5 * _SAMPLE_BLOCK, seed=1)
+        assert Failing.calls == 3
+        assert threading.active_count() == before
+
+    def test_blocks_shared_under_fast_switching(self, monkeypatch):
+        # Four reports at once, more threads than cores, with the
+        # interpreter switching threads every microsecond and the caller
+        # taking every block the helper has not taken yet: a block lost or
+        # counted twice would change the histogram.
+        y = symmetrize(construct_separated_set(5, 10, seed=7))
+        samples = 12 * _SAMPLE_BLOCK + 5
+        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 1)
+        expected = {seed: multiplicity_report(y, samples, seed=seed) for seed in range(4)}
+        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(lowerbound, "_PENDING", 0)
+        got = {}
+
+        def run(seed):
+            got[seed] = multiplicity_report(y, samples, seed=seed)
+
+        workers = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert got == expected
+
+    def test_queued_blocks_stay_bounded(self, monkeypatch):
+        # The helper stalls on its first block until the stream ends; the
+        # caller then counts the blocks past _PENDING itself, so at most
+        # _PENDING + 1 drawn blocks are ever waiting or being counted.
+        y = symmetrize(construct_separated_set(5, 10, seed=7))
+        samples = 10 * _SAMPLE_BLOCK
+        expected = multiplicity_report(y, samples, seed=2)
+        caller = threading.current_thread()
+        done = threading.Event()
+        real_rng, real_normalize = lowerbound._direction_rng, sampling.normalize_rows
+        drawn, finished, waiting = [0], [0], []
+
+        def normalize_rows(rows):
+            if threading.current_thread() is not caller:
+                assert done.wait(30)
+            out = real_normalize(rows)
+            finished[0] += 1
+            return out
+
+        class Stream:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def standard_normal(self, shape):
+                waiting.append(drawn[0] - finished[0])
+                drawn[0] += 1
+                if drawn[0] == samples // _SAMPLE_BLOCK:
+                    done.set()
+                return self.rng.standard_normal(shape)
+
+        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(lowerbound, "_direction_rng", Stream)
+        monkeypatch.setattr(sampling, "normalize_rows", normalize_rows)
+        assert multiplicity_report(y, samples, seed=2) == expected
+        assert drawn[0] == finished[0] == 10
+        assert max(waiting) <= lowerbound._PENDING + 1
+
+    def test_helper_failure_reaches_the_caller(self, monkeypatch):
+        # The normalization fails on the helper thread only. The stream
+        # holds the second block back until the helper has taken the
+        # first, so the helper counts (and fails on) at least one block.
+        y = symmetrize(construct_separated_set(4, 8, seed=4))
+        caller = threading.current_thread()
+        taken = threading.Event()
+        real = sampling.normalize_rows
+
+        def normalize_rows(rows):
+            if threading.current_thread() is not caller:
+                taken.set()
+                raise ArithmeticError("helper failed")
+            return real(rows)
+
+        class Held:
+            calls = 0
+
+            def standard_normal(self, shape):
+                Held.calls += 1
+                if Held.calls == 2:
+                    assert taken.wait(30)
+                return np.random.default_rng(0).standard_normal(shape)
+
+        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(lowerbound, "_direction_rng", lambda seed: Held())
+        monkeypatch.setattr(sampling, "normalize_rows", normalize_rows)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="helper failed"):
+            multiplicity_report(y, 5 * _SAMPLE_BLOCK, seed=1)
+        assert threading.active_count() == before
 
     def test_memory_independent_of_samples(self):
         # One product over all directions would take 200k x 32 doubles

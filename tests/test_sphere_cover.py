@@ -667,6 +667,13 @@ class TestMaximalPacking:
         b = maximal_packing(4, 1.1, seed=9)
         assert np.array_equal(a.centers, b.centers)
 
+    def test_round_two_memory(self):
+        # 312 points against the second round's 80,000-row pool: one whole
+        # product of the two traced a 191 MB peak.
+        packing, peak = traced_peak(lambda: maximal_packing(5, 0.5))
+        assert len(packing) == 312
+        assert peak < 40 * 2**20
+
     def test_max_points_stops_early(self):
         packing = maximal_packing(4, 0.8, seed=0, params=PackParams(max_points=5))
         assert len(packing) == 5
