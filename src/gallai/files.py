@@ -16,6 +16,7 @@ families) are left to the caller's constructor.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -42,6 +43,10 @@ def load_document(path) -> dict:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path} nests too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: expected a JSON object at top level")
     return doc
@@ -62,7 +67,65 @@ def write_document(doc: dict, path) -> None:
 
 
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """``doc`` as ``json.dumps(doc, sort_keys=True, separators=(",", ": "),
+    indent=1)`` plus a newline, byte for byte.
+
+    Documents of str-keyed dicts, lists, str, ints, finite floats, bools
+    and None are laid out here as json's encoder writes them, each list
+    of floats or of str as one join of their reprs. A document holding
+    anything else (non-finite floats, non-str keys, tuples, subclasses
+    of dict, list, int, float or str, but for floats or str in such a
+    list, which json writes the same way) goes to ``json.dumps`` whole.
+    """
+    try:
+        return _layout(doc, "\n") + "\n"
+    except (_Unsupported, RecursionError):
+        return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+class _Unsupported(Exception):
+    """A value ``_layout`` leaves to ``json.dumps``."""
+
+
+_quote = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _layout(value, newline: str) -> str:
+    """``value`` in the indent=1 layout, its first line continuing the
+    current one and its later lines indented as ``newline`` says."""
+    kind = type(value)
+    if kind is list or kind is dict:
+        if not value:
+            return "[]" if kind is list else "{}"
+        inner = newline + " "
+        sep = "," + inner
+        if kind is dict:
+            if not all(type(key) is str for key in value):
+                raise _Unsupported
+            body = sep.join([_quote(key) + ": " + _layout(item, inner)
+                             for key, item in sorted(value.items())])
+            return "{" + inner + body + newline + "}"
+        for form in (float.__repr__, _quote):  # a row of floats, or of str
+            try:
+                body = sep.join(map(form, value))
+            except TypeError:
+                continue
+            if form is float.__repr__ and "n" in body:  # inf or nan
+                raise _Unsupported
+            break
+        else:
+            body = sep.join([_layout(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _quote(value)
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    raise _Unsupported
 
 
 def _require(doc: dict, key: str, kind: str):

@@ -5,7 +5,8 @@
 across two arrays, against per-row limits) decide every distance or
 angle check of the library, over whole arrays. Both take each verdict
 on ``pair_distances``, the one exact formula, and switch to the Gram
-filter at one size, ``_EXACT_PAIRS``. Against upper windows on
+filter at one size, ``_EXACT_PAIRS``, which ``exact_fits`` also decides
+for callers that hold a whole distance table. Against upper windows on
 distances (the ball family check), ``first_pair_outside`` first clears
 the pairs that the triangle inequality through the row mean settles,
 and checks only the rows it leaves. ``max_dots`` takes the largest dot
@@ -190,28 +191,40 @@ def pair_distances(xt, yt) -> np.ndarray:
         return np.sqrt(total)
 
 
+def exact_fits(rows: int, columns: int) -> bool:
+    """Whether a check of ``rows`` x ``columns`` pairs takes the exact
+    formula alone: at most ``_EXACT_PAIRS`` pairs, read at call time.
+    A caller may then hold the whole ``pair_distances`` table."""
+    return rows * columns <= _EXACT_PAIRS
+
+
 def pairs_within(x, y, limits, index=None):
     """Blocks (rows, inside) of the exact verdicts ``pair_distances(x_i,
     y_j) <= limits_i`` for rows x (k, n) and y (l, n), with ``limits`` a
     scalar or one per row of x: ``inside[r, j]`` is the verdict on row
     ``rows[r]`` of x. The rows are ``index`` (all of x if None), in its
-    order, taken about ``_PAIR_BLOCK`` pairs to a block, so a caller
-    holds one block at a time and may stop early.
+    order, so a caller holds one block at a time and may stop early.
 
-    A block of up to ``_EXACT_PAIRS`` pairs uses ``pair_distances``
-    alone. Past it the pair kernel (``gram_gaps``, rows shifted by y[0])
-    settles every pair outside its rounding band, and only the pairs
-    inside it are recomputed; y's side of the kernel is built once, by
-    the first such block.
+    The first block holds at most ``_EXACT_PAIRS`` pairs (one row at
+    least, and never more than a later block), so a caller that stops
+    after it pays only the exact formula on a few thousand pairs; the
+    later ones about ``_PAIR_BLOCK`` pairs.
+    A block that ``exact_fits`` uses ``pair_distances`` alone. Past it
+    the pair kernel (``gram_gaps``, rows shifted by y[0]) settles every
+    pair outside its rounding band, and only the pairs inside it are
+    recomputed; y's side of the kernel is built once, by the first such
+    block.
     """
     limits = np.broadcast_to(np.asarray(limits, dtype=float), x.shape[:1])
     index = np.arange(x.shape[0]) if index is None else np.asarray(index, dtype=np.intp)
-    step = max(1, _PAIR_BLOCK // max(1, y.shape[0]))
+    columns = max(1, y.shape[0])
+    start, size = 0, max(1, min(_EXACT_PAIRS, _PAIR_BLOCK) // columns)
     y_rows = None
-    for start in range(0, index.size, step):
-        rows = index[start : start + step]
+    while start < index.size:
+        rows = index[start : start + size]
+        start, size = start + size, max(1, _PAIR_BLOCK // columns)
         xb, lb = x[rows], limits[rows]
-        if rows.size * y.shape[0] <= _EXACT_PAIRS:
+        if exact_fits(rows.size, y.shape[0]):
             yield rows, pair_distances(xb.T[:, :, None], y.T[:, None, :]) <= lb[:, None]
             continue
         if y_rows is None:
@@ -350,7 +363,7 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
         key = np.broadcast_to(np.minimum(i, j) * m + np.maximum(i, j), bad.shape)
         return divmod(int(key[bad].min()), m)
 
-    if k * m <= _EXACT_PAIRS:
+    if exact_fits(k, m):
         return first_bad(np.arange(k)[:, None], np.arange(m)[None, :])
 
     # One kernel side per window. A scalar half-window is exact; a

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PairwiseError, VerificationError
-from .geometry import DEFAULT_TOL, Balls, first_pair_outside, pair_distances, pairs_within
+from .geometry import (DEFAULT_TOL, Balls, exact_fits, first_pair_outside, pair_distances,
+                       pairs_within)
 from .sphere_cover import greedy_cover
 
 
@@ -164,19 +165,22 @@ def cover_points_by_balls(points, radius: float) -> np.ndarray:
     with the candidate covering the most uncovered points (ties by
     index). Deterministic.
 
-    Each step is exact but lazy. No candidate covers more than the open
-    points, so scoring stops after the first block holding a candidate
-    that covers them all: the first such candidate is the argmax, ties
-    to the lowest index. The midpoints are formed once per call, and
-    scored only in a step where no point covers every open point (a
-    midpoint then wins only with a strictly larger gain), so a step that
-    a point serves never pays for the m (m - 1) / 2 midpoints.
-
-    Every distance is ``pair_distances``: the target's candidate column
-    and the chosen center's row directly, and the gains through the
-    blocks of ``pairs_within``. So every decision, and the cover, is the
-    one the full ``pair_distances`` tensor would give, while memory stays
-    bounded by the candidates and one block.
+    Every distance is ``pair_distances``, whose value depends only on
+    its two points, so every decision, and the cover, is the one the
+    full candidates x points tensor would give. A candidate set that
+    ``geometry.exact_fits`` against the points (m^2 pairs for the points,
+    m (m - 1) / 2 x m for the midpoints) computes its table once, and
+    each step reads the target's column, the gains and the chosen row
+    from it. A larger set computes per step the target's column and the
+    chosen row, and scores the gains lazily through the blocks of
+    ``pairs_within``: no candidate covers more than the open points, so
+    scoring stops after the first block holding a candidate that covers
+    them all (the first such is the argmax, ties to the lowest index),
+    and that first block fits the exact formula. The midpoints are
+    formed once per call, and scored only in a step where no point
+    covers every open point (a midpoint then wins only with a strictly
+    larger gain), so a step that a point serves never pays for them.
+    Memory stays bounded by the candidates and one table or block.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -190,47 +194,78 @@ def cover_points_by_balls(points, radius: float) -> np.ndarray:
         return pts.copy()
     covered = np.zeros(m, dtype=bool)
     nearest = np.full(m, np.inf)
-    midpoints = None
+    by_points, by_midpoints = _Candidates(pts, pts, radius), None
     centers = []
     while not covered.all():
-        open_idx = np.flatnonzero(~covered)
-        target = pts[open_idx[int(np.argmax(nearest[open_idx]))]]
-        free = pts[open_idx]
-        i, gain = _best_candidate(pts, target, free, radius)
-        pick = pts[i]
+        # A point is open exactly when it is farther than ``radius`` from
+        # every chosen center, so the farthest point (ties by index) is
+        # the farthest open one.
+        target = int(np.argmax(nearest))
+        free = ~covered
+        side = by_points
+        i, gain = side.best(target, free)
         # Midpoints grow quadratically; past 600 points the points alone
         # still yield a valid cover. Neither memory nor a step that a
         # point serves depends on this switch, but moving it would
         # change the covers, and so the artifacts.
-        if gain < free.shape[0] and m <= 600:
-            if midpoints is None:
-                iu, ju = np.triu_indices(m, k=1)
-                midpoints = 0.5 * (pts[iu] + pts[ju])
-            j, mid_gain = _best_candidate(midpoints, target, free, radius)
+        if m <= 600 and gain < np.count_nonzero(free):
+            if by_midpoints is None:
+                # The pairs i < j in row-major order, as np.triu_indices(m, 1)
+                # gives them, without its fixed cost.
+                r = np.arange(m)
+                iu, ju = np.nonzero(r[:, None] < r)
+                by_midpoints = _Candidates(0.5 * (pts[iu] + pts[ju]), pts, radius)
+            j, mid_gain = by_midpoints.best(target, free)
             if mid_gain > gain:
-                pick = midpoints[j]
-        row = pair_distances(pick[:, None], pts.T)
-        centers.append(pick)
+                side, i = by_midpoints, j
+        row = side.row(i)
+        centers.append(side.candidates[i])
         covered |= row <= radius
         np.minimum(nearest, row, out=nearest)
     return np.array(centers)
 
 
-def _best_candidate(candidates, target, free, radius):
-    """(index, gain) of the first candidate within ``radius`` of
-    ``target`` that covers the most rows of ``free``; (-1, -1) if none
-    is that close. Stops after the first block holding a candidate that
-    covers every row of ``free``, since no later one can cover more."""
-    column = pair_distances(candidates.T, target[:, None])
-    best, best_gain = -1, -1
-    for rows, inside in pairs_within(candidates, free, radius, np.flatnonzero(column <= radius)):
-        gains = inside.sum(axis=1)
-        j = int(np.argmax(gains))
-        if gains[j] > best_gain:
-            best, best_gain = int(rows[j]), int(gains[j])
-            if best_gain == free.shape[0]:
-                break
-    return best, best_gain
+class _Candidates:
+    """Candidate centers scored against the points to cover: through
+    their ``pair_distances`` table where ``exact_fits`` allows it, else
+    step by step."""
+
+    def __init__(self, candidates, pts, radius):
+        self.candidates, self.pts, self.radius = candidates, pts, radius
+        self.table = None
+        if exact_fits(candidates.shape[0], pts.shape[0]):
+            self.table = pair_distances(candidates.T[:, :, None], pts.T[:, None, :])
+            # 0/1 per pair, so that one product counts a candidate's gain.
+            self.hits = (self.table <= radius).astype(float)
+
+    def best(self, target, free):
+        """(index, gain) of the first candidate within ``radius`` of point
+        ``target`` that covers the most points of the mask ``free``; the
+        gain is -1 if none is that close."""
+        if self.table is not None:
+            gains = self.hits @ free
+            gains[self.hits[:, target] == 0.0] = -1.0
+            j = int(np.argmax(gains))
+            return j, int(gains[j])
+        # No candidate covers more than the open points, so the scan stops
+        # after the first block holding one that covers them all.
+        column = pair_distances(self.candidates.T, self.pts[target][:, None])
+        able = np.flatnonzero(column <= self.radius)
+        best, best_gain, size = -1, -1, np.count_nonzero(free)
+        for rows, inside in pairs_within(self.candidates, self.pts[free], self.radius, able):
+            gains = inside.sum(axis=1)
+            j = int(np.argmax(gains))
+            if gains[j] > best_gain:
+                best, best_gain = int(rows[j]), int(gains[j])
+                if best_gain == size:
+                    break
+        return best, best_gain
+
+    def row(self, i):
+        """Distances from candidate ``i`` to every point."""
+        if self.table is None:
+            return pair_distances(self.candidates[i][:, None], self.pts.T)
+        return self.table[i]
 
 
 def refine_ball_cover(centers, r2: float) -> np.ndarray:

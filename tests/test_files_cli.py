@@ -454,6 +454,25 @@ class TestExitCodes:
     def test_parse_error_on_missing_file(self, tmp_path, capsys):
         assert self.run("pierce", str(tmp_path / "nope.json")) == 2
 
+    def test_parse_error_on_text_that_is_not_utf8(self, tmp_path, capsys):
+        # A UTF-16 file: its decoding error is a ValueError, but the file
+        # is at fault, so it is a parse error that names the file.
+        path = tmp_path / "utf16.json"
+        doc = {"kind": "ball_family", "dimension": 2,
+               "balls": [{"center": [0, 0], "radius": 1}]}
+        path.write_bytes(b"\xff\xfe" + json.dumps(doc).encode("utf-16-le"))
+        assert self.run("pierce", str(path)) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "parse" and str(path) in report["detail"]
+
+    def test_parse_error_on_arrays_nested_too_deep(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"kind": "ball_family", "dimension": 2, "balls": '
+                        + "[" * 5000 + "]" * 5000 + "}")
+        assert self.run("pierce", str(path)) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "parse" and str(path) in report["detail"]
+
     @pytest.mark.parametrize("where", ["radius", "coordinate"])
     def test_parse_error_on_integer_too_large_for_a_double(self, where, tmp_path, capsys):
         huge = 10**400
@@ -891,3 +910,133 @@ class TestDeterminism:
             "--seed", "3",
         )
         assert a == b
+
+
+def json_layout(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+def _self_referent():
+    doc = {"a": [1.0]}
+    doc["a"].append(doc)
+    return doc
+
+
+# Documents the row and scalar layout of dumps_document must write as
+# json does, or hand to json whole (its exceptions too).
+EDGE_DOCUMENTS = [
+    {},
+    {"rows": [[1.0, 2.5], [-0.0, 1e300], [5e-324, -1.7976931348623157e308]]},
+    {"rows": [[1.0, math.inf], [math.nan, 2.0]]},
+    {"rows": [[-math.inf]], "x": 1.0},
+    {"x": math.nan},
+    {"rows": [[True, 1.5], [1, 2.0], [False], [None, 0]]},
+    {"empty": [], "rows": [[]], "nested": [[[]], [[1.0, 2.0], []], {}], "obj": {}},
+    {"deep": [[[[[[0.5]]]]]], "ints": [0, -1, 10**30], "n": -7},
+    {"s": ["\u00e9", 'a"b', "back\\slash", "\n\t\x00", "\u2028", "\u65e5\u672c", "\U0001f600"],
+     "\u00e9": "\u00fc", "": ""},
+    {"none": None, "t": True, "f": False, "mixed": ["a", 1.0, None, [True]]},
+    {"rows": [["a", "b"], ["c"]], "meta": {"b": 1, "a": {"d": [], "c": "x"}}},
+    {1: "int key", 2: "b"},
+    {"a": {2.5: 1.0}},
+    {"a": 1, 2: "mixed keys"},
+    {"t": (1.0, 2.0)},
+    {"rows": [(1.0, 2.0)]},
+    {"i": _Int(3)},
+    {"f": _Float(0.1), "rows": [[_Float(0.1), 0.2]]},
+    {"s": _Str("sub"), "strs": [_Str("a"), "b"]},
+    {"k": [_Str("a")], _Str("key"): 1},
+    {"np": [[np.float64(0.1), np.float64(-2.0)]], "scalar": np.float64(3.0)},
+    {"np_int": np.int64(3)},
+    _self_referent(),
+]
+
+
+class TestDumpsDocument:
+    @pytest.mark.parametrize("doc", EDGE_DOCUMENTS)
+    def test_edge_cases_match_json(self, doc):
+        try:
+            want = json_layout(doc)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                files.dumps_document(doc)
+        else:
+            assert files.dumps_document(doc) == want
+
+    def test_random_documents_match_json(self):
+        rng = np.random.default_rng(12)
+        scalars = [lambda: float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300)),
+                   lambda: int(rng.integers(-10**6, 10**6)), lambda: "k\u00e9y\"" * int(rng.integers(3)),
+                   lambda: bool(rng.integers(2)), lambda: None,
+                   lambda: float(rng.choice([math.inf, -math.inf, math.nan, -0.0]))]
+
+        def build(depth):
+            pick = int(rng.integers(0, 9 if depth < 4 else 6))
+            if pick < 6:
+                return scalars[pick]() if rng.random() < 0.97 or pick == 5 else scalars[0]()
+            if pick == 6:
+                return [[float(x) for x in rng.standard_normal(int(rng.integers(0, 4)))]
+                        for _ in range(int(rng.integers(0, 4)))]
+            if pick == 7:
+                return [build(depth + 1) for _ in range(int(rng.integers(0, 4)))]
+            return {f"k{int(rng.integers(0, 20))}": build(depth + 1)
+                    for _ in range(int(rng.integers(0, 4)))}
+
+        for _ in range(400):
+            doc = {f"k{i}": build(0) for i in range(int(rng.integers(0, 5)))}
+            assert files.dumps_document(doc) == json_layout(doc)
+
+    def test_every_cli_document_matches_json(self, family_file, hand_body_file, tmp_path,
+                                             monkeypatch, capsys):
+        # Every report and artifact the commands write, on success and on
+        # each error, goes through dumps_document; each is compared with
+        # json's layout of the same object.
+        real = files.dumps_document
+        kinds = set()
+
+        def checked(doc):
+            text = real(doc)
+            assert text == json_layout(doc)
+            kinds.add(doc.get("kind") or doc.get("error") or "report")
+            return text
+
+        monkeypatch.setattr(files, "dumps_document", checked)
+        out = lambda name: str(tmp_path / name)
+        far = tmp_path / "far.json"
+        files.write_document(files.ball_family_document(
+            2, [Ball([0, 0], 1), Ball([5, 0], 1)]), far)
+        short = tmp_path / "short.json"
+        files.write_document(files.point_set_document(2, [[50.0, 50.0]]), short)
+        runs = [
+            (0, "pierce", family_file, "--output", out("points.json")),
+            (0, "pierce", family_file),
+            (0, "verify", "--family", family_file, "--points", out("points.json")),
+            (4, "verify", "--family", family_file, "--points", str(short)),
+            (0, "illuminate", hand_body_file, "--output", out("dirs.json")),
+            (0, "verify", "--body", hand_body_file, "--directions", out("dirs.json")),
+            (0, "bounds", "--output", out("bounds.json")),
+            (0, "cover", "-n", "3", "--theta", "0.9", "--output", out("cover.json")),
+            (0, "verify", "--cover", out("cover.json")),
+            (0, "pack", "-n", "3", "--theta", "1.1", "--output", out("pack.json")),
+            (0, "lowerbound", "-n", "3", "--target", "4", "--samples", "200",
+             "--output", out("lb.json")),
+            (2, "pierce", out("missing.json")),
+            (3, "pierce", str(far)),
+        ]
+        for code, *argv in runs:
+            assert main(argv) == code, argv
+        capsys.readouterr()
+        assert {"ball_family", "point_set", "direction_set", "spiky_body", "parse",
+                "precondition", "report"} <= kinds

@@ -444,6 +444,8 @@ class TestPairsWithin:
                 blocks = list(geometry.pairs_within(x, y, limits, index))
                 rows = [int(i) for r, _ in blocks for i in r]
                 assert rows == (list(range(k)) if index is None else index.tolist())
+                if blocks:  # the first block fits the exact formula
+                    assert blocks[0][0].size * l <= max(min(exact, block), l)
                 for r, inside in blocks:
                     assert r.size * l <= max(block, l)
                     assert inside.tolist() == want[r].tolist()

@@ -340,49 +340,143 @@ class TestCoverPointsByBalls:
 
     def test_point_serving_the_open_set_ends_the_scan(self, monkeypatch):
         # Point 0 covers the whole cluster, so the first block of
-        # candidates settles the only step: the other points and the
-        # 44,850 midpoints are never scored, and no midpoint is formed.
-        rows = []
-        real_gaps = geometry.gram_gaps
+        # candidates settles the only step: it fits the exact formula, so
+        # no Gram block is built, the other points and the 44,850
+        # midpoints are never scored, and no midpoint is formed.
+        pairs = []
+        real_distances = geometry.pair_distances
 
-        def counting_gaps(left, right):
-            rows.append(len(left.s))
-            return real_gaps(left, right)
+        def counting_distances(xt, yt):
+            out = real_distances(xt, yt)
+            pairs.append(out.size)
+            return out
 
-        def no_midpoints(*args, **kwargs):
-            raise AssertionError("midpoints formed")
+        def no_gram(*args, **kwargs):
+            raise AssertionError("Gram block built")
 
         pts = ball_points(rng_from(9), 3, 300, radius=0.999, center=[2.0, -1.0, 0.5])
         pts[0] = [2.0, -1.0, 0.5]
-        monkeypatch.setattr(geometry, "gram_gaps", counting_gaps)
-        monkeypatch.setattr(piercing.np, "triu_indices", no_midpoints)
+        built = self.candidate_sets(monkeypatch)
+        monkeypatch.setattr(geometry, "pair_distances", counting_distances)
+        monkeypatch.setattr(geometry, "gram_gaps", no_gram)
         centers = cover_points_by_balls(pts, 1.0)
         assert centers.tobytes() == pts[:1].tobytes()
-        assert len(rows) == 1 and rows[0] <= geometry._PAIR_BLOCK // 300
+        assert built == [(300, False)]  # the points, without a table
+        assert pairs == [(geometry._EXACT_PAIRS // 300) * 300]
+
+    @staticmethod
+    def candidate_sets(monkeypatch):
+        """The (size, table built) of every candidate set the covers form,
+        the points first and then, if a step needs them, the midpoints."""
+        built = []
+        real = piercing._Candidates
+
+        def spy(candidates, pts, radius):
+            side = real(candidates, pts, radius)
+            built.append((len(candidates), side.table is not None))
+            return side
+
+        monkeypatch.setattr(piercing, "_Candidates", spy)
+        return built
+
+    @pytest.mark.parametrize("m", [25, 26, 90, 91])
+    def test_table_switch_matches_dense_reference(self, m, monkeypatch):
+        # The points' table fits up to m = 90 (m^2 <= 8,192 pairs), the
+        # midpoints' up to m = 25 (m (m - 1) / 2 x m pairs). Three
+        # clusters make the first center a midpoint, as in
+        # test_midpoints_match_dense_reference; a wide spread makes many
+        # centers.
+        built = self.candidate_sets(monkeypatch)
+        offsets = np.zeros((3, 3))
+        offsets[0, 0], offsets[1, 0], offsets[2, 1] = -0.9, 0.9, 3.0
+        for seed in range(3):
+            pts = ball_points(rng_from(3000 + seed), 3, m, radius=0.05)
+            assert len(assert_same_cover(pts + offsets[np.arange(m) % 3], 1.0)) == 2
+            assert len(assert_same_cover(ball_points(rng_from(4000 + seed), 3, m, 3.0), 1.0)) > 5
+        pairs = m * (m - 1) // 2
+        assert geometry.exact_fits(m, m) == (m <= 90)
+        assert geometry.exact_fits(pairs, m) == (m <= 25)
+        assert set(built) == {(m, m <= 90), (pairs, m <= 25)}
+
+    @staticmethod
+    def spread_points():
+        return rng_from(31).uniform(-5.0, 5.0, (150, 3))
 
     def test_many_centers_match_dense_reference(self):
-        pts = rng_from(31).uniform(-5.0, 5.0, (150, 3))
-        centers = assert_same_cover(pts, 0.6)
+        centers = assert_same_cover(self.spread_points(), 0.6)
         assert len(centers) > 20
 
-    @pytest.mark.parametrize("radius", [1.0, math.sqrt(2.0), 0.5, 2.0])
-    @pytest.mark.parametrize("n, side", [(2, 7), (3, 4)])
+    LATTICES = [(2, 5), (3, 3), (2, 7), (3, 4), (2, 10)]
+    RADII = [1.0, math.sqrt(2.0), 0.5, 2.0]
+
+    @staticmethod
+    def lattice_sets(n, side):
+        """The grid of side^n points, reversed, scaled by 3 and moved a
+        billion units from the origin."""
+        grid = np.array(list(itertools.product(range(side), repeat=n)), dtype=float)
+        return (grid, grid[::-1].copy(), 3.0 * grid, grid + 1e9)
+
+    @pytest.mark.parametrize("radius", RADII)
+    @pytest.mark.parametrize("n, side", LATTICES)
     def test_lattice_ties_match_dense_reference(self, n, side, radius):
         # Grid points and their midpoints sit at distances exactly equal
         # to these radii, so every tie must fall as in the dense tensor,
-        # also a billion units from the origin.
-        grid = np.array(list(itertools.product(range(side), repeat=n)), dtype=float)
-        for pts in (grid, grid[::-1].copy(), 3.0 * grid, grid + 1e9):
+        # also a billion units from the origin. The grids of 25 and 27
+        # points take tables for points and midpoints, those of 49 and
+        # 64 for the points alone, that of 100 for neither.
+        for pts in self.lattice_sets(n, side):
             assert_same_cover(pts, radius)
 
     def test_pair_kernel_at_every_size_matches_dense_reference(self, monkeypatch):
-        # The same covers with the pair kernel on every block, however
-        # small, so its ties fall as the exact norms' do.
+        # The same covers with no table and the pair kernel on every
+        # block, however small, so its ties fall as the exact norms' do.
         monkeypatch.setattr(geometry, "_EXACT_PAIRS", 0)
-        self.test_many_centers_match_dense_reference()
-        for n, side in [(2, 7), (3, 4)]:
-            for radius in [1.0, math.sqrt(2.0), 0.5, 2.0]:
-                self.test_lattice_ties_match_dense_reference(n, side, radius)
+        built = self.candidate_sets(monkeypatch)
+        grams = []
+        real_gaps = geometry.gram_gaps
+
+        def counting_gaps(left, right):
+            grams.append(len(left.s))
+            return real_gaps(left, right)
+
+        def gram_cover(pts, radius):
+            count = len(grams)
+            centers = assert_same_cover(pts, radius)
+            assert len(grams) > count
+            return centers
+
+        monkeypatch.setattr(geometry, "gram_gaps", counting_gaps)
+        assert len(gram_cover(self.spread_points(), 0.6)) > 20
+        for n, side in self.LATTICES:
+            for radius in self.RADII:
+                for pts in self.lattice_sets(n, side):
+                    gram_cover(pts, radius)
+        assert built and not any(table for _, table in built)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_pierce_buckets_match_dense_reference(self, n, monkeypatch):
+        # Every bucket of seeded pierce runs: families with radii spread
+        # over [1, 4n] (many small buckets) and a same-scale cluster (one
+        # bucket past the points' table, served by its ball at 0).
+        buckets = []
+        real = piercing.cover_points_by_balls
+
+        def spy(points, radius):
+            buckets.append((np.array(points), radius))
+            return real(points, radius)
+
+        monkeypatch.setattr(piercing, "cover_points_by_balls", spy)
+        for seed, count in ((0, 30), (1, 120)):
+            pierce(random_intersecting_family(n, count, seed=10 * n + seed))
+        rng = rng_from(50 + n)
+        centers = ball_points(rng, n, 150, radius=0.999)
+        centers[0] = 0.0
+        radii = rng.uniform(1.0, 1.1, 150)
+        radii[0] = 1.0
+        pierce(BallFamily(n, Balls(centers, radii)))
+        assert max(len(points) for points, _ in buckets) > 90
+        for points, radius in buckets:
+            assert_same_cover(points, radius)
 
     def test_memory_bounded(self):
         # The dense tensor alone would take 31375 x 250 x 3 doubles (188 MB).
