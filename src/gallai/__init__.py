@@ -9,7 +9,7 @@ from .bounds import (
     kl_exponent,
     solve_alpha,
 )
-from .errors import PairwiseError, VerificationError
+from .errors import BudgetError, PairwiseError, VerificationError
 from .geometry import DEFAULT_TOL, Ball, Balls
 from .illumination import (
     CapBody,
@@ -58,6 +58,7 @@ __all__ = [
     "Ball",
     "Balls",
     "BallFamily",
+    "BudgetError",
     "CapBody",
     "Cover",
     "CoverCertificate",

@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
 Subcommands wire the engines to JSON artifact files and print a JSON
-report to stdout. Exit codes: 0 success, 2 parse error, 3 precondition
-violation, 4 verification failure. With --skip-verify a generating
-command still runs its verification but reports failure as a warning
-instead of exiting 4.
+report to stdout. Exit codes: 0 success, 2 parse error (also an
+--output that cannot be written), 3 precondition violation (also a net
+or cover-center budget run out), 4 verification failure. With
+--skip-verify a generating command still runs its verification but
+reports failure as a warning instead of exiting 4.
 """
 
 from __future__ import annotations

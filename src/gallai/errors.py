@@ -22,3 +22,9 @@ class PairwiseError(ValueError):
     def __init__(self, message, pair):
         super().__init__(message)
         self.pair = pair
+
+
+class BudgetError(RuntimeError, ValueError):
+    """A construction or certificate would pass its size budget (net
+    points, cover centers). A RuntimeError for callers that catch one,
+    and a ValueError, like every other refused input, for the CLI."""

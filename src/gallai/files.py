@@ -53,17 +53,22 @@ def load_document(path) -> dict:
 
 
 def write_document(doc: dict, path) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+    """Atomic write: temp file in the target directory, then rename. A
+    path that cannot be written raises FileFormatError, as an unreadable
+    one does in ``load_document``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(dumps_document(doc))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(dumps_document(doc))
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def dumps_document(doc: dict) -> str:

@@ -12,9 +12,9 @@ and is an estimate of that bound, not a bound.
 
 from __future__ import annotations
 
-import collections
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -41,8 +41,8 @@ _RECHECK = 1e-12
 # Directions drawn per block in multiplicity_report; the report holds a
 # few arrays of this many rows at a time.
 _SAMPLE_BLOCK = 4096
-# Drawn blocks left for the helper thread of multiplicity_report past
-# which the caller counts the newest one itself.
+# Drawn blocks waiting for the helper thread of multiplicity_report at
+# which the caller counts the next one itself.
 _PENDING = 2
 
 
@@ -280,23 +280,19 @@ def multiplicity_report(
     |d| > c for c >= 0, and 1 + (|d| < -c) for c < 0.
 
     The calling thread draws the raw rows ``_SAMPLE_BLOCK`` at a time in
-    stream order and leaves each block in a queue. When more than one
-    CPU is usable and there is more than one block, a helper thread
-    counts the queued blocks oldest first while the caller draws on;
-    the caller counts the newest block itself when more than
-    ``_PENDING`` wait, and counts every block still queued once the
-    stream ends. Counting a block drops its degenerate rows and adds
-    its rows to the counting thread's own histogram, so it is the same
-    product, |.|, comparison and bincount whichever thread does it, and
-    the histograms sum to the same integers in any order. After the
-    helper is joined, the caller draws as many further rows as were
-    dropped, and so on, as ``unit_vectors`` tops up, so the report equals
-    that of one product over all directions and points. Each counting
-    thread holds one (block, len(y) / 2) buffer, and at most
-    ``_PENDING`` + 1 raw blocks wait, so memory is O(_SAMPLE_BLOCK *
-    len(y)) whatever ``samples`` is. An exception on the helper thread is
-    raised here once it is joined, and the helper is joined however the
-    call ends.
+    stream order. When more than one CPU is usable and there is more
+    than one block, it queues each block for a helper thread while fewer
+    than ``_PENDING`` wait, counts it itself otherwise, and counts what is
+    still queued once the stream ends. Each thread adds its blocks to its
+    own histogram with the same product, |.|, comparison and bincount,
+    and integer histograms sum the same in any order. After the helper is
+    joined, the caller draws as many further rows as were dropped as
+    degenerate, as ``unit_vectors`` tops up, so the report equals that of
+    one product over all directions and points. At most ``_PENDING`` raw
+    blocks wait, and each thread holds one (block, len(y) / 2) buffer, so
+    memory is O(_SAMPLE_BLOCK * len(y)) whatever ``samples`` is. A
+    helper's exception is raised here after the join, and the helper is
+    joined however the call ends.
     """
     if samples < 1:
         raise ValueError("sample count must be positive")
@@ -365,31 +361,15 @@ class _Tally:
 def _count_with_helper(rng, dim, sizes, mine, theirs):
     """Draw blocks of ``sizes`` rows from ``rng`` in order on this thread
     and count them into ``mine`` and, on a helper thread, ``theirs``."""
-    pending = collections.deque()
-    ready = threading.Semaphore(0)  # one release per queued block, and at the end
-    closed = False
+    blocks = queue.SimpleQueue()  # raw blocks for the helper, then None
     failure = []
 
     def helper():
         try:
-            while True:
-                ready.acquire()
-                try:
-                    raw = pending.popleft()
-                except IndexError:
-                    if closed:
-                        return
-                    continue  # the caller counted that block
+            while (raw := blocks.get()) is not None:
                 theirs.add(raw)
         except BaseException as exc:  # raised on the calling thread
             failure.append(exc)
-
-    def newest():
-        """The newest queued block, or None once the helper took them all."""
-        try:
-            return pending.pop()
-        except IndexError:
-            return None
 
     thread = threading.Thread(target=helper, name="multiplicity-count")
     thread.start()
@@ -397,16 +377,18 @@ def _count_with_helper(rng, dim, sizes, mine, theirs):
         for rows in sizes:
             if failure:
                 break
-            pending.append(rng.standard_normal((rows, dim)))
-            ready.release()
-            if len(pending) > _PENDING and (raw := newest()) is not None:
+            raw = rng.standard_normal((rows, dim))
+            if blocks.qsize() < _PENDING:
+                blocks.put(raw)
+            else:
                 mine.add(raw)
-        while not failure and (raw := newest()) is not None:
-            mine.add(raw)
+        try:
+            while not failure:
+                mine.add(blocks.get_nowait())
+        except queue.Empty:
+            pass
     finally:
-        closed = True
-        pending.clear()
-        ready.release()
+        blocks.put(None)
         thread.join()
     if failure:
         raise failure[0]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling
-from .errors import PairwiseError, VerificationError
+from .errors import BudgetError, PairwiseError, VerificationError
 from .geometry import DEFAULT_TOL, as_unit_rows, first_pair_outside, max_dots
 
 # Hard ceiling on exact-net sizes; nets grow exponentially with the
@@ -100,7 +100,7 @@ class Packing:
 
 @dataclass(frozen=True)
 class CoverParams:
-    """Cover construction limit: more centers raise ``RuntimeError``."""
+    """Cover construction limit: more centers raise ``BudgetError``."""
 
     max_centers: int = 20_000
 
@@ -148,7 +148,7 @@ def sphere_net(dim: int, resolution: float) -> tuple[np.ndarray, float]:
         guaranteed angular resolution.
 
     Raises:
-        RuntimeError: If the net would exceed ``MAX_NET_POINTS``.
+        BudgetError: If the net would exceed ``MAX_NET_POINTS``.
     """
     if dim < 2:
         raise ValueError("dimension must be at least 2")
@@ -157,7 +157,7 @@ def sphere_net(dim: int, resolution: float) -> tuple[np.ndarray, float]:
     m = max(dim, math.ceil(dim / resolution))
     size = net_size(dim, m)
     if size > MAX_NET_POINTS:
-        raise RuntimeError(
+        raise BudgetError(
             f"net of resolution {resolution} in dimension {dim} needs {size} points "
             f"(limit {MAX_NET_POINTS}); use the sampled certificate instead"
         )
@@ -503,7 +503,8 @@ def verify_cover(
     within theta - delta of a center, which proves the cover is
     complete. Requires delta < theta. Sampled
     method: passes iff all of k uniform points are covered (closed caps,
-    tolerance-inclusive). ``resolution_or_samples`` None means delta =
+    tolerance-inclusive), drawn ``_SAMPLES`` at a time, so memory does
+    not grow with k. ``resolution_or_samples`` None means delta =
     theta / 8 or k = ``_SAMPLES``; a delta or k of 0 raises ``ValueError``.
     """
     theta = cover.angular_radius
@@ -521,8 +522,14 @@ def verify_cover(
         k = _SAMPLES if resolution_or_samples is None else int(resolution_or_samples)
         if k < 1:
             raise ValueError("sample count must be positive")
-        pts = sampling.unit_vectors(sampling.rng_from(seed), cover.dimension, k)
-        worst = _max_gap(pts, cover.centers)
+        # _SAMPLES points at a time: unit_vectors is prefix-consistent and
+        # a max is exact, so the blocks give the gap of one draw of k.
+        rng = sampling.rng_from(seed)
+        worst = max(
+            _max_gap(sampling.unit_vectors(rng, cover.dimension, min(_SAMPLES, k - start)),
+                     cover.centers)
+            for start in range(0, k, _SAMPLES)
+        )
         margin = theta - worst
         return CoverCertificate(
             "sampled", k, margin, margin >= -tol, undetected_measure=math.log(20.0) / k
@@ -581,7 +588,8 @@ def greedy_cover(
     ``centers`` array is read-only.
 
     Raises:
-        RuntimeError: If the configured center limit is exceeded.
+        BudgetError: If the configured center limit is exceeded (a
+            RuntimeError and a ValueError).
         VerificationError: If the final certificate does not pass.
     """
     n, theta = operator.index(n), float(theta)
@@ -638,7 +646,7 @@ def _hull_cover(n: int, theta: float, max_centers: int) -> Cover | None:
 
 def _hull_centers(n: int, theta: float, max_centers: int) -> np.ndarray | None:
     if 2 * n > max_centers:
-        raise RuntimeError(f"cover construction exceeded {max_centers} centers")
+        raise BudgetError(f"cover construction exceeded {max_centers} centers")
     target = math.cos(theta) + _BUILD_SLACK
     cross = np.concatenate([np.eye(n), -np.eye(n)])
     hull = _hull_of(cross)
@@ -654,7 +662,7 @@ def _hull_centers(n: int, theta: float, max_centers: int) -> np.ndarray | None:
         if len(live) > _HULL_FACET_BUDGET:
             return None
         if len(centers) >= max_centers:
-            raise RuntimeError(f"cover construction exceeded {max_centers} centers")
+            raise BudgetError(f"cover construction exceeded {max_centers} centers")
         j = live[int(np.argmax(offsets <= low + _TIE))]
         normal = hull.normals[j] / np.linalg.norm(hull.normals[j])
         if not hull.add(normal, len(centers)):
@@ -686,7 +694,7 @@ def _greedy_cover_nd(n, theta, seed, max_centers):
     picked: list[np.ndarray] = []
     best = np.full(candidates.shape[0], -2.0)
     if not _farthest_first(candidates, best, picked, lambda d: d >= cos_mark, max_centers):
-        raise RuntimeError(f"cover construction exceeded {max_centers} centers")
+        raise BudgetError(f"cover construction exceeded {max_centers} centers")
     return np.array(picked)
 
 

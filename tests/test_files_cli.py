@@ -484,6 +484,24 @@ class TestExitCodes:
         assert self.run("pierce", str(path)) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "parse"
 
+    def test_parse_error_on_output_in_a_missing_directory(self, tmp_path, capsys):
+        # The temp file cannot even be made.
+        out = tmp_path / "missing" / "x.json"
+        assert self.run("bounds", "--output", str(out)) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "parse" and f"cannot write {out}" in report["detail"]
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_parse_error_on_output_that_is_a_directory(self, tmp_path, capsys):
+        # The temp file is written, and the rename onto the directory fails.
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert self.run("cover", "-n", "3", "--theta", "0.9", "--output", str(out)) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "parse" and f"cannot write {out}" in report["detail"]
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert out.is_dir() and list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["cover", "pack"])
     def test_tol_is_not_an_option_of(self, command, capsys):
         # Neither command verifies anything a tolerance could loosen.
@@ -659,6 +677,25 @@ class TestExitCodes:
         capsys.readouterr()
         assert self.run("verify", "--cover", cover_path, *extra) == 3
         assert json.loads(capsys.readouterr().out)["error"] == "precondition"
+
+    def test_verify_net_past_its_point_budget_is_precondition(self, tmp_path, capsys):
+        cover_path = str(tmp_path / "cover.json")
+        assert self.run("cover", "-n", "4", "--theta", "0.987", "--output", cover_path) == 0
+        capsys.readouterr()
+        assert self.run("verify", "--cover", cover_path, "--method", "net",
+                        "--resolution", "1e-4") == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "precondition" and "needs 170666666880000 points" in report["detail"]
+
+    def test_cover_past_its_center_budget_is_precondition(self, tmp_path, capsys):
+        # The hull passes its facet budget, and the sampled greedy then
+        # passes the 20,000 centers of CoverParams.
+        out = tmp_path / "cover.json"
+        assert self.run("cover", "-n", "3", "--theta", "0.01", "--output", str(out)) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"error": "precondition",
+                          "detail": "cover construction exceeded 20000 centers"}
+        assert not out.exists()
 
     def test_verify_cover_default_samples_follow_the_library(self, tmp_path, capsys,
                                                              monkeypatch):

@@ -516,15 +516,24 @@ class TestMultiplicityReport:
 
     def test_blocks_shared_under_fast_switching(self, monkeypatch):
         # Four reports at once, more threads than cores, with the
-        # interpreter switching threads every microsecond and the caller
-        # taking every block the helper has not taken yet: a block lost or
-        # counted twice would change the histogram.
+        # interpreter switching threads every microsecond and one block
+        # at most waiting for each helper, so callers and helpers both
+        # count blocks: a block lost or counted twice would change the
+        # histogram.
         y = symmetrize(construct_separated_set(5, 10, seed=7))
         samples = 12 * _SAMPLE_BLOCK + 5
         monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 1)
         expected = {seed: multiplicity_report(y, samples, seed=seed) for seed in range(4)}
         monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(lowerbound, "_PENDING", 0)
+        monkeypatch.setattr(lowerbound, "_PENDING", 1)
+        counted_by = []
+        real_add = lowerbound._Tally.add
+
+        def add(self, raw):
+            counted_by.append(threading.current_thread().name)
+            return real_add(self, raw)
+
+        monkeypatch.setattr(lowerbound._Tally, "add", add)
         got = {}
 
         def run(seed):
@@ -542,6 +551,9 @@ class TestMultiplicityReport:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert got == expected
+        helpers = counted_by.count("multiplicity-count")
+        assert len(counted_by) == 4 * 13
+        assert 0 < helpers < len(counted_by)
 
     def test_queued_blocks_stay_bounded(self, monkeypatch):
         # The helper stalls on its first block until the stream ends; the

@@ -18,7 +18,7 @@ from gallai import (
     verify_cover,
 )
 from gallai.bounds import solve_alpha
-from gallai.errors import PairwiseError
+from gallai.errors import BudgetError, PairwiseError
 from gallai import sphere_cover
 from gallai.geometry import first_pair_outside
 from gallai.piercing import cap_overlap_radius
@@ -201,6 +201,22 @@ class TestVerifyCover:
                                            -1.0, 1.0)).max())
                    for s in range(0, 100_000, 1000))
         assert worst == pytest.approx(want, abs=1e-12)
+
+    def test_sampled_memory_independent_of_samples(self):
+        # Drawn all at once, 2,000,000 points of R^4 traced a 153 MB peak.
+        cover = greedy_cover(4, 0.987)
+        default, peak = traced_peak(lambda: verify_cover(cover, "sampled"))
+        many, many_peak = traced_peak(lambda: verify_cover(cover, "sampled", 2_000_000))
+        assert many_peak < 1.25 * peak < 12 * 2**20
+        # The first block is the default sample, so the margin can only fall.
+        assert many.margin <= default.margin
+
+    def test_sampled_blocks_give_the_gap_of_one_draw(self, monkeypatch):
+        cover = greedy_cover(4, 0.987)
+        pts = sphere_cover.sampling.unit_vectors(sphere_cover.sampling.rng_from(3), 4, 2_500)
+        want = cover.angular_radius - sphere_cover._max_gap(pts, cover.centers)
+        monkeypatch.setattr(sphere_cover, "_SAMPLES", 1_000)
+        assert verify_cover(cover, "sampled", 2_500, seed=3).margin == want
 
 
 class TestHullCertificate:
@@ -541,6 +557,18 @@ class TestGreedyCover:
     def test_resource_limit_is_loud(self):
         with pytest.raises(RuntimeError):
             greedy_cover(3, 0.2, seed=0, params=CoverParams(max_centers=3))
+
+    @pytest.mark.parametrize("build", [
+        lambda: sphere_net(6, 0.01),
+        lambda: sphere_cover._hull_centers(3, 0.2, 5),  # the cross-polytope has 6
+        lambda: sphere_cover._hull_centers(3, 0.2, 8),  # the hull grows past 8
+        lambda: sphere_cover._greedy_cover_nd(3, 0.9, 0, 5),
+    ])
+    def test_every_budget_raises_one_error(self, build):
+        # A RuntimeError for library callers, a ValueError (exit 3) for the CLI.
+        assert issubclass(BudgetError, RuntimeError) and issubclass(BudgetError, ValueError)
+        with pytest.raises(BudgetError, match="needs|exceeded"):
+            build()
 
     def test_domain(self):
         with pytest.raises(ValueError):
