@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Subcommands wire the engines to JSON artifact files and print a JSON
-report to stdout. Exit codes: 0 success, 2 parse error (also an
+report to stdout, each one line with sorted keys (``python -m json.tool``
+pretty-prints it). Exit codes: 0 success, 2 parse error (also an
 --output that cannot be written), 3 precondition violation (also a net
 or cover-center budget run out), 4 verification failure. With
 --skip-verify a generating command still runs its verification but
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import sys
 

@@ -1,22 +1,22 @@
 """JSON artifact files.
 
 One self-describing document per artifact, built by ``_document``: a
-"kind" discriminator, a "dimension" field, and the payload. Numbers
-round-trip losslessly (shortest-repr doubles). Structural problems
-raise FileFormatError. Every artifact's rows (vertices, directions,
-points, ball centers) are checked and converted by ``_rows`` in one
-pass over the whole array; a per-row (for ball families, per-entry)
-scan runs only when that pass fails, to name the first bad row.
-Meaning (radii, vertex norms, unit directions) is checked only by the
-domain constructors; a parser reports their ValueError as a
-FileFormatError. Pairwise preconditions (e.g. non-intersecting
-families) are left to the caller's constructor.
+"kind" discriminator, a "dimension" field, and the payload, written by
+``dumps_document`` as one line of JSON with sorted keys, which
+``python -m json.tool`` pretty-prints. Numbers round-trip losslessly
+(shortest-repr doubles). Structural problems raise FileFormatError.
+Every artifact's rows (vertices, directions, points, ball centers) are
+checked and converted by ``_rows`` in one pass over the whole array; a
+per-row (for ball families, per-entry) scan runs only when that pass
+fails, to name the first bad row. Meaning (radii, vertex norms, unit
+directions) is checked only by the domain constructors; a parser reports
+their ValueError as a FileFormatError. Pairwise preconditions (e.g.
+non-intersecting families) are left to the caller's constructor.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 
@@ -72,65 +72,9 @@ def write_document(doc: dict, path) -> None:
 
 
 def dumps_document(doc: dict) -> str:
-    """``doc`` as ``json.dumps(doc, sort_keys=True, separators=(",", ": "),
-    indent=1)`` plus a newline, byte for byte.
-
-    Documents of str-keyed dicts, lists, str, ints, finite floats, bools
-    and None are laid out here as json's encoder writes them, each list
-    of floats or of str as one join of their reprs. A document holding
-    anything else (non-finite floats, non-str keys, tuples, subclasses
-    of dict, list, int, float or str, but for floats or str in such a
-    list, which json writes the same way) goes to ``json.dumps`` whole.
-    """
-    try:
-        return _layout(doc, "\n") + "\n"
-    except (_Unsupported, RecursionError):
-        return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
-
-
-class _Unsupported(Exception):
-    """A value ``_layout`` leaves to ``json.dumps``."""
-
-
-_quote = json.encoder.encode_basestring_ascii
-_LITERALS = {True: "true", False: "false", None: "null"}
-
-
-def _layout(value, newline: str) -> str:
-    """``value`` in the indent=1 layout, its first line continuing the
-    current one and its later lines indented as ``newline`` says."""
-    kind = type(value)
-    if kind is list or kind is dict:
-        if not value:
-            return "[]" if kind is list else "{}"
-        inner = newline + " "
-        sep = "," + inner
-        if kind is dict:
-            if not all(type(key) is str for key in value):
-                raise _Unsupported
-            body = sep.join([_quote(key) + ": " + _layout(item, inner)
-                             for key, item in sorted(value.items())])
-            return "{" + inner + body + newline + "}"
-        for form in (float.__repr__, _quote):  # a row of floats, or of str
-            try:
-                body = sep.join(map(form, value))
-            except TypeError:
-                continue
-            if form is float.__repr__ and "n" in body:  # inf or nan
-                raise _Unsupported
-            break
-        else:
-            body = sep.join([_layout(item, inner) for item in value])
-        return "[" + inner + body + newline + "]"
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return _quote(value)
-    if kind is bool or value is None:
-        return _LITERALS[value]
-    raise _Unsupported
+    """``doc`` as one line of JSON with sorted keys, shortest-repr floats
+    and ASCII escapes, plus a newline: a rerun gives the same bytes."""
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _require(doc: dict, key: str, kind: str):

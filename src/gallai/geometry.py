@@ -298,15 +298,20 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
         raise ValueError(f"per-row limits must have shape ({m},)")
     if m < 2:
         return None
+    # Every window as per-row halves: a scalar limit c is c / 2 on every
+    # row, and c / 2 + c / 2 == c exactly.
+    low, high = (x if x.ndim else np.full(m, x / 2) for x in (low, high))
 
-    # The windows a pair can leave: (limit, slack, +1 if a pair is
-    # outside above it, -1 below). No distance is below 0, and no angle
-    # above 2 asin(1) = pi (as a double).
+    # The windows a pair can leave: (half, slack, +1 if a pair is outside
+    # above it, -1 below). No distance is below 0, and no angle above
+    # 2 asin(1) = pi (as a double), so a side whose widest window is past
+    # that is dropped; a NaN limit keeps its side.
     top = math.pi if angles else math.inf
     sides = [
-        (limit, slack, outside)
-        for limit, slack, outside in ((low, -tol, -1), (high, tol, 1))
-        if limit.ndim or ((limit + slack > 0.0) if outside < 0 else (limit + slack < top))
+        (half, slack, outside)
+        for half, slack, outside in ((low, -tol, -1), (high, tol, 1))
+        if not (2 * float(half.max()) + slack <= 0.0 if outside < 0
+                else 2 * float(half.min()) + slack >= top)
     ]
     if not sides:
         return None
@@ -317,8 +322,7 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
     # are row indices (order is None).
     order, k = None, m
     if not angles and len(sides) == 1 and sides[0][2] > 0:
-        limit, slack, _ = sides[0]
-        half = limit if limit.ndim else limit / 2
+        half, slack, _ = sides[0]
         with np.errstate(over="ignore", invalid="ignore"):
             d = pair_distances(rows.T, rows.mean(axis=0)[:, None])
             scale = d.max() + np.abs(half).max() + abs(slack)
@@ -336,47 +340,38 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
     x, first_cold = rows, m
     if order is not None:
         x, first_cold = rows[order], int(order[k])
-        sides = [(limit[order] if limit.ndim else limit, slack, outside)
-                 for limit, slack, outside in sides]
+        sides = [(half[order], slack, outside) for half, slack, outside in sides]
     columns = x.T
 
     def first_bad(p, q):
         # The exact verdict on the positions (p, q) with p < q, index
         # arrays broadcast against each other; the first bad pair by row
         # indices (min, max) in row-major order. Every window is formed
-        # as (limit_i + limit_j) + slack, which is symmetric in i and j.
+        # as (half_i + half_j) + slack, which is symmetric in i and j.
         d = pair_distances(columns[:, p], columns[:, q])
         if angles:
             d = 2.0 * np.arcsin(np.minimum(0.5 * d, 1.0))
         bad = np.zeros(d.shape, dtype=bool)
-        for limit, slack, outside in sides:
-            w = limit + slack if limit.ndim == 0 else limit[p] + limit[q] + slack
+        for half, slack, outside in sides:
+            w = half[p] + half[q] + slack
             bad |= d < w if outside < 0 else d > w
         bad &= p < q
         if not bad.any():
             return None
-        if order is None:
-            first = int(np.argmax(bad))
-            return int(np.broadcast_to(p, bad.shape).flat[first]), int(
-                np.broadcast_to(q, bad.shape).flat[first])
-        i, j = order[p], order[q]
+        i, j = (p, q) if order is None else (order[p], order[q])
         key = np.broadcast_to(np.minimum(i, j) * m + np.maximum(i, j), bad.shape)
         return divmod(int(key[bad].min()), m)
 
     if exact_fits(k, m):
         return first_bad(np.arange(k)[:, None], np.arange(m)[None, :])
 
-    # One kernel side per window. A scalar half-window is exact; a
-    # per-row one is left to the exact formula where the slack is not
-    # small against it, since the band covers the rounding of the window
-    # only relative to the window.
+    # One kernel side per window. A half-window is left to the exact
+    # formula where the slack is not small against it, since the band
+    # covers the rounding of the window only relative to the window.
     kernels = []
-    for limit, slack, outside in sides:
-        if limit.ndim == 0:
-            h = (limit + slack) / 2
-        else:
-            h = limit + slack / 2
-            h = np.where(h >= abs(slack), h, math.nan)
+    for half, slack, outside in sides:
+        h = half + slack / 2
+        h = np.where(h >= abs(slack), h, math.nan)
         kernels.append((outside, gram_rows(x, h, x[0], angles)))
 
     step = max(1, _PAIR_BLOCK // m)

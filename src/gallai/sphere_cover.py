@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling
+from .bounds import cap_share
 from .errors import BudgetError, PairwiseError, VerificationError
 from .geometry import DEFAULT_TOL, as_unit_rows, first_pair_outside, max_dots
 
@@ -588,8 +589,9 @@ def greedy_cover(
     ``centers`` array is read-only.
 
     Raises:
-        BudgetError: If the configured center limit is exceeded (a
-            RuntimeError and a ValueError).
+        BudgetError: If the configured center limit is exceeded, or
+            is below the count bound above (a RuntimeError and a
+            ValueError).
         VerificationError: If the final certificate does not pass.
     """
     n, theta = operator.index(n), float(theta)
@@ -598,6 +600,14 @@ def greedy_cover(
         raise ValueError("dimension must be at least 2")
     if not 0.0 < theta <= math.pi / 2:
         raise ValueError("theta must lie in (0, pi/2]")
+    # No cover has fewer caps than the circle's count or, up to pi/4, the
+    # area bound 1 / cap_share (less 1e-9 relative); a smaller budget fails first.
+    if n == 2:
+        short = _circle_count(theta) > max_centers
+    else:
+        short = theta <= math.pi / 4 and max_centers * cap_share(n, theta) < 1.0 - 1e-9
+    if short:
+        raise BudgetError(f"cover construction exceeded {max_centers} centers")
     cover = _hull_cover(n, theta, max_centers)
     if cover is not None:
         return cover

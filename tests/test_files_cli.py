@@ -688,9 +688,13 @@ class TestExitCodes:
         assert report["error"] == "precondition" and "needs 170666666880000 points" in report["detail"]
 
     def test_cover_past_its_center_budget_is_precondition(self, tmp_path, capsys):
-        # The hull passes its facet budget, and the sampled greedy then
-        # passes the 20,000 centers of CoverParams.
+        # Every cover by caps of radius 0.01 in R^3 needs 40,000 of them
+        # by the area bound, past the 20,000 of CoverParams, and the 314,160
+        # arcs of radius 1e-5 on the circle are past it too: both are
+        # refused before any cover is built.
         out = tmp_path / "cover.json"
+        assert self.run("cover", "-n", "2", "--theta", "1e-5", "--output", str(out)) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "precondition"
         assert self.run("cover", "-n", "3", "--theta", "0.01", "--output", str(out)) == 3
         report = json.loads(capsys.readouterr().out)
         assert report == {"error": "precondition",
@@ -949,8 +953,34 @@ class TestDeterminism:
         assert a == b
 
 
-def json_layout(doc):
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+def check_line(text, doc):
+    """``text`` is json's one line of ``doc`` with sorted keys and a
+    newline, and reads back as ``doc``: floats to the bit (NaN and -0.0
+    too), tuples as lists, other keys as the strings json makes of them."""
+    assert text == json.dumps(doc, sort_keys=True) + "\n"
+    assert text.count("\n") == 1
+    assert_same_value(json.loads(text), doc)
+
+
+def assert_same_value(loaded, doc):
+    if isinstance(doc, dict):
+        assert type(loaded) is dict
+        doc = {k if isinstance(k, str) else json.dumps(k): v for k, v in doc.items()}
+        assert sorted(loaded) == sorted(doc)
+        for key, value in doc.items():
+            assert_same_value(loaded[key], value)
+    elif isinstance(doc, (list, tuple)):
+        assert type(loaded) is list and len(loaded) == len(doc)
+        for a, b in zip(loaded, doc):
+            assert_same_value(a, b)
+    elif isinstance(doc, float):
+        assert type(loaded) is float
+        assert (math.isnan(loaded) and math.isnan(doc)) or (
+            loaded == doc and math.copysign(1.0, loaded) == math.copysign(1.0, doc))
+    elif isinstance(doc, bool) or doc is None:
+        assert loaded is doc
+    else:  # an int or a str, subclasses included
+        assert type(loaded) is (int if isinstance(doc, int) else str) and loaded == doc
 
 
 class _Int(int):
@@ -971,8 +1001,8 @@ def _self_referent():
     return doc
 
 
-# Documents the row and scalar layout of dumps_document must write as
-# json does, or hand to json whole (its exceptions too).
+# Documents dumps_document must write as json's one line, or refuse with
+# json's exception.
 EDGE_DOCUMENTS = [
     {},
     {"rows": [[1.0, 2.5], [-0.0, 1e300], [5e-324, -1.7976931348623157e308]]},
@@ -1005,12 +1035,12 @@ class TestDumpsDocument:
     @pytest.mark.parametrize("doc", EDGE_DOCUMENTS)
     def test_edge_cases_match_json(self, doc):
         try:
-            want = json_layout(doc)
+            json.dumps(doc, sort_keys=True)
         except (TypeError, ValueError) as exc:
             with pytest.raises(type(exc)):
                 files.dumps_document(doc)
         else:
-            assert files.dumps_document(doc) == want
+            check_line(files.dumps_document(doc), doc)
 
     def test_random_documents_match_json(self):
         rng = np.random.default_rng(12)
@@ -1033,19 +1063,19 @@ class TestDumpsDocument:
 
         for _ in range(400):
             doc = {f"k{i}": build(0) for i in range(int(rng.integers(0, 5)))}
-            assert files.dumps_document(doc) == json_layout(doc)
+            check_line(files.dumps_document(doc), doc)
 
     def test_every_cli_document_matches_json(self, family_file, hand_body_file, tmp_path,
                                              monkeypatch, capsys):
         # Every report and artifact the commands write, on success and on
-        # each error, goes through dumps_document; each is compared with
-        # json's layout of the same object.
+        # each error, goes through dumps_document; each is checked as one
+        # line of json that reads back as the same object.
         real = files.dumps_document
         kinds = set()
 
         def checked(doc):
             text = real(doc)
-            assert text == json_layout(doc)
+            check_line(text, doc)
             kinds.add(doc.get("kind") or doc.get("error") or "report")
             return text
 

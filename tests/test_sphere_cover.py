@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -570,6 +571,32 @@ class TestGreedyCover:
         with pytest.raises(BudgetError, match="needs|exceeded"):
             build()
 
+    @pytest.mark.parametrize("n, theta", [(2, 1e-5), (2, 1e-9), (3, 0.01), (30, math.pi / 4)])
+    def test_budget_below_the_count_bound_is_refused_first(self, n, theta):
+        # The circle needs ceil(pi / theta) centers (314,160 at 1e-5), and
+        # up to pi/4 every cover needs 1 / cap_share of them (40,000 at
+        # 0.01 in R^3, 229,899 at pi/4 in R^30), past the 20,000 of
+        # CoverParams: each is refused before the hull or the greedy runs.
+        misses = sphere_cover._hull_cover.cache_info().misses
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="exceeded 20000 centers"):
+            greedy_cover(n, theta)
+        assert time.perf_counter() - start < 0.5
+        assert sphere_cover._hull_cover.cache_info().misses == misses
+
+    def test_budget_at_the_count_bound_is_built(self):
+        # The circle's cover at 0.5 has exactly ceil(pi / 0.5) = 7
+        # centers, and in R^3 the area bound at 0.5 (16.3 caps) lets a
+        # budget of 17 through to the hull build, which runs out of it.
+        assert len(greedy_cover(2, 0.5, params=CoverParams(max_centers=7))) == 7
+        with pytest.raises(BudgetError):
+            greedy_cover(2, 0.5, params=CoverParams(max_centers=6))
+        misses = sphere_cover._hull_cover.cache_info().misses
+        with pytest.raises(BudgetError):
+            greedy_cover(3, 0.5, params=CoverParams(max_centers=17))
+        assert sphere_cover._hull_cover.cache_info().misses == misses + 1
+        clear_cover_caches()
+
     def test_domain(self):
         with pytest.raises(ValueError):
             greedy_cover(1, 0.5)
@@ -642,10 +669,12 @@ class TestCoverCache:
         assert info.currsize <= sphere_cover._COVER_CACHE_SIZE == info.maxsize
 
     def test_failures_are_not_cached(self):
-        params = CoverParams(max_centers=3)
+        # Past pi/4 no count bound refuses the budget first, so the hull
+        # build runs out of it inside the cache.
+        params = CoverParams(max_centers=7)
         for _ in range(2):
             with pytest.raises(RuntimeError):
-                greedy_cover(3, 0.2, seed=0, params=params)
+                greedy_cover(3, 0.9, seed=0, params=params)
         info = sphere_cover._hull_cover.cache_info()
         assert info.misses == 2
         assert info.currsize == 0
