@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import solve_alpha
-from .errors import PairwiseError, VerificationError
+from .errors import BudgetError, PairwiseError, VerificationError
 from .geometry import DEFAULT_TOL, as_unit_rows, first_pair_outside, max_dots
 from .sphere_cover import greedy_cover
 
@@ -276,13 +276,14 @@ def sweep_alpha(
     """Pick the alpha from a grid minimizing the witnessed output size.
 
     Ties go to the smaller alpha; alphas whose construction fails to
-    certify are skipped. Raises VerificationError if none succeed.
+    certify or runs out of its cover budget are skipped. Raises
+    VerificationError if none succeed.
     """
     best: tuple[float, DirectionSet] | None = None
     for alpha in alphas:
         try:
             d = illuminate_cap_body(body, alpha, seed, tol)
-        except VerificationError:
+        except (VerificationError, BudgetError):
             continue
         if best is None or len(d) < len(best[1]):
             best = (float(alpha), d)

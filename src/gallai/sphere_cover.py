@@ -4,11 +4,13 @@ Covers are upper witnesses for the covering number N(n, theta) and
 packings lower witnesses for the packing number M(n, theta); neither is
 claimed optimal. On the circle both problems are solved exactly. In
 higher dimensions a cover grows at the deepest facet of the convex hull
-of its centers and is proved complete from the facet offsets of a
-fresh hull; both hulls come from ``_Hull``, an incremental hull in
-numpy, and the proof checks the simplices it is handed. Past a facet
-budget a seeded greedy over sampled candidates takes over, with a
-seeded Monte-Carlo certificate. Packings come from a seeded greedy.
+of its centers, ``_Hull``, an incremental hull in numpy, and is proved
+complete from the simplices of that hull; the proof checks the
+simplices it is handed, and a cover read from a file gets a fresh
+hull. Past a facet budget a seeded greedy over sampled candidates takes
+over, with a seeded Monte-Carlo certificate. Packings start from a seeded greedy
+over random pools, then grow at the deepest facet as a cover does until
+the same certificate proves them saturated.
 """
 
 from __future__ import annotations
@@ -77,12 +79,17 @@ class Cover:
 
 @dataclass(frozen=True, eq=False)
 class Packing:
-    """Unit vectors with pairwise angular distance >= separation."""
+    """Unit vectors with pairwise angular distance >= separation.
+
+    ``saturated`` is a proof that no unit vector is farther than the
+    separation from every center: the hull certificate of
+    ``maximal_packing``, or its antipodal pair past pi/2.
+    """
 
     dimension: int
     separation: float
     centers: np.ndarray
-    saturated: bool = True
+    saturated: bool = False
 
     def __post_init__(self):
         c = as_unit_rows(self.centers, self.dimension, "centers")
@@ -108,10 +115,14 @@ class CoverParams:
 
 @dataclass(frozen=True)
 class PackParams:
-    """Knobs for greedy packing construction. Zero means adaptive."""
+    """Knobs for greedy packing construction. Zero means adaptive.
+
+    ``polish`` fills every hole deeper than the separation with the hull
+    step of ``maximal_packing`` and proves the packing saturated.
+    """
 
     pool: int = 0
-    max_points: int = 0  # 0 = saturate; otherwise stop early (not saturated)
+    max_points: int = 0  # 0 = no limit; otherwise stop early (not saturated)
     polish: bool = True
 
     def __post_init__(self):
@@ -120,11 +131,8 @@ class PackParams:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
-# Packing: fresh pools scanned after the first, near-miss candidates
-# climbed per pool, and hill-climbing steps per candidate.
+# Packing: fresh pools scanned after the first.
 _EXTRA_ROUNDS = 1
-_POLISH_CANDIDATES = 256
-_POLISH_STEPS = 60
 
 
 def net_size(dim: int, m: int) -> int:
@@ -427,14 +435,13 @@ def _arc_certificate(centers: np.ndarray, theta: float, tol: float) -> CoverCert
     return CoverCertificate("hull", len(gaps), margin, margin >= -tol)
 
 
-def _hull_certificate(centers: np.ndarray, theta: float, tol: float) -> CoverCertificate:
-    """Exact cover check from the facets of conv(centers); on the circle,
-    from the gaps between the centers (``_arc_certificate``).
-
-    The facets come from a fresh ``_Hull`` of the centers, added in row
-    order; past ``_HULL_FACET_BUDGET`` live facets the build stops and
-    the certificate fails. Only the facets' vertex indices are used, and
-    they are checked, not trusted:
+def _hull_certificate(
+    centers: np.ndarray, hull: _Hull | None, theta: float, tol: float
+) -> CoverCertificate:
+    """Exact cover check from the live facets of ``hull``, whose labels
+    index ``centers``; None, where ``_hull_of`` found no simplex or
+    passed ``_HULL_FACET_BUDGET`` live facets, fails. Only the facets'
+    vertex indices are used, and they are checked, not trusted:
 
     1. A simplex is flat when its edge vectors v_i - v_0 have rank below
        n - 1 (smallest singular value <= ``_FLAT_FLOOR``); its cone has
@@ -460,10 +467,7 @@ def _hull_certificate(centers: np.ndarray, theta: float, tol: float) -> CoverCer
     is then proved.
     """
     n = centers.shape[1]
-    if n == 2:
-        return _arc_certificate(centers, theta, tol)
     failed = CoverCertificate("hull", 0, theta - math.pi, False)
-    hull = _hull_of(centers)
     if hull is None:
         return failed
     simplices = hull.labels[hull.facets[hull.live()]]
@@ -496,21 +500,22 @@ def verify_cover(
     """Certify a cover exactly from its convex hull or over a net, or by
     uniform sampling.
 
-    Hull method: proves the cover complete from the facets of the
-    centers' convex hull (see ``_hull_certificate``) when that hull holds
-    the origin strictly inside and has at most ``_HULL_FACET_BUDGET``
-    facets; on the circle, from the gaps between the centers. Net
-    method: builds a delta-net and passes iff every net point lies
-    within theta - delta of a center, which proves the cover is
-    complete. Requires delta < theta. Sampled
-    method: passes iff all of k uniform points are covered (closed caps,
-    tolerance-inclusive), drawn ``_SAMPLES`` at a time, so memory does
-    not grow with k. ``resolution_or_samples`` None means delta =
+    Hull method: proves the cover complete from the facets of a fresh
+    hull of the centers, added in row order (see ``_hull_certificate``),
+    when that hull holds the origin strictly inside and has at most
+    ``_HULL_FACET_BUDGET`` facets; on the circle, from the gaps between
+    the centers. Net method: builds a delta-net and passes iff every net
+    point lies within theta - delta of a center, which proves the cover
+    is complete. Requires delta < theta. Sampled method: passes iff all
+    of k uniform points are covered (closed caps, tolerance-inclusive),
+    drawn ``_SAMPLES`` at a time, so memory does not grow with k. ``resolution_or_samples`` None means delta =
     theta / 8 or k = ``_SAMPLES``; a delta or k of 0 raises ``ValueError``.
     """
     theta = cover.angular_radius
     if method == "hull":
-        return _hull_certificate(cover.centers, theta, tol)
+        if cover.dimension == 2:
+            return _arc_certificate(cover.centers, theta, tol)
+        return _hull_certificate(cover.centers, _hull_of(cover.centers), theta, tol)
     if method == "net":
         delta = theta / 8 if resolution_or_samples is None else float(resolution_or_samples)
         if not 0 < delta < theta:
@@ -570,8 +575,9 @@ def greedy_cover(
     origin, which is the point of the sphere farthest from every
     center, is added until every facet lies at least cos(theta) from
     the origin; of facets whose offsets tie within ``_TIE`` the oldest
-    is taken. Either cover is proved by ``verify_cover(method="hull")``
-    and depends on (n, theta) only; ``seed`` is not used.
+    is taken (``_deepen``). Either cover is proved by the hull method of
+    ``verify_cover``, from the simplices of the hull the build grew, and
+    depends on (n, theta) only; ``seed`` is not used.
 
     A seeded greedy over sampled candidates runs instead when the hull
     passes ``_HULL_FACET_BUDGET`` facets (it does from n = 8 at the
@@ -619,10 +625,11 @@ def greedy_cover(
 # the bound keeps that from growing memory with the number of calls.
 _COVER_CACHE_SIZE = 16
 # Live facets a hull may reach: past it a hull cover's build gives way
-# to the sampled greedy, and the hull certificate fails. At the
-# illumination and large-ball radii hull covers end with 1,184 facets at
-# n = 6 and 10,926 and 14,120 at n = 7 (under 1 s to build); at n = 8
-# the build passes the budget at 56 centers.
+# to the sampled greedy, a packing stays unproved, and the hull
+# certificate fails. At the illumination and large-ball radii hull
+# covers end with 1,184 facets at n = 6 and 10,926 and 14,120 at n = 7
+# (under 1 s to build); at n = 8 the build passes the budget at 56
+# centers.
 _HULL_FACET_BUDGET = 20_000
 # The build stops once the hull's smallest offset clears cos(theta) by
 # this, far above the rounding of the build's normals and of the
@@ -642,42 +649,51 @@ def _certified(cover: Cover, cert: CoverCertificate) -> Cover:
 
 @functools.lru_cache(maxsize=_COVER_CACHE_SIZE)
 def _hull_cover(n: int, theta: float, max_centers: int) -> Cover | None:
-    """Hull-built, hull-certified cover; None where the sampled greedy
-    has to take over (the result is cached either way)."""
+    """Hull-built cover, certified from the simplices of the hull its
+    build grew; None where the sampled greedy has to take over (the
+    result is cached either way)."""
     if n == 2:
-        centers = _circle_positions(_circle_count(theta))
-    else:
-        centers = _hull_centers(n, theta, max_centers)
-        if centers is None:
-            return None
-    cover = Cover(n, theta, centers)
-    return _certified(cover, verify_cover(cover, "hull"))
-
-
-def _hull_centers(n: int, theta: float, max_centers: int) -> np.ndarray | None:
+        cover = Cover(n, theta, _circle_positions(_circle_count(theta)))
+        return _certified(cover, verify_cover(cover, "hull"))
     if 2 * n > max_centers:
         raise BudgetError(f"cover construction exceeded {max_centers} centers")
-    target = math.cos(theta) + _BUILD_SLACK
     cross = np.concatenate([np.eye(n), -np.eye(n)])
-    hull = _hull_of(cross)
+    centers, hull = _deepen(cross, math.cos(theta) + _BUILD_SLACK, max_centers)
     if hull is None:
         return None
-    centers = list(cross)
-    while True:
+    cover = Cover(n, theta, centers)
+    return _certified(cover, _hull_certificate(cover.centers, hull, theta, DEFAULT_TOL))
+
+
+def _deepen(rows: np.ndarray, stop: float, limit: float) -> tuple[np.ndarray, _Hull | None]:
+    """Grow unit ``rows`` at their deepest hole: while the live facet of
+    their hull nearest the origin (the oldest of those whose offsets tie
+    within ``_TIE``) lies below ``stop``, append its unit normal, the
+    point of the sphere farthest from every row and so farther than
+    arccos(stop) from each.
+
+    Returns the rows, the appended ones last, and their hull; None for
+    the hull where the growth stopped short: the hull could not be
+    built, passed ``_HULL_FACET_BUDGET`` live facets, or left a normal
+    out. Raises ``BudgetError`` where a row would pass ``limit`` rows.
+    """
+    grown, hull = list(rows), _hull_of(rows)
+    while hull is not None:
         live = hull.live()
         offsets = hull.offsets[live]
         low = float(offsets.min())
-        if low >= target:
-            return np.array(centers)
+        if low >= stop:
+            return np.array(grown), hull
         if len(live) > _HULL_FACET_BUDGET:
-            return None
-        if len(centers) >= max_centers:
-            raise BudgetError(f"cover construction exceeded {max_centers} centers")
+            break
+        if len(grown) >= limit:
+            raise BudgetError(f"cover construction exceeded {limit} centers")
         j = live[int(np.argmax(offsets <= low + _TIE))]
         normal = hull.normals[j] / np.linalg.norm(hull.normals[j])
-        if not hull.add(normal, len(centers)):
-            return None
-        centers.append(normal)
+        if not hull.add(normal, len(grown)):
+            break
+        grown.append(normal)
+    return np.array(grown), None
 
 
 @functools.lru_cache(maxsize=_COVER_CACHE_SIZE)
@@ -727,46 +743,27 @@ def _farthest_first(rows, best, chosen, covered, limit) -> bool:
         np.maximum(best, rows @ rows[j], out=best)
 
 
-def _repel(u, centers, cos_target, steps):
-    """Hill-climb ``u`` away from its nearest centers on the sphere.
-
-    Returns (point, reached) where reached means the max dot product to
-    the centers dropped to cos_target or below.
-    """
-    step = 0.2
-    for _ in range(steps):
-        dots = centers @ u
-        m = float(dots.max())
-        if m <= cos_target:
-            return u, True
-        active = centers[dots >= m - 0.05]
-        g = -active.sum(axis=0)
-        g -= (g @ u) * u
-        norm = float(np.linalg.norm(g))
-        if norm < 1e-14:
-            break
-        v = u + step * g / norm
-        v /= np.linalg.norm(v)
-        if float((centers @ v).max()) < m:
-            u = v
-        else:
-            step *= 0.5
-            if step < 1e-6:
-                break
-    return u, float((centers @ u).max()) <= cos_target
-
-
 def maximal_packing(
     n: int, theta: float, seed: int = 0, params: PackParams | None = None
 ) -> Packing:
-    """Construct a theta-separated point set, saturated over its pool.
+    """Construct a theta-separated point set, and prove it saturated
+    where it can.
 
     On the circle the optimum (floor(2 pi / theta) equally spaced
     points) is returned. Otherwise farthest-point greedy accepts pool
-    candidates while the farthest one is still >= theta from every
-    accepted point; near-miss candidates are then hill-climbed into any
-    remaining holes, and fresh pools are scanned until nothing fits.
-    Deterministic for fixed (n, theta, seed, params).
+    candidates, the cross-polytope first, while the farthest one is
+    still >= theta from every accepted point, over ``1 + _EXTRA_ROUNDS``
+    fresh pools. Past pi/2 that leaves e1 and -e1, which are saturated.
+    With ``params.polish``, ``_deepen`` then fills every hole deeper
+    than theta, as it builds a cover, and the packing is saturated iff
+    the hull certificate of its hull passes (not past
+    ``_HULL_FACET_BUDGET`` facets). A packing cut at
+    ``params.max_points`` is not saturated. Deterministic for fixed
+    (n, theta, seed, params).
+
+    Raises:
+        BudgetError: If a circle packing would pass ``MAX_NET_POINTS``
+            points and ``params.max_points`` does not cap it.
     """
     params = params or PackParams()
     if n < 2:
@@ -775,8 +772,10 @@ def maximal_packing(
         raise ValueError("theta must lie in (0, pi)")
 
     if n == 2:
-        full = max(2, math.floor(2.0 * math.pi / theta + 1e-12))
-        count = min(full, params.max_points) if params.max_points else full
+        full = max(2, math.floor(min(2.0 * math.pi / theta + 1e-12, MAX_NET_POINTS + 1)))
+        count = min(full, params.max_points or full)
+        if count > MAX_NET_POINTS:
+            raise BudgetError(f"circle packing exceeded {MAX_NET_POINTS} points")
         return Packing(2, theta, _circle_positions(count), saturated=count == full)
 
     pool_size = params.pool or _adaptive_pool(n) + 20_000
@@ -794,34 +793,15 @@ def maximal_packing(
             best = max_dots(pool, np.array(accepted))
         else:
             best = np.full(pool.shape[0], -2.0)
-        before = len(accepted)
         truncated = not _farthest_first(pool, best, accepted, lambda d: d > cos_theta, limit)
         if truncated:
             break
-        if params.polish and accepted:
-            _polish_packing(pool, best, accepted, theta, limit)
-            if len(accepted) >= limit:
-                truncated = True
-                break
-        if round_idx > 0 and len(accepted) == before:
-            break
 
     centers = np.array(accepted)
-    return Packing(n, theta, centers, saturated=not truncated)
-
-
-def _polish_packing(pool, best, accepted, theta, limit):
-    """Climb near-miss pool points into residual holes deeper than theta,
-    appending each to ``accepted`` and raising ``best`` by its dots."""
-    cos_theta = math.cos(theta) + 1e-12
-    window = math.cos(max(theta - min(0.2 * theta, 0.25), 1e-9))
-    near = np.flatnonzero((best > cos_theta) & (best <= window))
-    order = near[np.argsort(best[near], kind="stable")]
-    for idx in order[:_POLISH_CANDIDATES]:
-        if len(accepted) >= limit:
-            break
-        centers = np.array(accepted)
-        u, reached = _repel(pool[idx].copy(), centers, math.cos(theta), _POLISH_STEPS)
-        if reached:
-            accepted.append(u)
-            np.maximum(best, pool @ u, out=best)
+    saturated = not truncated and theta > math.pi / 2  # e1 and -e1 leave no room
+    if params.polish and not truncated and theta <= math.pi / 2:
+        centers, hull = _deepen(centers, math.cos(theta), math.inf)
+        saturated = _hull_certificate(centers, hull, theta, DEFAULT_TOL).passed
+        if len(centers) > limit:
+            centers, saturated = centers[: params.max_points], False
+    return Packing(n, theta, centers, saturated=saturated)

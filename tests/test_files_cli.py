@@ -733,6 +733,22 @@ class TestExitCodes:
         assert report["error"] == "precondition" and "max_points" in report["detail"]
         assert not (tmp_path / "pack.json").exists()
 
+    def test_pack_circle_budget_is_precondition(self, tmp_path, capsys):
+        # floor(2 pi / 1e-9) is about 6.3e9 points: refused before any is made.
+        out = tmp_path / "pack.json"
+        start = time.perf_counter()
+        assert self.run("pack", "-n", "2", "--theta", "1e-9", "--output", str(out)) == 3
+        assert time.perf_counter() - start < 0.5
+        assert json.loads(capsys.readouterr().out)["error"] == "precondition"
+        assert not out.exists()
+
+    def test_pack_saturated_is_hull_proved(self, tmp_path, capsys):
+        out = str(tmp_path / "pack.json")
+        assert self.run("pack", "-n", "5", "--theta", "0.5", "--seed", "1",
+                        "--output", out) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["saturated"] is True
+        assert self.run("verify", "--cover", out, "--theta", "0.5", "--method", "hull") == 0
+
     def test_verify_requires_exactly_one_target(self, capsys):
         assert self.run("verify") == 3
 
@@ -752,12 +768,19 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)["report"]
         assert abs(report["alpha"] - 0.583808) < 1e-5
 
-    def test_illuminate_sweep_never_worse_than_default(self, hand_body_file, capsys):
-        assert self.run("illuminate", hand_body_file) == 0
-        base = json.loads(capsys.readouterr().out)["report"]["directions"]
-        assert self.run("illuminate", hand_body_file, "--sweep", "5") == 0
-        swept = json.loads(capsys.readouterr().out)["report"]["directions"]
-        assert swept <= base
+    def test_illuminate_sweep_never_worse_than_default(self, hand_body_file, tmp_path,
+                                                       capsys):
+        # In R^4 the sweep's last alpha, 0.1, asks for a cover past the
+        # 20,000-center budget; that alpha is skipped, not fatal.
+        spikes = tmp_path / "spikes4.json"
+        v = 1.1 * np.concatenate([np.eye(4), -np.eye(4)])
+        files.write_document(files.spiky_body_document(SpikyBall(4, v)), spikes)
+        for body in (hand_body_file, str(spikes)):
+            assert self.run("illuminate", body) == 0
+            base = json.loads(capsys.readouterr().out)["report"]["directions"]
+            assert self.run("illuminate", body, "--sweep", "5") == 0
+            swept = json.loads(capsys.readouterr().out)["report"]["directions"]
+            assert swept <= base
 
     def test_lowerbound_ok(self, tmp_path, capsys):
         out = str(tmp_path / "body.json")

@@ -44,6 +44,9 @@ def no_hull(monkeypatch):
     monkeypatch.setattr(sphere_cover, "_hull_of", lambda rows: None)
 
 
+CROSS_3 = np.concatenate([np.eye(3), -np.eye(3)])
+
+
 def cover_misses():
     return (
         sphere_cover._hull_cover.cache_info().misses
@@ -561,8 +564,8 @@ class TestGreedyCover:
 
     @pytest.mark.parametrize("build", [
         lambda: sphere_net(6, 0.01),
-        lambda: sphere_cover._hull_centers(3, 0.2, 5),  # the cross-polytope has 6
-        lambda: sphere_cover._hull_centers(3, 0.2, 8),  # the hull grows past 8
+        lambda: sphere_cover._hull_cover(3, 0.2, 5),  # the cross-polytope has 6
+        lambda: sphere_cover._deepen(CROSS_3, math.cos(0.2), 8),  # the hull grows past 8
         lambda: sphere_cover._greedy_cover_nd(3, 0.9, 0, 5),
     ])
     def test_every_budget_raises_one_error(self, build):
@@ -705,6 +708,13 @@ class TestMaximalPacking:
         packing = maximal_packing(n, 3.1, seed=0)
         assert len(packing) == 2
 
+    def test_antipodal_pair_is_saturated_past_a_right_angle(self):
+        # Every unit vector lies within pi/2 of e1 or -e1, which the pool
+        # accepts first; the hull step has nothing to add.
+        packing = maximal_packing(3, 2.0, seed=0)
+        assert packing.saturated
+        assert np.array_equal(packing.centers, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+
     @pytest.mark.parametrize("n,theta", [(3, 1.0), (4, math.pi / 2), (5, 1.2)])
     def test_separation_exhaustive(self, n, theta):
         packing = maximal_packing(n, theta, seed=3)
@@ -725,16 +735,68 @@ class TestMaximalPacking:
         assert np.array_equal(a.centers, b.centers)
 
     def test_round_two_memory(self):
-        # 312 points against the second round's 80,000-row pool: one whole
-        # product of the two traced a 191 MB peak.
+        # The pool rounds accept 293 points, checked against the
+        # second round's 80,000-row pool (one whole product of the two
+        # traced a 191 MB peak); the hull step then proves 365 saturated.
         packing, peak = traced_peak(lambda: maximal_packing(5, 0.5))
-        assert len(packing) == 312
+        assert len(packing) == 365 and packing.saturated
         assert peak < 40 * 2**20
+
+    # n = 6 at 0.5 passes the facet budget, as at 0.6 below.
+    @pytest.mark.parametrize("n, theta", [
+        (n, theta) for n in range(3, 7) for theta in (0.5, 0.75, 1.0, math.pi / 2)
+        if (n, theta) != (6, 0.5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_saturation_is_proved(self, n, theta, seed):
+        packing = maximal_packing(n, theta, seed=seed)
+        assert packing.saturated
+        assert verify_cover(Cover(n, theta, packing.centers), "hull").passed
+        if theta == math.pi / 2:
+            # The cross-polytope: every row lies exactly pi/2 from its
+            # nearest, so no row taken out leaves a hole deeper than theta.
+            assert len(packing) == 2 * n
+            return
+        # Without the row whose nearest neighbour is farthest, that row
+        # lies farther than theta from every other: the proof must fail.
+        dots = packing.centers @ packing.centers.T
+        np.fill_diagonal(dots, -1.0)
+        nearest = dots.max(axis=1)
+        lone = int(np.argmin(nearest))
+        assert math.acos(nearest[lone]) > theta + 1e-6
+        rest = np.delete(packing.centers, lone, axis=0)
+        assert not verify_cover(Cover(n, theta, rest), "hull").passed
+
+    def test_pool_holes_are_filled(self):
+        # The pool alone leaves a hole deeper than 0.5 here, and so did
+        # the hill-climbing polish this hull step replaced (309 points, a
+        # certificate margin of -0.0393).
+        pool = maximal_packing(5, 0.5, seed=1, params=PackParams(polish=False))
+        assert not pool.saturated
+        assert not verify_cover(Cover(5, 0.5, pool.centers), "hull").passed
+        packing = maximal_packing(5, 0.5, seed=1)
+        assert packing.saturated
+        assert verify_cover(Cover(5, 0.5, packing.centers), "hull").passed
+        assert np.array_equal(packing.centers[: len(pool)], pool.centers)
+
+    def test_past_the_facet_budget(self):
+        packing = maximal_packing(6, 0.6, seed=0)
+        assert not packing.saturated
+        assert first_pair_outside(packing.centers, low=0.6 - 1e-9, angles=True) is None
 
     def test_max_points_stops_early(self):
         packing = maximal_packing(4, 0.8, seed=0, params=PackParams(max_points=5))
         assert len(packing) == 5
         assert not packing.saturated
+
+    def test_circle_budget_is_refused_first(self):
+        # floor(2 pi / 1e-9) is about 6.3e9 points, past MAX_NET_POINTS.
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="exceeded 2000000 points"):
+            maximal_packing(2, 1e-9)
+        assert time.perf_counter() - start < 0.5
+        capped = maximal_packing(2, 1e-9, params=PackParams(max_points=5))
+        assert len(capped) == 5 and not capped.saturated
+        assert len(maximal_packing(2, 1e-3)) == 6_283
 
     @pytest.mark.parametrize("field", ["pool", "max_points"])
     def test_negative_params_are_refused(self, field):
