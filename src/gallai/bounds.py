@@ -16,6 +16,8 @@ GALLAI_UPPER = math.sqrt(1.5)  # base of the piercing-set size bound
 GALLAI_LOWER = 2.0 / math.sqrt(3.0)  # base of the lower-bound construction
 # Rows of the exponent table, at theta = (pi/2) i / (_TABLE_POINTS + 1).
 _TABLE_POINTS = 9
+# Width of the bracket ``solve_alpha`` bisects down to.
+_ALPHA_TOL = 1e-9
 
 
 def kl_exponent(theta: float) -> float:
@@ -46,21 +48,20 @@ def covering_exponent(theta: float) -> float:
     return -math.log2(math.cos(theta))
 
 
-def solve_alpha(tol: float = 1e-6) -> float:
-    """Root of kl_exponent(2x) = covering_exponent(x) on (0, pi/4).
+def solve_alpha() -> float:
+    """Root of kl_exponent(2x) = covering_exponent(x) on (0, pi/4), to
+    within ``_ALPHA_TOL``.
 
     The difference decreases from +inf at 0+ to -1/2 at pi/4, so plain
     bisection is safe; capped at 200 iterations.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
 
     def h(x: float) -> float:
         return kl_exponent(2.0 * x) - covering_exponent(x)
 
     lo, hi = 1e-9, math.pi / 4 - 1e-12
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= _ALPHA_TOL:
             break
         mid = 0.5 * (lo + hi)
         if h(mid) > 0.0:
@@ -130,7 +131,7 @@ class ExponentReport:
 
 def exponent_report() -> ExponentReport:
     """Assemble the headline constants and a grid of both exponents."""
-    alpha = solve_alpha(1e-9)
+    alpha = solve_alpha()
     rows = []
     for i in range(1, _TABLE_POINTS + 1):
         theta = (math.pi / 2) * i / (_TABLE_POINTS + 1)

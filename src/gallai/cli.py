@@ -22,7 +22,6 @@ import numpy as np
 from . import files
 from .bounds import cap_share, exponent_report, solve_alpha
 from .errors import PairwiseError, VerificationError
-from .geometry import DEFAULT_TOL
 
 # is_cap_body and first_non_intersecting_pair are not called here; they stay
 # attributes of this module because perfbench/tracer.py patches them here.
@@ -91,7 +90,7 @@ def cmd_pierce(args) -> int:
     dim, balls = files.parse_ball_family(files.load_document(args.input))
     family = BallFamily(dim, balls)
     result, verified, witness = _built(
-        args, PiercingSet, lambda: pierce(family, args.seed, args.tol)
+        args, PiercingSet, lambda: pierce(family, args.seed)
     )
     acct = result.accounting
     accounting = {
@@ -126,16 +125,16 @@ def cmd_illuminate(args) -> int:
         if not args.skip_cap_check:
             raise
         target = body
-    alpha = args.alpha if args.alpha is not None else solve_alpha(1e-9)
+    alpha = args.alpha if args.alpha is not None else solve_alpha()
     if args.sweep > 0:
         # A failed sweep carries no direction set, so --skip-verify does
         # not apply to it.
         grid = np.linspace(0.1, math.pi / 2 - 0.1, args.sweep)
-        alpha, result = sweep_alpha(target, grid, args.seed, args.tol)
+        alpha, result = sweep_alpha(target, grid, args.seed)
         verified, witness = True, None
     else:
         result, verified, witness = _built(
-            args, DirectionSet, lambda: illuminate_cap_body(target, alpha, args.seed, args.tol)
+            args, DirectionSet, lambda: illuminate_cap_body(target, alpha, args.seed)
         )
     u1 = sum(1 for tag in result.provenance if tag.startswith("U1:"))
     u2 = len(result) - u1
@@ -211,11 +210,6 @@ def cmd_pack(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    if not 0.0 < math.cos(ANGLE_MIN) + args.tol < 1.0:
-        raise ValueError(
-            f"--tol {args.tol} puts the illumination threshold cos(pi/3) + tol "
-            "outside (0, 1)"
-        )
     # The symmetric set has 2 * target points pairwise >= pi/3 apart, so
     # their open pi/6 caps are disjoint and each covers the share
     # cap_share(n, pi/6) = I_(1/4)((n-1)/2, 1/2) / 2 of the sphere.
@@ -240,7 +234,7 @@ def cmd_lowerbound(args) -> int:
         )
     symmetric = symmetrize(separated)
     body = build_lower_bound_body(symmetric)
-    stats = multiplicity_report(symmetric, args.samples, args.seed, args.tol)
+    stats = multiplicity_report(symmetric, args.samples, args.seed)
     report = {
         "report": {
             "dimension": args.dimension,
@@ -273,7 +267,7 @@ def cmd_verify(args) -> int:
         if pdim != dim:
             raise ValueError(f"dimension mismatch: family {dim}, points {pdim}")
         family = BallFamily(dim, balls)
-        ok, witness = verify_piercing(family, points, args.tol)
+        ok, witness = verify_piercing(family, points)
         _emit({"report": {"passed": ok, "witness": witness}})
         return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -282,7 +276,7 @@ def cmd_verify(args) -> int:
             raise ValueError("--body requires --directions")
         body = files.parse_spiky_body(files.load_document(args.body))
         dirs = files.parse_direction_set(files.load_document(args.directions))
-        ok, witness = verifies_illumination(body, dirs, args.tol)
+        ok, witness = verifies_illumination(body, dirs)
         _emit({"report": {"passed": ok, "witness": witness}})
         return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -293,7 +287,7 @@ def cmd_verify(args) -> int:
         raise ValueError("cover verification needs --theta or meta.angular_radius")
     cover = Cover(dirs.dimension, theta, dirs.directions)
     resolution = args.resolution if args.method == "net" else args.samples
-    cert = verify_cover(cover, args.method, resolution, seed=args.seed, tol=args.tol)
+    cert = verify_cover(cover, args.method, resolution, seed=args.seed)
     _emit({"report": {"passed": cert.passed, "certificate": _certificate_dict(cert)}})
     return EXIT_OK if cert.passed else EXIT_VERIFICATION
 
@@ -309,12 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True, tol=True):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        if tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                           help="verification tolerance (default 1e-9); input "
-                           "preconditions always use 1e-9")
+    def common(p, output=True):
+        p.add_argument("--seed", type=int, default=0, help="non-negative RNG seed (default 0)")
         if output:
             p.add_argument("--output", help="write the artifact to this path")
 
@@ -345,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover", help="construct a certified sphere cover")
     p.add_argument("--dimension", "-n", type=int, required=True)
     p.add_argument("--theta", type=float, required=True, help="cap angular radius")
-    common(p, tol=False)
+    common(p)
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("pack", help="construct a separated packing")
@@ -353,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True, help="minimum separation")
     p.add_argument("--max-points", type=int, default=0,
                    help="stop after this many points (0 = saturate)")
-    common(p, tol=False)
+    common(p)
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("lowerbound", help="symmetric separated set and its cap body")
@@ -400,6 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except files.FileFormatError as exc:
         _emit({"error": "parse", "detail": str(exc)})

@@ -188,9 +188,7 @@ def _stiemke_certified(y: np.ndarray, u: np.ndarray, s: np.ndarray) -> bool:
     return bool(sigma_lo * m > r_up)
 
 
-def verifies_illumination(
-    s, d: DirectionSet, tol: float = DEFAULT_TOL
-) -> tuple[bool, int | None]:
+def verifies_illumination(s, d: DirectionSet) -> tuple[bool, int | None]:
     """Illumination certificate: full positive hull plus one direction
     strictly inside every vertex's open illumination cap.
 
@@ -205,20 +203,17 @@ def verifies_illumination(
         return False, None
     norms = np.linalg.norm(v, axis=1)
     axes = v / norms[:, None]
-    # Open-cap membership: dot with -axis must exceed cos(radius) + tol.
+    # Open-cap membership: dot with -axis must exceed cos(radius) + DEFAULT_TOL.
     thresholds = np.cos(math.pi / 2 - np.arccos(np.clip(1.0 / norms, -1.0, 1.0)))
     best = max_dots(-axes, d.directions)
-    failing = np.flatnonzero(best <= thresholds + tol)
+    failing = np.flatnonzero(best <= thresholds + DEFAULT_TOL)
     if failing.size:
         return False, int(failing[0])
     return True, None
 
 
 def illuminate_cap_body(
-    body: CapBody,
-    alpha: float | None = None,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
+    body: CapBody, alpha: float | None = None, seed: int = 0
 ) -> DirectionSet:
     """Constructive illumination of a cap body.
 
@@ -236,7 +231,7 @@ def illuminate_cap_body(
         VerificationError: If the certificate fails on the output.
     """
     if alpha is None:
-        alpha = solve_alpha(1e-9)
+        alpha = solve_alpha()
     if not 0.0 < alpha < math.pi / 2:
         raise ValueError(f"alpha must lie in (0, pi/2), got {alpha}")
     v = body.vertices
@@ -256,7 +251,7 @@ def illuminate_cap_body(
         directions = u1
 
     out = DirectionSet(n, directions, tuple(tags))
-    ok, witness = verifies_illumination(body, out, tol)
+    ok, witness = verifies_illumination(body, out)
     if not ok:
         raise VerificationError(
             "illumination certificate failed"
@@ -267,12 +262,7 @@ def illuminate_cap_body(
     return out
 
 
-def sweep_alpha(
-    body: CapBody,
-    alphas,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> tuple[float, DirectionSet]:
+def sweep_alpha(body: CapBody, alphas, seed: int = 0) -> tuple[float, DirectionSet]:
     """Pick the alpha from a grid minimizing the witnessed output size.
 
     Ties go to the smaller alpha; alphas whose construction fails to
@@ -282,7 +272,7 @@ def sweep_alpha(
     best: tuple[float, DirectionSet] | None = None
     for alpha in alphas:
         try:
-            d = illuminate_cap_body(body, alpha, seed, tol)
+            d = illuminate_cap_body(body, alpha, seed)
         except (VerificationError, BudgetError):
             continue
         if best is None or len(d) < len(best[1]):

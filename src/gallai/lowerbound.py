@@ -263,21 +263,19 @@ class MultiplicityReport:
 
 
 def multiplicity_report(
-    y: SymmetricSeparatedSet,
-    samples: int,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
+    y: SymmetricSeparatedSet, samples: int, seed: int = 0
 ) -> MultiplicityReport:
     """Multiplicity statistics over seeded uniform directions.
 
-    u illuminates y_i when -u . y_i > c = cos(pi/3) + tol. The directions
-    are the rows of ``sampling.unit_vectors(_direction_rng(seed),
-    y.dimension, samples)``: the first ``samples`` normal draws of norm
-    >= 1e-12 from a stream that no run of ``construct_separated_set``
-    with any seed draws from, each divided by its norm.
+    u illuminates y_i when -u . y_i > c = cos(pi/3) + ``DEFAULT_TOL``.
+    The directions are the rows of ``sampling.unit_vectors(
+    _direction_rng(seed), y.dimension, samples)``: the first ``samples``
+    normal draws of norm >= 1e-12 from a stream that no run of
+    ``construct_separated_set`` with any seed draws from, each divided
+    by its norm.
     Each antipodal pair {h, -h} is counted from d = u . h alone
-    (-u . h > c iff d < -c, -u . -h > c iff d > c): the pair counts
-    |d| > c for c >= 0, and 1 + (|d| < -c) for c < 0.
+    (-u . h > c iff d < -c, -u . -h > c iff d > c): as c > 0, the pair
+    counts |d| > c.
 
     The calling thread draws the raw rows ``_SAMPLE_BLOCK`` at a time in
     stream order. When more than one CPU is usable and there is more
@@ -297,7 +295,7 @@ def multiplicity_report(
     if samples < 1:
         raise ValueError("sample count must be positive")
     ht = np.ascontiguousarray(_one_per_pair(y.points).T)
-    c = math.cos(ANGLE_MIN) + tol
+    c = math.cos(ANGLE_MIN) + DEFAULT_TOL
     rng = _direction_rng(seed)
     block = min(_SAMPLE_BLOCK, samples)
     sizes = [min(block, samples - start) for start in range(0, samples, block)]
@@ -337,8 +335,7 @@ class _Tally:
 
     def __init__(self, ht, c, size, block):
         pairs = ht.shape[1]
-        self.ht = ht
-        self.compare, self.edge, self.base = (np.greater, c, 0) if c >= 0 else (np.less, -c, pairs)
+        self.ht, self.c = ht, c
         self.freq = np.zeros(size + 1, dtype=np.int64)  # a count is at most size
         self.dropped = 0
         self.buf, self.sums, self.ones = np.empty((block, pairs)), np.empty(block), np.ones(pairs)
@@ -352,9 +349,9 @@ class _Tally:
         self.dropped += dropped
         dots = np.matmul(u, self.ht, out=self.buf[: len(u)])
         np.abs(dots, out=dots)
-        self.compare(dots, self.edge, out=dots)
+        np.greater(dots, self.c, out=dots)
         counts = np.matmul(dots, self.ones, out=self.sums[: len(u)]).astype(np.intp)
-        self.freq[self.base :] += np.bincount(counts, minlength=len(self.freq) - self.base)
+        self.freq += np.bincount(counts, minlength=len(self.freq))
         return dropped
 
 

@@ -62,13 +62,16 @@ class BallFamily:
 
 def first_non_intersecting_pair(balls):
     """Index pair of the first pair farther apart than its radii sum plus
-    ``DEFAULT_TOL``, or None if all intersect.
+    the family's slack, or None if all intersect.
 
-    ``balls`` is a ``Balls`` or a non-empty sequence of ``Ball``s.
+    ``balls`` is a ``Balls`` or a non-empty sequence of ``Ball``s. The
+    slack is ``DEFAULT_TOL`` times the smallest radius, so scaling or
+    moving the family changes no verdict beyond rounding.
     """
     if not isinstance(balls, Balls):
         balls = Balls.of(balls)
-    return first_pair_outside(balls.centers, high=balls.radii, tol=DEFAULT_TOL)
+    slack = DEFAULT_TOL * float(balls.radii.min())
+    return first_pair_outside(balls.centers, high=balls.radii, tol=slack)
 
 
 @dataclass(frozen=True)
@@ -298,7 +301,7 @@ def _scale_buckets(radii: np.ndarray, lam: float, t: int) -> np.ndarray:
     return np.maximum(np.searchsorted(bounds, radii, side="right"), 1)
 
 
-def pierce(family: BallFamily, seed: int = 0, tol: float = DEFAULT_TOL) -> PiercingSet:
+def pierce(family: BallFamily, seed: int = 0) -> PiercingSet:
     """Construct a verified piercing set for a pairwise intersecting family.
 
     Balls of radius at least n (after normalization) are large. The
@@ -306,7 +309,8 @@ def pierce(family: BallFamily, seed: int = 0, tol: float = DEFAULT_TOL) -> Pierc
     refined balls of bucket k, of radius lam^k sqrt(1 - 1/n), are no
     larger than its smallest ball, of radius lam^(k-1). ``seed`` reaches
     only a sampled fallback cover of the large balls (see
-    ``greedy_cover``); ``tol`` is the tolerance of the final check.
+    ``greedy_cover``). The final check is ``verify_piercing``, whose
+    slack scales with the smallest radius.
 
     Raises:
         VerificationError: If the final exact check finds an unpierced
@@ -325,7 +329,6 @@ def pierce(family: BallFamily, seed: int = 0, tol: float = DEFAULT_TOL) -> Pierc
     if len(family) == 1:
         return _verified(
             family,
-            tol,
             PiercingSet(
                 n,
                 family.centers().copy(),
@@ -364,11 +367,11 @@ def pierce(family: BallFamily, seed: int = 0, tol: float = DEFAULT_TOL) -> Pierc
         tuple(provenance),
         PiercingAccounting(large_count, tuple(scale_counts), t, lam),
     )
-    return _verified(family, tol, result)
+    return _verified(family, result)
 
 
-def _verified(family, tol, result: PiercingSet) -> PiercingSet:
-    ok, witness = verify_piercing(family, result, tol)
+def _verified(family, result: PiercingSet) -> PiercingSet:
+    ok, witness = verify_piercing(family, result)
     if not ok:
         raise VerificationError(
             f"piercing verification failed at ball index {witness}",
@@ -378,16 +381,16 @@ def _verified(family, tol, result: PiercingSet) -> PiercingSet:
     return result
 
 
-def verify_piercing(
-    family: BallFamily, piercing, tol: float = DEFAULT_TOL
-) -> tuple[bool, int | None]:
+def verify_piercing(family: BallFamily, piercing) -> tuple[bool, int | None]:
     """Exact check that every ball contains at least one point.
 
     Accepts a PiercingSet or a raw (m, n) array. Returns (True, None)
     or (False, index of the first unpierced ball). A point pierces a
-    ball when ``pair_distances(point, center) <= radius + tol``, as
-    ``pairs_within`` decides it, block by block, so memory stays bounded
-    for any family and point count.
+    ball when ``pair_distances(point, center) <= radius + DEFAULT_TOL *
+    r_min``, r_min the family's smallest radius, as ``pairs_within``
+    decides it, block by block, so memory stays bounded for any family
+    and point count. The slack scales with the family, so a similarity
+    of family and points changes no verdict beyond rounding.
     """
     pts = piercing.points if isinstance(piercing, PiercingSet) else np.asarray(
         piercing, dtype=float
@@ -396,7 +399,8 @@ def verify_piercing(
         raise ValueError(f"points must have shape (m, {family.dimension})")
     if pts.shape[0] == 0:
         return False, 0
-    for rows, inside in pairs_within(family.centers(), pts, family.radii() + tol):
+    limits = family.radii() + DEFAULT_TOL * float(family.radii().min())
+    for rows, inside in pairs_within(family.centers(), pts, limits):
         missed = np.flatnonzero(~inside.any(axis=1))
         if missed.size:
             return False, int(rows[missed[0]])

@@ -417,7 +417,7 @@ def _closed_cycle(simplices: np.ndarray, orientation: np.ndarray) -> bool:
     return bool((x[s] * a + x[t] * b == 0).all())
 
 
-def _arc_certificate(centers: np.ndarray, theta: float, tol: float) -> CoverCertificate:
+def _arc_certificate(centers: np.ndarray, theta: float) -> CoverCertificate:
     """Exact cover check on the circle: the arcs cover it iff the largest
     gap between consecutive center angles is at most 2 theta, and then
     the covering radius is half that gap.
@@ -432,12 +432,10 @@ def _arc_certificate(centers: np.ndarray, theta: float, tol: float) -> CoverCert
     angles = np.sort(np.arctan2(centers[:, 1], centers[:, 0]))
     gaps = np.diff(angles, append=angles[0] + 2.0 * math.pi)
     margin = theta - float(gaps.max()) / 2.0 - _rounding(2)
-    return CoverCertificate("hull", len(gaps), margin, margin >= -tol)
+    return CoverCertificate("hull", len(gaps), margin, margin >= -DEFAULT_TOL)
 
 
-def _hull_certificate(
-    centers: np.ndarray, hull: _Hull | None, theta: float, tol: float
-) -> CoverCertificate:
+def _hull_certificate(centers: np.ndarray, hull: _Hull | None, theta: float) -> CoverCertificate:
     """Exact cover check from the live facets of ``hull``, whose labels
     index ``centers``; None, where ``_hull_of`` found no simplex or
     passed ``_HULL_FACET_BUDGET`` live facets, fails. Only the facets'
@@ -487,7 +485,7 @@ def _hull_certificate(
     if not offset > 0:
         return failed
     margin = theta - math.acos(min(offset, 1.0))
-    return CoverCertificate("hull", len(simplices), margin, margin >= -tol)
+    return CoverCertificate("hull", len(simplices), margin, margin >= -DEFAULT_TOL)
 
 
 def verify_cover(
@@ -495,7 +493,6 @@ def verify_cover(
     method: str = "sampled",
     resolution_or_samples: float | int | None = None,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> CoverCertificate:
     """Certify a cover exactly from its convex hull or over a net, or by
     uniform sampling.
@@ -507,15 +504,17 @@ def verify_cover(
     the centers. Net method: builds a delta-net and passes iff every net
     point lies within theta - delta of a center, which proves the cover
     is complete. Requires delta < theta. Sampled method: passes iff all
-    of k uniform points are covered (closed caps, tolerance-inclusive),
-    drawn ``_SAMPLES`` at a time, so memory does not grow with k. ``resolution_or_samples`` None means delta =
-    theta / 8 or k = ``_SAMPLES``; a delta or k of 0 raises ``ValueError``.
+    of k uniform points are covered (closed caps), drawn ``_SAMPLES`` at
+    a time, so memory does not grow with k. ``resolution_or_samples``
+    None means delta = theta / 8 or k = ``_SAMPLES``; a delta or k of 0
+    raises ``ValueError``. Every method passes a margin of at least
+    -``DEFAULT_TOL`` radians.
     """
     theta = cover.angular_radius
     if method == "hull":
         if cover.dimension == 2:
-            return _arc_certificate(cover.centers, theta, tol)
-        return _hull_certificate(cover.centers, _hull_of(cover.centers), theta, tol)
+            return _arc_certificate(cover.centers, theta)
+        return _hull_certificate(cover.centers, _hull_of(cover.centers), theta)
     if method == "net":
         delta = theta / 8 if resolution_or_samples is None else float(resolution_or_samples)
         if not 0 < delta < theta:
@@ -523,7 +522,7 @@ def verify_cover(
         net, exact_delta = sphere_net(cover.dimension, delta)
         worst = _max_gap(net, cover.centers)
         margin = (theta - exact_delta) - worst
-        return CoverCertificate("net", exact_delta, margin, margin >= -tol)
+        return CoverCertificate("net", exact_delta, margin, margin >= -DEFAULT_TOL)
     if method == "sampled":
         k = _SAMPLES if resolution_or_samples is None else int(resolution_or_samples)
         if k < 1:
@@ -538,7 +537,7 @@ def verify_cover(
         )
         margin = theta - worst
         return CoverCertificate(
-            "sampled", k, margin, margin >= -tol, undetected_measure=math.log(20.0) / k
+            "sampled", k, margin, margin >= -DEFAULT_TOL, undetected_measure=math.log(20.0) / k
         )
     raise ValueError(f"unknown certification method {method!r}")
 
@@ -662,7 +661,7 @@ def _hull_cover(n: int, theta: float, max_centers: int) -> Cover | None:
     if hull is None:
         return None
     cover = Cover(n, theta, centers)
-    return _certified(cover, _hull_certificate(cover.centers, hull, theta, DEFAULT_TOL))
+    return _certified(cover, _hull_certificate(cover.centers, hull, theta))
 
 
 def _deepen(rows: np.ndarray, stop: float, limit: float) -> tuple[np.ndarray, _Hull | None]:
@@ -801,7 +800,7 @@ def maximal_packing(
     saturated = not truncated and theta > math.pi / 2  # e1 and -e1 leave no room
     if params.polish and not truncated and theta <= math.pi / 2:
         centers, hull = _deepen(centers, math.cos(theta), math.inf)
-        saturated = _hull_certificate(centers, hull, theta, DEFAULT_TOL).passed
+        saturated = _hull_certificate(centers, hull, theta).passed
         if len(centers) > limit:
             centers, saturated = centers[: params.max_points], False
     return Packing(n, theta, centers, saturated=saturated)

@@ -81,13 +81,13 @@ def base_cap_radius(x):
     return math.acos(1.0 / float(np.linalg.norm(x)))
 
 
-def lights(norm, angle, tol=1e-9):
+def lights(norm, angle):
     """Whether the direction ``angle`` away from -e1 lights the spike
     (norm, 0) in the plane, by ``verifies_illumination``. The other three
     directions complete a positively spanning set and light nothing."""
     d = [-math.cos(angle), math.sin(angle)]
     dirs = DirectionSet(2, [d, [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    return verifies_illumination(SpikyBall(2, [[norm, 0.0]]), dirs, tol)[0]
+    return verifies_illumination(SpikyBall(2, [[norm, 0.0]]), dirs)[0]
 
 
 def far_axes_separated(body, alpha, tol=1e-9):

@@ -60,7 +60,7 @@ def _report(number, name, started, budget):
 
 def test_criterion_01_balance_root():
     started = time.monotonic()
-    alpha = solve_alpha(1e-6)
+    alpha = solve_alpha()
     assert 0.583807 <= alpha <= 0.583809
     assert 1.0 / math.cos(alpha) < 1.19851 + 1e-5
     assert abs(math.degrees(2.0 * alpha) - 66.9) <= 0.05
@@ -113,7 +113,7 @@ def test_criterion_05_piercing_pipeline():
         count = int(rng.integers(2, 201))
         family = random_intersecting_family(n, count, seed=10_000 + case)
         out = pierce(family, seed=case)
-        ok, witness = verify_piercing(family, out, 1e-9)
+        ok, witness = verify_piercing(family, out)
         assert ok, f"case {case}: ball {witness} unpierced"
         acct = out.accounting
         expected = acct.large_count + sum(2 * n * c for _, c in acct.scale_cover_counts)
@@ -142,12 +142,12 @@ def test_criterion_06_circle_oracles(tmp_path, capsys):
 
 def test_criterion_07_illumination_pipeline():
     started = time.monotonic()
-    alpha_star = solve_alpha(1e-9)
+    alpha_star = solve_alpha()
     for case in range(100):
         n = 3 + case % 4
         body = random_cap_body(n, 100, seed=20_000 + case)
         out = illuminate_cap_body(body, seed=case)
-        ok, witness = verifies_illumination(body, out, 1e-9)
+        ok, witness = verifies_illumination(body, out)
         assert ok, f"case {case}: vertex {witness} dark"
         assert far_axes_separated(body, alpha_star)
         norms = np.linalg.norm(body.vertices, axis=1)

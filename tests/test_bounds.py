@@ -61,15 +61,15 @@ class TestCoveringExponent:
 
 class TestSolveAlpha:
     def test_root_location(self):
-        alpha = solve_alpha(1e-6)
+        alpha = solve_alpha()
         assert 0.583807 <= alpha <= 0.583809
 
     def test_bound_base(self):
-        alpha = solve_alpha(1e-6)
+        alpha = solve_alpha()
         assert 1.0 / math.cos(alpha) < 1.19851 + 1e-5
 
     def test_doubled_angle_degrees(self):
-        alpha = solve_alpha(1e-6)
+        alpha = solve_alpha()
         assert abs(math.degrees(2 * alpha) - 66.9) <= 0.05
 
     def test_endpoint_identity(self):
@@ -77,10 +77,12 @@ class TestSolveAlpha:
         diff = kl_exponent(math.pi / 2) - covering_exponent(math.pi / 4)
         assert diff == pytest.approx(-0.5, abs=1e-9)
 
-    def test_bisection_stability(self):
-        for tol in (1e-4, 1e-6, 1e-8):
-            a, b = solve_alpha(tol), solve_alpha(tol / 2)
-            assert abs(a - b) <= tol
+    def test_bisection_bracket(self):
+        # The root lies within 1e-9 of the returned alpha: the balance
+        # difference changes sign across that bracket.
+        alpha = solve_alpha()
+        for x, sign in ((alpha - 1e-9, 1.0), (alpha + 1e-9, -1.0)):
+            assert sign * (kl_exponent(2.0 * x) - covering_exponent(x)) > 0.0
 
     def test_monotone_pieces(self):
         # Packing side strictly decreasing, covering side strictly
@@ -90,10 +92,6 @@ class TestSolveAlpha:
         g = [covering_exponent(x) for x in grid]
         assert all(a > b for a, b in zip(f, f[1:]))
         assert all(a < b for a, b in zip(g, g[1:]))
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            solve_alpha(0.0)
 
 
 class TestExponentReport:

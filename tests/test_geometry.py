@@ -103,9 +103,13 @@ class TestCaps:
             assert lights(norm, 0.0)
 
     def test_open_cap_boundary_excluded(self):
-        # The spike at norm 2 is lit by an open cap of radius pi/6.
+        # The spike at norm 2 is lit by an open cap of radius pi/6: a
+        # dot with its axis must pass cos(pi/6) by more than DEFAULT_TOL.
         assert lights(2.0, math.pi / 6 - 1e-6)
         assert not lights(2.0, math.pi / 6)
+        edge = math.cos(math.pi / 6)
+        assert lights(2.0, math.acos(edge + 2 * DEFAULT_TOL))
+        assert not lights(2.0, math.acos(edge + DEFAULT_TOL / 2))
 
     def test_closed_cap_boundary_included(self):
         # A pi/4 cap and a pi/6 cap may touch at their rims.
@@ -134,9 +138,10 @@ class TestCaps:
     @settings(max_examples=40, deadline=None)
     @given(st.floats(1.01, 5.0), st.floats(0.0, 1.6))
     def test_open_implies_closed(self, norm, angle):
-        # Inside the open cap with slack tol is inside it without slack.
+        # Inside the open cap with slack DEFAULT_TOL is inside it without
+        # slack: the dot with the axis passes the cap's cosine.
         if lights(norm, angle):
-            assert lights(norm, angle, tol=0.0)
+            assert math.cos(angle) > math.sqrt(1.0 - 1.0 / norm**2)
 
 
 class TestBalls:
@@ -166,11 +171,14 @@ class TestBalls:
         )
 
     def test_point_in_ball(self):
-        tol = 1e-9
-        family = BallFamily(2, (Ball([0, 0], 1),))
-        assert verify_piercing(family, np.array([[0.0, 0.0]]), tol) == (True, None)
-        assert verify_piercing(family, np.array([[1.0, 0.0]]), tol) == (True, None)
-        assert verify_piercing(family, np.array([[1.0 + 2 * tol, 0.0]]), tol) == (False, 0)
+        # The slack is DEFAULT_TOL in units of the smallest radius, at
+        # every scale.
+        for s in (1.0, 1e-12, 1e12):
+            family = BallFamily(2, (Ball([0, 0], s),))
+            for x, ok in ((0.0, True), (1.0, True), (1.0 + DEFAULT_TOL / 2, True),
+                          (1.0 + 2 * DEFAULT_TOL, False), (100.0, False)):
+                want = (True, None) if ok else (False, 0)
+                assert verify_piercing(family, np.array([[x * s, 0.0]])) == want
 
     def test_ball_validation(self):
         with pytest.raises(ValueError):
@@ -571,13 +579,15 @@ class TestPairKernel:
             radii = scale * rng.uniform(1.0, 1.5, m)
             family = BallFamily(n, Balls(centers, radii))
             out = random_units(int(rng.integers(0, 1 << 30)), m, n)
-            points = centers + radii[:, None] * out
+            # On each sphere, on it grown by the slack, or a slack beyond.
+            slack = DEFAULT_TOL * float(radii.min())
+            grown = radii + rng.choice([0.0, 1.0, 2.0], m) * slack
+            points = centers + grown[:, None] * out
             points = points[rng.random(m) < 0.7]
             if points.shape[0] == 0:
-                points = centers[:1] + radii[0] * out[:1]
-            tol = float(rng.choice([0.0, 1e-9]))
-            want = dense_first_missed(centers, radii, points, tol)
-            assert verify_piercing(family, points, tol) == (want is None, want)
+                points = centers[:1] + grown[0] * out[:1]
+            want = dense_first_missed(centers, radii, points, slack)
+            assert verify_piercing(family, points) == (want is None, want)
             outcomes.add(want is None)
         assert outcomes == {True, False}
 

@@ -444,7 +444,7 @@ class TestIlluminateCapBody:
         body = random_cap_body(3, 20, seed=13)
         vertices = body.vertices / np.linalg.norm(body.vertices, axis=1)[:, None] * 1.05
         near_body = CapBody.from_vertices(3, vertices)
-        alpha = solve_alpha(1e-9)
+        alpha = solve_alpha()
         assert (np.linalg.norm(near_body.vertices, axis=1) < 1 / math.cos(alpha)).all()
         out = illuminate_cap_body(near_body, seed=2)
         assert not any(tag.startswith("U1:") for tag in out.provenance)
@@ -507,7 +507,7 @@ class TestU1Separation:
     @pytest.mark.parametrize("seed", range(5))
     def test_holds_for_random_cap_bodies(self, seed):
         body = random_cap_body(3 + seed % 4, 50, seed=300 + seed)
-        for alpha in (0.3, solve_alpha(1e-9), 1.2):
+        for alpha in (0.3, solve_alpha(), 1.2):
             assert far_axes_separated(body, alpha)
 
 
@@ -516,7 +516,7 @@ class TestRandomBodiesEndToEnd:
     def test_pipeline(self, seed):
         body = random_cap_body(3 + seed % 4, 60, seed=400 + seed)
         out = illuminate_cap_body(body, seed=seed)
-        ok, witness = verifies_illumination(body, out, 1e-9)
+        ok, witness = verifies_illumination(body, out)
         assert ok, f"vertex {witness} dark"
 
     def test_verification_error_carries_result(self):

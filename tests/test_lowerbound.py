@@ -18,7 +18,7 @@ from gallai import (
     multiplicity_report,
     symmetrize,
 )
-from gallai import lowerbound, sampling
+from gallai import DEFAULT_TOL, lowerbound, sampling
 from gallai.lowerbound import _SAMPLE_BLOCK, MultiplicityReport, _direction_rng, _scan_block
 
 from conftest import angular_distance, base_cap_radius, illumination_multiplicity
@@ -316,11 +316,11 @@ def unit_row(*coords):
     raise AssertionError(f"no unit row through {coords}")
 
 
-def one_product_report(y, samples, seed=0, tol=1e-9):
+def one_product_report(y, samples, seed=0):
     """Reference multiplicity_report: one product of all the negated
     directions with all the points, no blocks and no pairing."""
     u = sampling.unit_vectors(lowerbound._direction_rng(seed), y.dimension, samples)
-    counts = ((-u @ y.points.T) > math.cos(math.pi / 3) + tol).sum(axis=1)
+    counts = ((-u @ y.points.T) > math.cos(math.pi / 3) + DEFAULT_TOL).sum(axis=1)
     top = int(counts.max())
     freq = np.bincount(counts)
     return MultiplicityReport(
@@ -352,10 +352,12 @@ class TestMultiplicityReport:
         assert rep.histogram == tuple(sorted(Counter(int(c) for c in counts).items()))
         assert len(rep.histogram) > 2
 
-    def test_witness_without_illuminated_vertex_is_json_null(self):
+    def test_witness_without_illuminated_vertex_is_json_null(self, monkeypatch):
         y = symmetrize(SeparatedSet(3, np.array([[0.0, 0.0, 1.0]])))
-        # A threshold near 1 leaves the two pi/3 caps almost empty.
-        rep = multiplicity_report(y, 1, seed=0, tol=0.4999)
+        # The one direction, e1, is orthogonal to both points.
+        stream = RowStream(np.array([[1.0, 0.0, 0.0]]))
+        monkeypatch.setattr(lowerbound, "_direction_rng", lambda seed: stream)
+        rep = multiplicity_report(y, 1, seed=0)
         assert rep.max_multiplicity == 0 and rep.witness == math.inf
         assert rep.to_dict()["witness"] is None
 
@@ -384,25 +386,19 @@ class TestMultiplicityReport:
             y, samples, seed=samples
         )
 
-    # -cos(pi/3) puts the threshold exactly at 0.0.
-    @pytest.mark.parametrize("tol", [1e-9, 0.0, -0.3, -0.7, 0.6, -math.cos(math.pi / 3)])
-    def test_any_order_and_threshold(self, tol):
-        # Pairs need not be split into halves, and a threshold at or below
-        # zero lets both points of a pair count.
+    def test_any_order(self):
+        # Pairs need not be split into halves.
         y = symmetrize(construct_separated_set(5, 15, seed=3))
         shuffled = SymmetricSeparatedSet(5, y.points[np.random.default_rng(0).permutation(len(y))])
         for z in (y, shuffled):
-            assert multiplicity_report(z, 5_000, seed=1, tol=tol) == one_product_report(
-                z, 5_000, seed=1, tol=tol
-            )
+            assert multiplicity_report(z, 5_000, seed=1) == one_product_report(z, 5_000, seed=1)
 
-    @pytest.mark.parametrize("tol", [0.0, 0.3, -0.75, -math.cos(math.pi / 3)])
-    def test_dots_on_the_threshold(self, tol, monkeypatch):
+    def test_dots_on_the_threshold(self, monkeypatch):
         # Directions whose dots with the axes are exactly +-c, 0 and +-1,
-        # or one ulp either side of +-c, on both sides of c = 0, over a
-        # full block and a partial one. The rows are unit in floating
-        # point, so normalizing them keeps every coordinate.
-        c = math.cos(math.pi / 3) + tol
+        # or one ulp either side of +-c, for c = cos(pi/3) + DEFAULT_TOL,
+        # over a full block and a partial one. The rows are unit in
+        # floating point, so normalizing them keeps every coordinate.
+        c = math.cos(math.pi / 3) + DEFAULT_TOL
         up, down = np.nextafter(c, 2.0), np.nextafter(c, -2.0)
         chosen = [
             unit_row(c, 1.0, 0.0), unit_row(-c, 0.0, 1.0), unit_row(0.0, -c, 1.0),
@@ -424,7 +420,7 @@ class TestMultiplicityReport:
             stream = RowStream(rows)
             with monkeypatch.context() as m:
                 m.setattr(lowerbound, "_direction_rng", lambda seed: stream)
-                out = fn(y, samples, seed=0, tol=tol)
+                out = fn(y, samples, seed=0)
             assert stream.served == samples
             return out
 

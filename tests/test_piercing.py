@@ -20,7 +20,7 @@ from gallai import (
     verify_piercing,
 )
 from gallai import PairwiseError, files, geometry, piercing, sphere_cover
-from gallai.geometry import pair_distances
+from gallai.geometry import DEFAULT_TOL, pair_distances
 from gallai.sampling import rng_from
 
 from conftest import (
@@ -66,13 +66,14 @@ def dense_reference_cover(points, radius):
     return np.array(centers)
 
 
-def loop_reference_verify(family, points, tol):
+def loop_reference_verify(family, points):
     """One ball at a time: (True, None) or (False, first unpierced index),
-    with ``cdist``'s distances."""
+    with ``cdist``'s distances and the slack DEFAULT_TOL * smallest radius."""
     from scipy.spatial.distance import cdist
 
     if points.shape[0] == 0:
         return False, 0
+    tol = DEFAULT_TOL * min(b.radius for b in family.balls)
     for i, b in enumerate(family.balls):
         gaps = cdist(b.center[None, :], points)[0]
         if not (gaps <= b.radius + tol).any():
@@ -569,7 +570,7 @@ class TestPierce:
         n = 2 + seed % 4
         family = random_intersecting_family(n, 60, seed=seed)
         out = pierce(family, seed=seed)
-        ok, witness = verify_piercing(family, out, 1e-9)
+        ok, witness = verify_piercing(family, out)
         assert ok, f"ball {witness} unpierced"
 
     def test_equivariance_exact_doubling(self):
@@ -690,10 +691,7 @@ class TestVerifyPiercing:
             np.empty((0, n)),
         ]
         for pts in candidates:
-            for tol in (0.0, 1e-9):
-                assert verify_piercing(family, pts, tol) == loop_reference_verify(
-                    family, pts, tol
-                )
+            assert verify_piercing(family, pts) == loop_reference_verify(family, pts)
 
     def test_first_of_several_unpierced(self):
         family = BallFamily(
@@ -701,21 +699,31 @@ class TestVerifyPiercing:
         )
         # Balls 1 and 2 miss the point; ball 1 is reported.
         pts = np.array([[-1.5, 0.0]])
-        assert loop_reference_verify(family, pts, 1e-9) == (False, 1)
+        assert loop_reference_verify(family, pts) == (False, 1)
         assert verify_piercing(family, pts) == (False, 1)
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_point_on_every_sphere_pierces(self, n):
-        # One point at distance exactly radius from every center, by the
-        # exact formula, which the family check also uses. From n = 8
-        # np.linalg.norm reads some of these distances an ulp larger.
+        # One point at distance exactly radius + slack from the center of
+        # every ball but the first, by the exact formula, which the family
+        # check also uses; one ulp less radius and it misses. Ball 0, the
+        # unit ball at the point, fixes the slack at DEFAULT_TOL. From
+        # n = 8 np.linalg.norm reads some of these distances an ulp larger.
         rng = rng_from(1)
-        centers = rng.standard_normal((40, n))
         point = rng.standard_normal((1, n))
-        radii = pair_distances(centers.T, point.T)
-        family = BallFamily(n, Balls(centers, radii))
-        assert verify_piercing(family, point, 0.0) == (True, None)
-        assert loop_reference_verify(family, point, 0.0) == (True, None)
+        out = rng.standard_normal((40, n))
+        out /= np.linalg.norm(out, axis=1)[:, None]
+        centers = point + rng.uniform(2.0, 3.0, (40, 1)) * out
+        reach = pair_distances(centers.T, point.T)
+        radii = reach - DEFAULT_TOL
+        for _ in range(4):
+            radii = np.where(radii + DEFAULT_TOL < reach, np.nextafter(radii, np.inf), radii)
+            radii = np.where(radii + DEFAULT_TOL > reach, np.nextafter(radii, 0.0), radii)
+        assert (radii + DEFAULT_TOL == reach).all()
+        for grown, want in ((radii, (True, None)), (np.nextafter(radii, 0.0), (False, 1))):
+            family = BallFamily(n, Balls(np.concatenate([point, centers]), np.r_[1.0, grown]))
+            assert verify_piercing(family, point) == want
+            assert loop_reference_verify(family, point) == want
 
     def test_pair_kernel_at_every_size_matches_per_ball_loop(self, monkeypatch):
         monkeypatch.setattr(geometry, "_EXACT_PAIRS", 0)
@@ -755,3 +763,66 @@ class TestInclusionBounds:
             bound = math.sqrt(1.0 - 1.0 / n)
             assert gap <= bound + 1e-12
             assert gap >= bound - 1e-3
+
+
+# A valid two-ball family far from the origin. Its coordinates round at
+# about 1e-7, so an absolute slack of 1e-9 refused its own piercing set.
+FAR_FAMILY = {
+    "kind": "ball_family",
+    "dimension": 2,
+    "balls": [
+        {"center": [-611732283.7171162, -666410640.3258581], "radius": 3570846.453743335},
+        {"center": [-618528970.3390145, -670983223.617407], "radius": 19856572.512968536},
+    ],
+}
+
+
+class TestScaleFree:
+    """Intersection and piercing verdicts do not change under a
+    similarity x -> s x + t of family and points."""
+
+    @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10, 1e-12, 1e12])
+    def test_disjoint_pair_refused_at_every_scale(self, s):
+        # The gap is half a radius.
+        with pytest.raises(PairwiseError) as exc:
+            BallFamily(2, (Ball([0.0, 0.0], s), Ball([2.5 * s, 0.0], s)))
+        assert exc.value.pair == (0, 1)
+
+    def test_point_outside_tiny_ball_misses(self):
+        family = BallFamily(2, (Ball([0.0, 0.0], 1e-12),))
+        assert verify_piercing(family, np.array([[1e-10, 0.0]])) == (False, 0)
+
+    def test_far_family_pierces(self):
+        family = BallFamily(*files.parse_ball_family(FAR_FAMILY))
+        out = pierce(family)
+        assert len(out) == 9
+        assert verify_piercing(family, out) == (True, None)
+
+    def test_random_similarities(self):
+        # Seeded families as in the benchmark (ball 0 the unit ball at the
+        # origin, radii up to 4n), mapped by s in 1e-9..1e9 and t up to
+        # 1e3 s per coordinate. The mapped family is accepted, pierced and
+        # pierced by the mapped points of the original.
+        for case in range(100):
+            rng = np.random.default_rng(9_000 + case)
+            n = 2 + case % 4
+            family = random_intersecting_family(n, int(rng.integers(2, 60)), seed=case)
+            s = 10.0 ** rng.uniform(-9.0, 9.0)
+            t = rng.uniform(-1e3 * s, 1e3 * s, n)
+            c, r = family.centers(), family.radii()
+            mapped = BallFamily(n, Balls(s * c + t, s * r))
+            assert verify_piercing(mapped, s * pierce(family).points + t) == (True, None), case
+            pierce(mapped)  # verified before it is returned
+            # One more ball, a relative gap of 1e-6 or more beyond ball 0.
+            u = rng.standard_normal(n)
+            extra = float(rng.uniform(1.0, 4.0 * n))
+            x = (1.0 + extra) * (1.0 + float(rng.uniform(1e-6, 1e-3))) * u / np.linalg.norm(u)
+            apart = np.vstack([c, x]), np.r_[r, extra]
+            for centers, radii in (apart, (s * apart[0] + t, s * apart[1])):
+                with pytest.raises(PairwiseError) as exc:
+                    BallFamily(n, Balls(centers, radii))
+                assert exc.value.pair == (0, len(r)), case
+            one = BallFamily(n, Balls(t[None], np.array([s])))
+            outside = t + 100.0 * s * np.eye(n)[:1]
+            assert verify_piercing(one, outside) == (False, 0), case
+            assert verify_piercing(one, t[None]) == (True, None), case

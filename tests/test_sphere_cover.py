@@ -56,7 +56,7 @@ def cover_misses():
 
 # The two radii the library asks covers for: the illumination radius
 # pi/2 - alpha* and the large-ball cap radius at the default threshold n.
-ILLUMINATION_THETA = math.pi / 2 - solve_alpha(1e-9)
+ILLUMINATION_THETA = math.pi / 2 - solve_alpha()
 LIBRARY_RADII = [(n, theta) for n in range(2, 7)
                  for theta in (ILLUMINATION_THETA, cap_overlap_radius(n, n))]
 
