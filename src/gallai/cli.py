@@ -3,10 +3,10 @@
 Subcommands wire the engines to JSON artifact files and print a JSON
 report to stdout, each one line with sorted keys (``python -m json.tool``
 pretty-prints it). Exit codes: 0 success, 2 parse error (also an
---output that cannot be written), 3 precondition violation (also a net
-or cover-center budget run out), 4 verification failure. With
---skip-verify a generating command still runs its verification but
-reports failure as a warning instead of exiting 4.
+--output that cannot be written, or an unknown option), 3 precondition
+violation (also a net, cover-center or hull-facet budget run out), 4
+verification failure: a generating command then reports the witness and
+writes nothing, as it writes only an artifact that passed its check.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .lowerbound import (
 )
 from .piercing import (
     BallFamily,
-    PiercingSet,
     first_non_intersecting_pair,
     pierce,
     verify_piercing,
@@ -73,25 +72,10 @@ def _certificate_dict(cert) -> dict:
     return {k: v for k, v in dataclasses.asdict(cert).items() if v is not None}
 
 
-def _built(args, kind, make):
-    """(result, verified, witness) of ``make()``. With --skip-verify, a
-    verification failure that carries a ``kind`` result is reported as a
-    warning and that result is returned unverified."""
-    try:
-        return make(), True, None
-    except VerificationError as exc:
-        if not args.skip_verify or not isinstance(exc.result, kind):
-            raise
-        print(f"warning: {exc}", file=sys.stderr)
-        return exc.result, False, exc.witness
-
-
 def cmd_pierce(args) -> int:
     dim, balls = files.parse_ball_family(files.load_document(args.input))
     family = BallFamily(dim, balls)
-    result, verified, witness = _built(
-        args, PiercingSet, lambda: pierce(family, args.seed)
-    )
+    result = pierce(family, args.seed)
     acct = result.accounting
     accounting = {
         "large_count": acct.large_count,
@@ -106,8 +90,6 @@ def cmd_pierce(args) -> int:
             "points": len(result),
             **accounting,
             "seed": args.seed,
-            "verified": verified,
-            "witness": witness,
         }
     }
     doc = files.point_set_document(
@@ -127,15 +109,10 @@ def cmd_illuminate(args) -> int:
         target = body
     alpha = args.alpha if args.alpha is not None else solve_alpha()
     if args.sweep > 0:
-        # A failed sweep carries no direction set, so --skip-verify does
-        # not apply to it.
         grid = np.linspace(0.1, math.pi / 2 - 0.1, args.sweep)
         alpha, result = sweep_alpha(target, grid, args.seed)
-        verified, witness = True, None
     else:
-        result, verified, witness = _built(
-            args, DirectionSet, lambda: illuminate_cap_body(target, alpha, args.seed)
-        )
+        result = illuminate_cap_body(target, alpha, args.seed)
     u1 = sum(1 for tag in result.provenance if tag.startswith("U1:"))
     u2 = len(result) - u1
     report = {
@@ -147,8 +124,6 @@ def cmd_illuminate(args) -> int:
             "u2_count": u2,
             "directions": len(result),
             "seed": args.seed,
-            "verified": verified,
-            "witness": witness,
         }
     }
     doc = files.direction_set_document(result, meta={"alpha": alpha, "seed": args.seed})
@@ -310,8 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pierce", help="construct a verified piercing set")
     p.add_argument("input", help="ball-family JSON file")
-    p.add_argument("--skip-verify", action="store_true",
-                   help="report verification failure as a warning, not exit 4")
     common(p)
     p.set_defaults(func=cmd_pierce)
 
@@ -323,8 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sweep this many alphas and keep the smallest output")
     p.add_argument("--skip-cap-check", action="store_true",
                    help="accept raw spiky balls; only verification decides")
-    p.add_argument("--skip-verify", action="store_true",
-                   help="report verification failure as a warning, not exit 4")
     common(p)
     p.set_defaults(func=cmd_illuminate)
 

@@ -4,15 +4,14 @@
 class VerificationError(RuntimeError):
     """A constructed artifact failed its own post-verification.
 
-    Carries the offending index (``witness``) and, when available, the
-    artifact that failed (``result``) so callers can still inspect or
-    write it.
+    Carries the offending index (``witness``), or None where the check
+    names none. The artifact itself is not kept: an artifact that fails
+    its check is never returned or written.
     """
 
-    def __init__(self, message, witness=None, result=None):
+    def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-        self.result = result
 
 
 class PairwiseError(ValueError):

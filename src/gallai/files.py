@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -53,12 +52,13 @@ def load_document(path) -> dict:
 
 
 def write_document(doc: dict, path) -> None:
-    """Atomic write: temp file in the target directory, then rename. A
-    path that cannot be written raises FileFormatError, as an unreadable
-    one does in ``load_document``."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Atomic write: a new temp file beside the target, made with mode
+    0o666 less the umask as ``open`` makes one, then rename. A path that
+    cannot be written raises FileFormatError, as an unreadable one does
+    in ``load_document``."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".{os.urandom(8).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(dumps_document(doc))

@@ -257,7 +257,6 @@ def illuminate_cap_body(
             "illumination certificate failed"
             + (f" at vertex {witness}" if witness is not None else " (positive hull)"),
             witness=witness,
-            result=out,
         )
     return out
 

@@ -235,28 +235,23 @@ def build_lower_bound_body(y: SymmetricSeparatedSet) -> CapBody:
 
 @dataclass(frozen=True)
 class MultiplicityReport:
-    """Sampled illumination-multiplicity statistics.
-
-    ``witness`` is size / max_multiplicity (inf when no sampled direction
-    illuminated anything, which ``to_dict`` writes as None). A sample can
-    only under-count the true maximum, so the witness can only be too
-    high: it estimates the lower bound size / (true maximum) on the
+    """The most points one of ``samples`` directions illuminates, all that
+    the (2/sqrt 3 - o(1))^n bound reads, and ``witness``, size /
+    max_multiplicity (inf when no sampled direction illuminated
+    anything, which ``to_dict`` writes as None). A sample can only
+    under-count the true maximum, so the witness can only be too high:
+    it estimates the lower bound size / (true maximum) on the
     illumination number of the induced body from above and is not
-    itself a lower bound.
-    """
+    itself a lower bound."""
 
     samples: int
     max_multiplicity: int
-    mean_multiplicity: float
-    histogram: tuple[tuple[int, int], ...]  # (multiplicity, frequency)
     witness: float
 
     def to_dict(self) -> dict:
         return {
             "samples": self.samples,
             "max_multiplicity": self.max_multiplicity,
-            "mean_multiplicity": self.mean_multiplicity,
-            "histogram": {str(k): v for k, v in self.histogram},
             # JSON has no infinity: no illuminated vertex gives null.
             "witness": self.witness if self.max_multiplicity else None,
         }
@@ -265,7 +260,7 @@ class MultiplicityReport:
 def multiplicity_report(
     y: SymmetricSeparatedSet, samples: int, seed: int = 0
 ) -> MultiplicityReport:
-    """Multiplicity statistics over seeded uniform directions.
+    """The largest multiplicity over seeded uniform directions.
 
     u illuminates y_i when -u . y_i > c = cos(pi/3) + ``DEFAULT_TOL``.
     The directions are the rows of ``sampling.unit_vectors(
@@ -281,12 +276,12 @@ def multiplicity_report(
     stream order. When more than one CPU is usable and there is more
     than one block, it queues each block for a helper thread while fewer
     than ``_PENDING`` wait, counts it itself otherwise, and counts what is
-    still queued once the stream ends. Each thread adds its blocks to its
-    own histogram with the same product, |.|, comparison and bincount,
-    and integer histograms sum the same in any order. After the helper is
-    joined, the caller draws as many further rows as were dropped as
-    degenerate, as ``unit_vectors`` tops up, so the report equals that of
-    one product over all directions and points. At most ``_PENDING`` raw
+    still queued once the stream ends. Each thread keeps the largest count
+    of its blocks, each found with the same product, |.| and comparison.
+    After the helper is joined, the caller draws as many further rows as
+    were dropped as degenerate, as ``unit_vectors`` tops up, so the
+    report equals that of one product over all directions and points.
+    At most ``_PENDING`` raw
     blocks wait, and each thread holds one (block, len(y) / 2) buffer, so
     memory is O(_SAMPLE_BLOCK * len(y)) whatever ``samples`` is. A
     helper's exception is raised here after the join, and the helper is
@@ -299,11 +294,11 @@ def multiplicity_report(
     rng = _direction_rng(seed)
     block = min(_SAMPLE_BLOCK, samples)
     sizes = [min(block, samples - start) for start in range(0, samples, block)]
-    mine = _Tally(ht, c, len(y), block)
+    mine = _Tally(ht, c, block)
     if len(sizes) > 1 and _usable_cpus() > 1:
-        theirs = _Tally(ht, c, len(y), block)
+        theirs = _Tally(ht, c, block)
         _count_with_helper(rng, y.dimension, sizes, mine, theirs)
-        mine.freq += theirs.freq
+        mine.top = max(mine.top, theirs.top)
         missing = mine.dropped + theirs.dropped
     else:
         for rows in sizes:
@@ -312,32 +307,19 @@ def multiplicity_report(
     while missing:
         rows = min(missing, block)
         missing += mine.add(rng.standard_normal((rows, y.dimension))) - rows
-    freq = mine.freq
-    seen = np.flatnonzero(freq)
-    top = int(seen[-1])
-    hist = tuple((int(k), int(freq[k])) for k in seen)
-    witness = len(y) / top if top > 0 else math.inf
-    return MultiplicityReport(
-        samples=samples,
-        max_multiplicity=top,
-        # Exact: an integer total below 2**53 and one rounded division.
-        mean_multiplicity=int(np.arange(len(freq)) @ freq) / samples,
-        histogram=hist,
-        witness=witness,
-    )
+    return MultiplicityReport(samples, mine.top, len(y) / mine.top if mine.top else math.inf)
 
 
 class _Tally:
-    """One thread's share of a multiplicity report: ``freq[k]`` directions
-    so far illuminate k of the ``size`` points, and ``dropped`` raw rows
-    were degenerate. ``ht`` holds one point of each antipodal pair per
-    column, and ``c`` is the illumination threshold."""
+    """One thread's share of a multiplicity report: ``top`` is the most
+    points that one direction counted so far illuminates, and ``dropped``
+    raw rows were degenerate. ``ht`` holds one point of each antipodal
+    pair per column, and ``c`` is the illumination threshold."""
 
-    def __init__(self, ht, c, size, block):
+    def __init__(self, ht, c, block):
         pairs = ht.shape[1]
         self.ht, self.c = ht, c
-        self.freq = np.zeros(size + 1, dtype=np.int64)  # a count is at most size
-        self.dropped = 0
+        self.top = self.dropped = 0
         self.buf, self.sums, self.ones = np.empty((block, pairs)), np.empty(block), np.ones(pairs)
 
     def add(self, raw) -> int:
@@ -350,8 +332,8 @@ class _Tally:
         dots = np.matmul(u, self.ht, out=self.buf[: len(u)])
         np.abs(dots, out=dots)
         np.greater(dots, self.c, out=dots)
-        counts = np.matmul(dots, self.ones, out=self.sums[: len(u)]).astype(np.intp)
-        self.freq += np.bincount(counts, minlength=len(self.freq))
+        counts = np.matmul(dots, self.ones, out=self.sums[: len(u)])
+        self.top = max(self.top, int(counts.max(initial=0)))
         return dropped
 
 

@@ -314,7 +314,7 @@ def pierce(family: BallFamily, seed: int = 0) -> PiercingSet:
 
     Raises:
         VerificationError: If the final exact check finds an unpierced
-            ball (the constructed set rides on the exception).
+            ball; its ``witness`` is that ball's index.
     """
     n = family.dimension
     lam = (1.0 - 1.0 / n) ** -0.5
@@ -376,7 +376,6 @@ def _verified(family, result: PiercingSet) -> PiercingSet:
         raise VerificationError(
             f"piercing verification failed at ball index {witness}",
             witness=witness,
-            result=result,
         )
     return result
 

@@ -83,7 +83,9 @@ class Packing:
 
     ``saturated`` is a proof that no unit vector is farther than the
     separation from every center: the hull certificate of
-    ``maximal_packing``, or its antipodal pair past pi/2.
+    ``maximal_packing``, or its antipodal pair past pi/2. On the circle,
+    sorted angles that prove the separation (``_circle_separated``)
+    spare the check of every pair, which names the first bad pair.
     """
 
     dimension: int
@@ -96,6 +98,8 @@ class Packing:
         if not 0.0 < self.separation < math.pi:
             raise ValueError("separation must lie in (0, pi)")
         object.__setattr__(self, "centers", c)
+        if self.dimension == 2 and len(c) > 1 and _circle_separated(c, self.separation):
+            return
         pair = first_pair_outside(c, low=self.separation, angles=True, tol=DEFAULT_TOL)
         if pair is not None:
             raise PairwiseError(
@@ -354,8 +358,8 @@ def _hull_of(rows: np.ndarray) -> _Hull | None:
     """Hull of ``rows``: an initial simplex, then every other row in
     order. The simplex is row 0 and, n times, the first row farthest
     from the affine hull of those chosen. None where no row is farther
-    than ``_FLAT_FLOOR`` from it, or the hull passes
-    ``_HULL_FACET_BUDGET`` live facets."""
+    than ``_FLAT_FLOOR`` from it; ``BudgetError`` where the hull passes
+    ``_HULL_FACET_BUDGET`` live facets, as it then proves nothing."""
     chosen = [0]
     rel = rows - rows[0]
     for _ in range(rows.shape[1]):
@@ -369,7 +373,7 @@ def _hull_of(rows: np.ndarray) -> _Hull | None:
     for i in sorted(set(range(len(rows))) - set(chosen)):
         hull.add(rows[i], i)
         if hull.nalive > _HULL_FACET_BUDGET:
-            return None
+            raise BudgetError(f"over {_HULL_FACET_BUDGET} hull facets; use the sampled certificate")
     return hull
 
 
@@ -417,6 +421,19 @@ def _closed_cycle(simplices: np.ndarray, orientation: np.ndarray) -> bool:
     return bool((x[s] * a + x[t] * b == 0).all())
 
 
+def _circle_separated(centers: np.ndarray, separation: float) -> bool:
+    """True when the sorted angles of two or more circle rows prove every
+    half-chord angle (as ``first_pair_outside`` takes it) at least
+    separation - ``DEFAULT_TOL``: rows of norm >= r at least the smallest
+    gap g <= pi apart in angle are at least 2 asin(r sin(g / 2)) apart.
+    ``_rounding(2)`` comes off g for its error (see ``_arc_certificate``)
+    and off the bound for its own and that of the pairwise check."""
+    angles = np.sort(np.arctan2(centers[:, 1], centers[:, 0]))
+    gap = float(np.diff(angles, append=angles[0] + 2.0 * math.pi).min()) - _rounding(2)
+    r = min(1.0, float(np.linalg.norm(centers, axis=1).min()))
+    return 2 * math.asin(r * math.sin(max(gap, 0) / 2)) - _rounding(2) >= separation - DEFAULT_TOL
+
+
 def _arc_certificate(centers: np.ndarray, theta: float) -> CoverCertificate:
     """Exact cover check on the circle: the arcs cover it iff the largest
     gap between consecutive center angles is at most 2 theta, and then
@@ -438,8 +455,8 @@ def _arc_certificate(centers: np.ndarray, theta: float) -> CoverCertificate:
 def _hull_certificate(centers: np.ndarray, hull: _Hull | None, theta: float) -> CoverCertificate:
     """Exact cover check from the live facets of ``hull``, whose labels
     index ``centers``; None, where ``_hull_of`` found no simplex or
-    passed ``_HULL_FACET_BUDGET`` live facets, fails. Only the facets'
-    vertex indices are used, and they are checked, not trusted:
+    ``_deepen`` stopped short, fails. Only the facets' vertex indices
+    are used, and they are checked, not trusted:
 
     1. A simplex is flat when its edge vectors v_i - v_0 have rank below
        n - 1 (smallest singular value <= ``_FLAT_FLOOR``); its cone has
@@ -499,9 +516,10 @@ def verify_cover(
 
     Hull method: proves the cover complete from the facets of a fresh
     hull of the centers, added in row order (see ``_hull_certificate``),
-    when that hull holds the origin strictly inside and has at most
-    ``_HULL_FACET_BUDGET`` facets; on the circle, from the gaps between
-    the centers. Net method: builds a delta-net and passes iff every net
+    when that hull holds the origin strictly inside; on the circle, from
+    the gaps between the centers. Past ``_HULL_FACET_BUDGET`` facets it
+    raises ``BudgetError``, as an oversized net does. Net method: builds
+    a delta-net and passes iff every net
     point lies within theta - delta of a center, which proves the cover
     is complete. Requires delta < theta. Sampled method: passes iff all
     of k uniform points are covered (closed caps), drawn ``_SAMPLES`` at
@@ -624,8 +642,8 @@ def greedy_cover(
 # the bound keeps that from growing memory with the number of calls.
 _COVER_CACHE_SIZE = 16
 # Live facets a hull may reach: past it a hull cover's build gives way
-# to the sampled greedy, a packing stays unproved, and the hull
-# certificate fails. At the illumination and large-ball radii hull
+# to the sampled greedy, a packing stays unproved, and ``verify_cover``
+# refuses the hull method. At the illumination and large-ball radii hull
 # covers end with 1,184 facets at n = 6 and 10,926 and 14,120 at n = 7
 # (under 1 s to build); at n = 8 the build passes the budget at 56
 # centers.
@@ -639,9 +657,7 @@ _BUILD_SLACK = 1e-10
 
 def _certified(cover: Cover, cert: CoverCertificate) -> Cover:
     if not cert.passed:
-        raise VerificationError(
-            f"cover certification failed (margin {cert.margin!r})", result=cover
-        )
+        raise VerificationError(f"cover certification failed (margin {cert.margin!r})")
     cover.centers.flags.writeable = False
     return Cover(cover.dimension, cover.angular_radius, cover.centers, cert)
 
@@ -676,7 +692,11 @@ def _deepen(rows: np.ndarray, stop: float, limit: float) -> tuple[np.ndarray, _H
     built, passed ``_HULL_FACET_BUDGET`` live facets, or left a normal
     out. Raises ``BudgetError`` where a row would pass ``limit`` rows.
     """
-    grown, hull = list(rows), _hull_of(rows)
+    grown = list(rows)
+    try:
+        hull = _hull_of(rows)
+    except BudgetError:
+        hull = None
     while hull is not None:
         live = hull.live()
         offsets = hull.offsets[live]

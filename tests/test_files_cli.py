@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -81,6 +82,26 @@ class TestRoundTrips:
         _, parsed, _ = files.parse_point_set(files.load_document(path))
         assert parsed[0, 0] == value
         assert parsed[0, 1] == value * 7
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX file modes")
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifact_mode_follows_the_umask(umask, mode, tmp_path):
+    # A new artifact, and one written over an existing file, is created
+    # as open() creates a file: 0o666 less the umask.
+    path = tmp_path / "a.json"
+    old = os.umask(umask)
+    try:
+        files.write_document({"a": 1}, path)
+        first = path.stat().st_mode & 0o777
+        path.chmod(0o640)
+        files.write_document({"a": 2}, path)
+        second = path.stat().st_mode & 0o777
+    finally:
+        os.umask(old)
+    assert first == second == mode
+    assert files.load_document(path) == {"a": 2}
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
 
 
 class TestParseErrors:
@@ -443,7 +464,7 @@ class TestExitCodes:
         out = str(tmp_path / "points.json")
         assert self.run("pierce", family_file, "--output", out) == 0
         report = json.loads(capsys.readouterr().out)["report"]
-        assert report["verified"] is True
+        assert report["points"] > 0 and "verified" not in report and "witness" not in report
 
     def test_parse_error_on_garbage(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -513,6 +534,29 @@ class TestExitCodes:
             self.run(*command, "--tol", "1e-5")
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["pierce", "family.json"], ["illuminate", "body.json"]],
+                             ids=lambda argv: argv[0])
+    def test_skip_verify_is_not_an_option_of(self, command, capsys):
+        # Only verified artifacts are written; no flag writes another.
+        with pytest.raises(SystemExit) as exc:
+            self.run(*command, "--skip-verify")
+        assert exc.value.code == 2
+        assert "--skip-verify" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,target", [
+        ("pierce", "gallai.piercing.verify_piercing"),
+        ("illuminate", "gallai.illumination.verifies_illumination"),
+    ])
+    def test_failed_self_check_writes_nothing(self, command, target, family_file,
+                                              hand_body_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(target, lambda *args: (False, 1))
+        out = tmp_path / "artifact.json"
+        source = family_file if command == "pierce" else hand_body_file
+        assert self.run(command, source, "--output", str(out)) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "verification" and report["witness"] == 1
+        assert not out.exists() and list(tmp_path.rglob("*.tmp")) == []
 
     @pytest.mark.parametrize("command", [
         ["cover", "-n", "3", "--theta", "0.9"], ["cover", "-n", "8", "--theta", "0.987"],
@@ -597,7 +641,7 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)["report"]
         assert report["u1_count"] == 6
         assert report["u2_count"] == 0
-        assert report["verified"] is True
+        assert "verified" not in report and "witness" not in report
 
     def test_illuminate_rejects_non_cap_body(self, tmp_path, capsys):
         v = 2.0 * np.concatenate([np.eye(3), -np.eye(3)])
@@ -627,7 +671,7 @@ class TestExitCodes:
         files.write_document(files.spiky_body_document(SpikyBall(3, v)), path)
         assert self.run("illuminate", str(path), "--skip-cap-check") == 0
         report = json.loads(capsys.readouterr().out)["report"]
-        assert report["verified"] is True
+        assert report["directions"] == 6
 
     def test_verify_illumination_roundtrip(self, hand_body_file, tmp_path, capsys):
         dirs = str(tmp_path / "dirs.json")
@@ -930,11 +974,11 @@ class TestRequestPath:
         assert main(["verify", "--family", family_file, "--points", out]) == 0
         assert built == []
 
-    def test_parser_reused_across_requests(self, family_file, capsys):
+    def test_parser_reused_across_requests(self, family_file, tmp_path, capsys):
         # One process: pierce, cover, a usage error, pierce again with
         # default options; each call prints what a fresh process prints.
         requests = [
-            ["pierce", family_file, "--seed", "5", "--skip-verify"],
+            ["pierce", family_file, "--seed", "5", "--output", str(tmp_path / "p.json")],
             ["cover", "-n", "3", "--theta", "1.0"],
             ["pierce", family_file, "--no-such-option"],
             ["pierce", family_file],
@@ -951,7 +995,7 @@ class TestRequestPath:
             )
             assert (codes[-1], out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         assert codes == [0, 0, 2, 0]
-        assert json.loads(out)["report"]["seed"] == 0
+        assert json.loads(out)["report"]["seed"] == 0 and "output" not in json.loads(out)
 
 
 class TestDeterminism:

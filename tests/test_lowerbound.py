@@ -322,12 +322,9 @@ def one_product_report(y, samples, seed=0):
     u = sampling.unit_vectors(lowerbound._direction_rng(seed), y.dimension, samples)
     counts = ((-u @ y.points.T) > math.cos(math.pi / 3) + DEFAULT_TOL).sum(axis=1)
     top = int(counts.max())
-    freq = np.bincount(counts)
     return MultiplicityReport(
         samples=samples,
         max_multiplicity=top,
-        mean_multiplicity=float(counts.mean()),
-        histogram=tuple((int(k), int(freq[k])) for k in np.flatnonzero(freq)),
         witness=len(y) / top if top > 0 else math.inf,
     )
 
@@ -339,18 +336,14 @@ class TestMultiplicityReport:
         assert rep.max_multiplicity == 1
         assert rep.witness == pytest.approx(2.0)
 
-    def test_histogram_conserves_samples(self):
-        y = symmetrize(construct_separated_set(4, 8, seed=8))
-        rep = multiplicity_report(y, 5_000, seed=2)
-        assert sum(freq for _, freq in rep.histogram) == 5_000
-
-    def test_histogram_matches_counter(self):
+    def test_maximum_matches_counter(self):
         y = symmetrize(construct_separated_set(5, 15, seed=12))
         rep = multiplicity_report(y, 20_000, seed=5)
         u = sampling.unit_vectors(_direction_rng(5), 5, 20_000)
         counts = ((-u @ y.points.T) > math.cos(math.pi / 3) + 1e-9).sum(axis=1)
-        assert rep.histogram == tuple(sorted(Counter(int(c) for c in counts).items()))
-        assert len(rep.histogram) > 2
+        seen = Counter(int(c) for c in counts)
+        assert rep.max_multiplicity == max(seen)
+        assert len(seen) > 2
 
     def test_witness_without_illuminated_vertex_is_json_null(self, monkeypatch):
         y = symmetrize(SeparatedSet(3, np.array([[0.0, 0.0, 1.0]])))
@@ -465,6 +458,17 @@ class TestMultiplicityReport:
         y = symmetrize(construct_separated_set(5, 10, seed=2))
         monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: cpus)
 
+        counted = [0]
+        real_add = lowerbound._Tally.add
+
+        def add(self, raw):
+            size = len(raw)
+            dropped = real_add(self, raw)
+            counted[0] += size - dropped
+            return dropped
+
+        monkeypatch.setattr(lowerbound._Tally, "add", add)
+
         def report(fn):
             stream = RowStream(rows)
             with monkeypatch.context() as m:
@@ -475,7 +479,7 @@ class TestMultiplicityReport:
 
         rep = report(multiplicity_report)
         assert rep == report(one_product_report)
-        assert sum(freq for _, freq in rep.histogram) == samples
+        assert counted[0] == samples
 
     @pytest.mark.parametrize("samples", [1, _SAMPLE_BLOCK + 1, 100_000])
     def test_one_cpu_gives_the_same_report(self, samples, monkeypatch):
@@ -514,19 +518,19 @@ class TestMultiplicityReport:
         # Four reports at once, more threads than cores, with the
         # interpreter switching threads every microsecond and one block
         # at most waiting for each helper, so callers and helpers both
-        # count blocks: a block lost or counted twice would change the
-        # histogram.
+        # count blocks: each drawn block must be counted exactly once.
         y = symmetrize(construct_separated_set(5, 10, seed=7))
         samples = 12 * _SAMPLE_BLOCK + 5
         monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 1)
         expected = {seed: multiplicity_report(y, samples, seed=seed) for seed in range(4)}
         monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(lowerbound, "_PENDING", 1)
-        counted_by = []
+        counted_by, firsts = [], []
         real_add = lowerbound._Tally.add
 
         def add(self, raw):
             counted_by.append(threading.current_thread().name)
+            firsts.append(float(raw[0, 0]))  # before add normalizes it
             return real_add(self, raw)
 
         monkeypatch.setattr(lowerbound._Tally, "add", add)
@@ -550,6 +554,13 @@ class TestMultiplicityReport:
         helpers = counted_by.count("multiplicity-count")
         assert len(counted_by) == 4 * 13
         assert 0 < helpers < len(counted_by)
+        drawn = []
+        for seed in range(4):
+            rng = _direction_rng(seed)
+            for start in range(0, samples, _SAMPLE_BLOCK):
+                rows = min(_SAMPLE_BLOCK, samples - start)
+                drawn.append(float(rng.standard_normal((rows, 5))[0, 0]))
+        assert sorted(firsts) == sorted(drawn)
 
     def test_queued_blocks_stay_bounded(self, monkeypatch):
         # The helper stalls on its first block until the stream ends; the

@@ -461,21 +461,24 @@ class TestHull:
             cert = verify_cover(Cover(3, SLIVER_THETA, centers), "hull")
             assert cert.passed and 0.05 - 1e-6 < cert.margin <= 0.05 + 1e-12
 
-    def test_facet_budget_fails_the_certificate(self, monkeypatch):
+    def test_facet_budget_refuses_the_certificate(self, monkeypatch):
+        # A hull past its budget proves and refutes nothing: the request
+        # is refused as an oversized net is, not failed.
         rows = unit_rows(np.random.default_rng(3), 100, 4)
         theta = math.acos(float(facet_offsets(rows).min())) + 1e-6
         assert verify_cover(Cover(4, theta, rows), "hull").passed
         monkeypatch.setattr(sphere_cover, "_HULL_FACET_BUDGET", 100)
-        cert = verify_cover(Cover(4, theta, rows), "hull")
-        assert not cert.passed and cert.margin == theta - math.pi
+        with pytest.raises(BudgetError, match="over 100 hull facets"):
+            verify_cover(Cover(4, theta, rows), "hull")
 
-    def test_sampled_n8_cover_fails_within_the_budget(self):
+    def test_sampled_n8_cover_passes_the_budget(self):
         # 2,119 sampled centers in R^8 pass the facet budget long before
-        # the last one is added.
+        # the last one is added; the sampled certificate still decides.
         cover = greedy_cover(8, 0.987)
         assert cover.certificate.method == "sampled" and len(cover) == 2119
-        cert = verify_cover(cover, "hull")
-        assert not cert.passed and cert.margin == 0.987 - math.pi
+        with pytest.raises(BudgetError, match="sampled certificate"):
+            verify_cover(cover, "hull")
+        assert verify_cover(cover, "sampled").passed
 
     def test_five_thousand_points(self):
         rows = unit_rows(np.random.default_rng(5), 5000, 3)
@@ -797,6 +800,38 @@ class TestMaximalPacking:
         capped = maximal_packing(2, 1e-9, params=PackParams(max_points=5))
         assert len(capped) == 5 and not capped.saturated
         assert len(maximal_packing(2, 1e-3)) == 6_283
+
+    def test_large_circle_packing_is_checked_from_its_angles(self):
+        # 62,831 points: the sorted angles prove them separated, where a
+        # check of every pair took 12.6 s.
+        start = time.perf_counter()
+        packing = maximal_packing(2, 1e-4)
+        assert time.perf_counter() - start < 1.0
+        assert packing.saturated
+        assert np.array_equal(packing.centers, sphere_cover._circle_positions(62_831))
+
+    @pytest.mark.parametrize("m", [7, 2_000])
+    def test_circle_packing_names_the_first_close_pair(self, m):
+        # One point moved to within theta / 2 of its neighbour: the
+        # angles prove nothing, and the pairwise check names the pair.
+        theta = 0.99 * 2 * math.pi / m
+        angles = 2 * math.pi * np.arange(m) / m
+        angles[5] = angles[4] + theta / 2
+        with pytest.raises(PairwiseError) as info:
+            Packing(2, theta, arc_centers(angles))
+        assert info.value.pair == (4, 5)
+
+    def test_circle_angles_allow_for_short_rows(self):
+        # Rows within the unit-norm tolerance but short of it: their
+        # chords read an angle below the gap of their directions, and the
+        # angle check leaves the verdict to the pairwise one.
+        m, theta = 4, math.pi / 2
+        rows = (1 - 0.9e-9) * arc_centers(2 * math.pi * np.arange(m) / m)
+        assert first_pair_outside(rows, low=theta, angles=True, tol=1e-9) is not None
+        assert not sphere_cover._circle_separated(rows, theta)
+        with pytest.raises(PairwiseError):
+            Packing(2, theta, rows)
+        assert sphere_cover._circle_separated(rows, theta - 1e-8)
 
     @pytest.mark.parametrize("field", ["pool", "max_points"])
     def test_negative_params_are_refused(self, field):
