@@ -26,6 +26,17 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
+def rounding(n: int) -> float:
+    """The library's one relative rounding bound for n coordinates, 8 (n
+    + 2) eps: room to spare over the error of an n-term dot product, a
+    norm or a quotient of unit-scale rows, and over that of
+    ``pair_distances`` without underflow (with u = eps / 2, each squared
+    difference is within 3 u, their sum within (n + 2) u by Higham's
+    gamma_(n-1), and the root halves that and adds u). So a limit r (1 +
+    rounding(n)) holds every distance that is at most r exactly."""
+    return 8 * (n + 2) * float(np.finfo(float).eps)
+
+
 def as_vector(coords) -> np.ndarray:
     """Validate coordinates and return them as a float vector.
 
@@ -155,10 +166,10 @@ def gram_gaps(left: GramRows, right: GramRows) -> tuple[np.ndarray, np.ndarray]:
     (k + 2)-term product (within gamma_(k+2) of 2 (s_i + s_j), in any
     summation order), together about (3 k + 12) u (s_i + s_j) for the
     unit roundoff u = eps / 2. It also covers, with room to spare, the
-    rounding of ``pair_distances``, of a window (limit_i + limit_j) +
-    slack and, for angles, of the half-chord arcsine (a few eps in chord
-    space near pi). So outside the band the sign of G is the true sign,
-    and ``pair_distances`` agrees.
+    rounding of ``pair_distances``, of a window limit_i + limit_j and,
+    for angles, of the half-chord arcsine (a few eps in chord space near
+    pi). So outside the band the sign of G is the true sign, and
+    ``pair_distances`` agrees.
     """
     # The left rows [-2 x', -2 e, a, 1]; angle rows hold -cos h on the
     # right and cos h on the left.
@@ -249,17 +260,17 @@ def max_dots(a, b) -> np.ndarray:
     return out
 
 
-def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
-                       tol: float = 0.0):
+def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False):
     """First pair ``(i, j)``, i < j in row-major order, whose distance lies
-    outside [low - tol, high + tol]; None if every pair is inside.
+    outside [low, high]; None if every pair is inside.
 
     ``low`` and ``high`` are scalars or length-m vectors of per-row
-    limits; with vectors the window of the pair (i, j) is
-    [low[i] + low[j] - tol, high[i] + high[j] + tol], as for the sum of
-    two radii. With ``angles`` the rows are unit vectors and the distance
-    is their angle, taken as the half-chord 2 asin(|a - b| / 2), which
-    keeps full precision near 0, where arccos(a.b) loses ~1e-8.
+    halves; with vectors the window of the pair (i, j) is
+    [low[i] + low[j], high[i] + high[j]], as for the sum of two radii. A
+    caller folds any slack into its limits. With ``angles`` the rows are
+    unit vectors and the distance is their angle, taken as the
+    half-chord 2 asin(|a - b| / 2), which keeps full precision near 0,
+    where arccos(a.b) loses ~1e-8.
 
     Every verdict is that of the exact formula: the distance from
     coordinate differences (``pair_distances``), never from the expansion
@@ -271,25 +282,28 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
     pruning of Elkan, ICML 2003). With o the row mean, d_i = |x_i - o|
     and e_i = d_i - h_i (h_i = high[i], or high / 2 for a scalar),
     |x_i - x_j| - h_i - h_j <= e_i + e_j. Row i is "cold" when e_i <=
-    (tol - M) / 2 and "hot" otherwise, and a pair of two cold rows is
-    inside its window. The margin M = 8 (n + 8) eps (max d_i + max |h_i|
-    + |tol|) + sqrt(``_BAND_FLOOR``), for n coordinates, covers the
-    rounding of every d_i, e_i, pair distance and window, with room to
-    spare. Its floor is a square root because a distance is the root of
-    a sum of squares: underflow in the squares moves it by up to about
-    sqrt(n) 2^-537. A NaN or infinite limit makes M NaN or infinite, so
-    every row is hot but those with e_i = -inf (h_i = inf), whose windows
-    no distance exceeds. Other windows (cap bodies, packings, separated
+    -M / 2 and "hot" otherwise, and a pair of two cold rows is inside its
+    window. The margin M = 8 (n + 8) eps (max d_i + max |h_i|) +
+    sqrt(``_BAND_FLOOR``), for n coordinates, covers the rounding of
+    every d_i, e_i, pair distance and window, with room to spare. Its
+    floor is a square root because a distance is the root of a sum of
+    squares: underflow in the squares moves it by up to about sqrt(n)
+    2^-537. A NaN or infinite limit makes M NaN or infinite, so every row
+    is hot but those with e_i = -inf (h_i = inf), whose windows no
+    distance exceeds. Other windows (cap bodies, packings, separated
     sets) leave every row hot.
 
     The hot rows, moved ahead of the cold ones, are checked against every
     row after them in that order, so each pair with a hot end once. The
-    pair kernel (``gram_gaps``, rows shifted by the first hot row) clears
-    every pair that lies inside a window by more than its rounding band;
-    only the other pairs are recomputed. Up to ``_EXACT_PAIRS`` evaluated
-    pairs (k m for k hot rows) go to the exact formula alone. Hot rows
-    are taken in blocks of about ``_PAIR_BLOCK`` pairs, so memory stays
-    O(m n + _PAIR_BLOCK n).
+    pair kernel (``gram_gaps``, rows shifted by the first hot row) reads
+    the same halves as the exact formula, so its band covers the rounding
+    of each window h_i + h_j as the exact formula forms it: a pair inside
+    every window by more than the band is one the exact formula passes.
+    Only the other pairs are recomputed, among them every pair with a
+    half that the Gram identity does not cover (see ``gram_rows``). Up to
+    ``_EXACT_PAIRS`` evaluated pairs (k m for k hot rows) go to the exact
+    formula alone. Hot rows are taken in blocks of about ``_PAIR_BLOCK``
+    pairs, so memory stays O(m n + _PAIR_BLOCK n).
     """
     rows = np.asarray(rows, dtype=float)
     m = rows.shape[0]
@@ -302,16 +316,15 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
     # row, and c / 2 + c / 2 == c exactly.
     low, high = (x if x.ndim else np.full(m, x / 2) for x in (low, high))
 
-    # The windows a pair can leave: (half, slack, +1 if a pair is outside
-    # above it, -1 below). No distance is below 0, and no angle above
-    # 2 asin(1) = pi (as a double), so a side whose widest window is past
-    # that is dropped; a NaN limit keeps its side.
+    # The windows a pair can leave: (half, +1 if a pair is outside above
+    # it, -1 below). No distance is below 0, and no angle above 2 asin(1)
+    # = pi (as a double), so a side whose widest window is past that is
+    # dropped; a NaN limit keeps its side.
     top = math.pi if angles else math.inf
     sides = [
-        (half, slack, outside)
-        for half, slack, outside in ((low, -tol, -1), (high, tol, 1))
-        if not (2 * float(half.max()) + slack <= 0.0 if outside < 0
-                else 2 * float(half.min()) + slack >= top)
+        (half, outside)
+        for half, outside in ((low, -1), (high, 1))
+        if not (2 * float(half.max()) <= 0.0 if outside < 0 else 2 * float(half.min()) >= top)
     ]
     if not sides:
         return None
@@ -321,14 +334,13 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
     # as rows. Without the anchor bound, or with every row hot, positions
     # are row indices (order is None).
     order, k = None, m
-    if not angles and len(sides) == 1 and sides[0][2] > 0:
-        half, slack, _ = sides[0]
+    if not angles and len(sides) == 1 and sides[0][1] > 0:
+        half = sides[0][0]
         with np.errstate(over="ignore", invalid="ignore"):
             d = pair_distances(rows.T, rows.mean(axis=0)[:, None])
-            scale = d.max() + np.abs(half).max() + abs(slack)
-            margin = 8 * (rows.shape[1] + 8) * np.finfo(float).eps * scale
+            margin = 8 * (rows.shape[1] + 8) * np.finfo(float).eps * (d.max() + np.abs(half).max())
             margin += math.sqrt(_BAND_FLOOR)
-            hot = ~(d - half <= (slack - margin) / 2)
+            hot = ~(d - half <= -margin / 2)
         k = int(np.count_nonzero(hot))
         if k == 0:
             return None
@@ -340,20 +352,20 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
     x, first_cold = rows, m
     if order is not None:
         x, first_cold = rows[order], int(order[k])
-        sides = [(half[order], slack, outside) for half, slack, outside in sides]
+        sides = [(half[order], outside) for half, outside in sides]
     columns = x.T
 
     def first_bad(p, q):
         # The exact verdict on the positions (p, q) with p < q, index
         # arrays broadcast against each other; the first bad pair by row
         # indices (min, max) in row-major order. Every window is formed
-        # as (half_i + half_j) + slack, which is symmetric in i and j.
+        # as half_i + half_j, which is symmetric in i and j.
         d = pair_distances(columns[:, p], columns[:, q])
         if angles:
             d = 2.0 * np.arcsin(np.minimum(0.5 * d, 1.0))
         bad = np.zeros(d.shape, dtype=bool)
-        for half, slack, outside in sides:
-            w = half[p] + half[q] + slack
+        for half, outside in sides:
+            w = half[p] + half[q]
             bad |= d < w if outside < 0 else d > w
         bad &= p < q
         if not bad.any():
@@ -365,14 +377,8 @@ def first_pair_outside(rows, low=-math.inf, high=math.inf, angles: bool = False,
     if exact_fits(k, m):
         return first_bad(np.arange(k)[:, None], np.arange(m)[None, :])
 
-    # One kernel side per window. A half-window is left to the exact
-    # formula where the slack is not small against it, since the band
-    # covers the rounding of the window only relative to the window.
-    kernels = []
-    for half, slack, outside in sides:
-        h = half + slack / 2
-        h = np.where(h >= abs(slack), h, math.nan)
-        kernels.append((outside, gram_rows(x, h, x[0], angles)))
+    # One kernel side per window, on the halves the exact formula reads.
+    kernels = [(outside, gram_rows(x, half, x[0], angles)) for half, outside in sides]
 
     step = max(1, _PAIR_BLOCK // m)
     first = None

@@ -20,9 +20,6 @@ from .errors import BudgetError, PairwiseError, VerificationError
 from .geometry import DEFAULT_TOL, as_unit_rows, first_pair_outside, max_dots
 from .sphere_cover import greedy_cover
 
-# A vertex must clear the unit sphere by at least this much.
-VERTEX_TOL = 1e-9
-
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 # Multiple of max(k, n) eps s[0] allowed between a computed singular
@@ -46,7 +43,7 @@ class SpikyBall:
         if bad.size:
             raise ValueError(f"vertex {bad[0]} has a non-finite coordinate")
         norms = np.linalg.norm(v, axis=1)
-        if np.any(norms < 1.0 + VERTEX_TOL):
+        if np.any(norms < 1.0 + DEFAULT_TOL):
             bad = int(np.argmin(norms))
             raise ValueError(f"vertex {bad} has norm {float(norms[bad])}; must exceed 1")
         object.__setattr__(self, "vertices", v)
@@ -93,7 +90,7 @@ class DirectionSet:
 
 def _vertices_of(body) -> np.ndarray:
     """The vertices of a body, or of a raw (m, n) array checked as a
-    ``SpikyBall`` (finite rows of norm above 1 + VERTEX_TOL)."""
+    ``SpikyBall`` (finite rows of norm at least 1 + ``DEFAULT_TOL``)."""
     if hasattr(body, "vertices"):
         return body.vertices
     v = np.asarray(body, dtype=float)
@@ -104,13 +101,14 @@ def is_cap_body(s) -> tuple[bool, tuple[int, int] | None]:
     """Pairwise disjointness check for the associated open caps.
 
     Tangency is allowed: axes must be at least the sum of the two cap
-    radii apart, minus ``DEFAULT_TOL``. Returns (True, None) or
-    (False, (i, j)) with the first violating pair in row-major order.
+    radii apart, minus ``DEFAULT_TOL`` (half of it on each radius).
+    Returns (True, None) or (False, (i, j)) with the first violating pair
+    in row-major order.
     """
     v = _vertices_of(s)
     norms = np.linalg.norm(v, axis=1)
     radii = np.arccos(np.clip(1.0 / norms, -1.0, 1.0))
-    pair = first_pair_outside(v / norms[:, None], low=radii, angles=True, tol=DEFAULT_TOL)
+    pair = first_pair_outside(v / norms[:, None], low=radii - DEFAULT_TOL / 2, angles=True)
     return pair is None, pair
 
 

@@ -13,7 +13,6 @@ and is an estimate of that bound, not a bound.
 from __future__ import annotations
 
 import math
-import os
 import queue
 import threading
 from dataclasses import dataclass
@@ -58,7 +57,7 @@ class SeparatedSet:
         p = as_unit_rows(self.points, self.dimension, "points")
         if p.shape[0] == 0:
             raise ValueError("points must be non-empty")
-        pair = first_pair_outside(p, ANGLE_MIN, ANGLE_MAX, angles=True, tol=DEFAULT_TOL)
+        pair = first_pair_outside(p, ANGLE_MIN - DEFAULT_TOL, ANGLE_MAX + DEFAULT_TOL, angles=True)
         if pair is not None:
             raise PairwiseError(
                 f"points {pair[0]} and {pair[1]} leave the separation window", pair
@@ -87,7 +86,7 @@ class SymmetricSeparatedSet:
         missing = [i for i, row in enumerate(-p + 0.0) if row.tobytes() not in have]
         if missing:
             raise ValueError(f"set is not negation-closed (point {missing[0]})")
-        pair = first_pair_outside(p, low=ANGLE_MIN, angles=True, tol=DEFAULT_TOL)
+        pair = first_pair_outside(p, low=ANGLE_MIN - DEFAULT_TOL, angles=True)
         if pair is not None:
             raise PairwiseError(f"points {pair[0]} and {pair[1]} are closer than pi/3", pair)
         object.__setattr__(self, "points", p)
@@ -273,19 +272,17 @@ def multiplicity_report(
     counts |d| > c.
 
     The calling thread draws the raw rows ``_SAMPLE_BLOCK`` at a time in
-    stream order. When more than one CPU is usable and there is more
-    than one block, it queues each block for a helper thread while fewer
+    stream order. It queues each block for a helper thread while fewer
     than ``_PENDING`` wait, counts it itself otherwise, and counts what is
     still queued once the stream ends. Each thread keeps the largest count
     of its blocks, each found with the same product, |.| and comparison.
     After the helper is joined, the caller draws as many further rows as
     were dropped as degenerate, as ``unit_vectors`` tops up, so the
-    report equals that of one product over all directions and points.
-    At most ``_PENDING`` raw
-    blocks wait, and each thread holds one (block, len(y) / 2) buffer, so
-    memory is O(_SAMPLE_BLOCK * len(y)) whatever ``samples`` is. A
-    helper's exception is raised here after the join, and the helper is
-    joined however the call ends.
+    report equals that of one product over all directions and points. At
+    most ``_PENDING`` raw blocks wait, and each thread holds one (block,
+    len(y) / 2) buffer, so memory is O(_SAMPLE_BLOCK * len(y)) whatever
+    ``samples`` is. A helper's exception is raised here after the join,
+    and the helper is joined however the call ends.
     """
     if samples < 1:
         raise ValueError("sample count must be positive")
@@ -294,16 +291,10 @@ def multiplicity_report(
     rng = _direction_rng(seed)
     block = min(_SAMPLE_BLOCK, samples)
     sizes = [min(block, samples - start) for start in range(0, samples, block)]
-    mine = _Tally(ht, c, block)
-    if len(sizes) > 1 and _usable_cpus() > 1:
-        theirs = _Tally(ht, c, block)
-        _count_with_helper(rng, y.dimension, sizes, mine, theirs)
-        mine.top = max(mine.top, theirs.top)
-        missing = mine.dropped + theirs.dropped
-    else:
-        for rows in sizes:
-            mine.add(rng.standard_normal((rows, y.dimension)))
-        missing = mine.dropped
+    mine, theirs = _Tally(ht, c, block), _Tally(ht, c, block)
+    _count_with_helper(rng, y.dimension, sizes, mine, theirs)
+    mine.top = max(mine.top, theirs.top)
+    missing = mine.dropped + theirs.dropped
     while missing:
         rows = min(missing, block)
         missing += mine.add(rng.standard_normal((rows, y.dimension))) - rows
@@ -371,13 +362,6 @@ def _count_with_helper(rng, dim, sizes, mine, theirs):
         thread.join()
     if failure:
         raise failure[0]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all of them where the OS cannot say)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _direction_rng(seed: int) -> np.random.Generator:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PairwiseError, VerificationError
 from .geometry import (DEFAULT_TOL, Balls, exact_fits, first_pair_outside, pair_distances,
-                       pairs_within)
+                       pairs_within, rounding)
 from .sphere_cover import greedy_cover
 
 
@@ -64,14 +64,18 @@ def first_non_intersecting_pair(balls):
     """Index pair of the first pair farther apart than its radii sum plus
     the family's slack, or None if all intersect.
 
-    ``balls`` is a ``Balls`` or a non-empty sequence of ``Ball``s. The
-    slack is ``DEFAULT_TOL`` times the smallest radius, so scaling or
+    ``balls`` is a ``Balls`` or a non-empty sequence of ``Ball``s. Each
+    ball's half of the window is r (1 + ``geometry.rounding(n)``) + slack
+    / 2, so no pair that meets exactly is refused, whatever the radii.
+    The slack is ``DEFAULT_TOL`` times the smallest radius, so scaling or
     moving the family changes no verdict beyond rounding.
     """
     if not isinstance(balls, Balls):
         balls = Balls.of(balls)
     slack = DEFAULT_TOL * float(balls.radii.min())
-    return first_pair_outside(balls.centers, high=balls.radii, tol=slack)
+    return first_pair_outside(
+        balls.centers, high=balls.radii * (1 + rounding(balls.dimension)) + slack / 2
+    )
 
 
 @dataclass(frozen=True)
@@ -385,11 +389,13 @@ def verify_piercing(family: BallFamily, piercing) -> tuple[bool, int | None]:
 
     Accepts a PiercingSet or a raw (m, n) array. Returns (True, None)
     or (False, index of the first unpierced ball). A point pierces a
-    ball when ``pair_distances(point, center) <= radius + DEFAULT_TOL *
-    r_min``, r_min the family's smallest radius, as ``pairs_within``
-    decides it, block by block, so memory stays bounded for any family
-    and point count. The slack scales with the family, so a similarity
-    of family and points changes no verdict beyond rounding.
+    ball when ``pair_distances(point, center) <= radius (1 + gamma) +
+    DEFAULT_TOL * r_min``, r_min the family's smallest radius, as
+    ``pairs_within`` decides it, block by block, so memory stays bounded
+    for any family and point count. gamma = ``geometry.rounding(n)``
+    covers the rounding of the distance, so a point inside a ball exactly
+    pierces it, however large the ball, and the slack scales with the
+    family, so a similarity of both changes no verdict beyond rounding.
     """
     pts = piercing.points if isinstance(piercing, PiercingSet) else np.asarray(
         piercing, dtype=float
@@ -398,7 +404,8 @@ def verify_piercing(family: BallFamily, piercing) -> tuple[bool, int | None]:
         raise ValueError(f"points must have shape (m, {family.dimension})")
     if pts.shape[0] == 0:
         return False, 0
-    limits = family.radii() + DEFAULT_TOL * float(family.radii().min())
+    radii = family.radii()
+    limits = radii * (1 + rounding(family.dimension)) + DEFAULT_TOL * float(radii.min())
     for rows, inside in pairs_within(family.centers(), pts, limits):
         missed = np.flatnonzero(~inside.any(axis=1))
         if missed.size:

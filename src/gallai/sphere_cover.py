@@ -19,14 +19,14 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import sampling
 from .bounds import cap_share
 from .errors import BudgetError, PairwiseError, VerificationError
-from .geometry import DEFAULT_TOL, as_unit_rows, first_pair_outside, max_dots
+from .geometry import DEFAULT_TOL, as_unit_rows, first_pair_outside, max_dots, rounding
 
 # Hard ceiling on exact-net sizes; nets grow exponentially with the
 # dimension, so past this the sampled certificate is the only option.
@@ -48,14 +48,18 @@ class CoverCertificate:
     net method passes if every net point lies within theta - delta of a
     center. The sampled method is heuristic; ``undetected_measure`` is
     the relative measure of an uncovered region that the sample count
-    would still miss with probability ~5%.
+    would still miss with probability ~5%. ``passed`` is derived: the
+    margin is at least -``DEFAULT_TOL`` radians.
     """
 
     method: str  # "hull", "net" or "sampled"
     resolution_or_samples: float
     margin: float
-    passed: bool
     undetected_measure: float | None = None
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", self.margin >= -DEFAULT_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +104,7 @@ class Packing:
         object.__setattr__(self, "centers", c)
         if self.dimension == 2 and len(c) > 1 and _circle_separated(c, self.separation):
             return
-        pair = first_pair_outside(c, low=self.separation, angles=True, tol=DEFAULT_TOL)
+        pair = first_pair_outside(c, low=self.separation - DEFAULT_TOL, angles=True)
         if pair is not None:
             raise PairwiseError(
                 f"packing separation violated by centers {pair[0]} and {pair[1]}", pair
@@ -214,13 +218,6 @@ _VISIBLE = 1e-12
 # cover picks the facet to deepen; the oldest tied facet wins, so the
 # cross-polytope's equal facets are taken in the order they were made.
 _TIE = 1e-12
-
-
-def _rounding(n: int) -> float:
-    # Bound on the rounding of an n-term dot product, a norm and a
-    # quotient of unit-scale rows (each within (n + 2) machine epsilons,
-    # Higham's gamma_n), with room to spare.
-    return 8 * (n + 2) * float(np.finfo(float).eps)
 
 
 def _det_rounding(n: int) -> float:
@@ -426,12 +423,12 @@ def _circle_separated(centers: np.ndarray, separation: float) -> bool:
     half-chord angle (as ``first_pair_outside`` takes it) at least
     separation - ``DEFAULT_TOL``: rows of norm >= r at least the smallest
     gap g <= pi apart in angle are at least 2 asin(r sin(g / 2)) apart.
-    ``_rounding(2)`` comes off g for its error (see ``_arc_certificate``)
+    ``rounding(2)`` comes off g for its error (see ``_arc_certificate``)
     and off the bound for its own and that of the pairwise check."""
     angles = np.sort(np.arctan2(centers[:, 1], centers[:, 0]))
-    gap = float(np.diff(angles, append=angles[0] + 2.0 * math.pi).min()) - _rounding(2)
+    gap = float(np.diff(angles, append=angles[0] + 2.0 * math.pi).min()) - rounding(2)
     r = min(1.0, float(np.linalg.norm(centers, axis=1).min()))
-    return 2 * math.asin(r * math.sin(max(gap, 0) / 2)) - _rounding(2) >= separation - DEFAULT_TOL
+    return 2 * math.asin(r * math.sin(max(gap, 0) / 2)) - rounding(2) >= separation - DEFAULT_TOL
 
 
 def _arc_certificate(centers: np.ndarray, theta: float) -> CoverCertificate:
@@ -439,7 +436,7 @@ def _arc_certificate(centers: np.ndarray, theta: float) -> CoverCertificate:
     gap between consecutive center angles is at most 2 theta, and then
     the covering radius is half that gap.
 
-    The margin is theta - max gap / 2 less ``_rounding(2)`` (7e-15),
+    The margin is theta - max gap / 2 less ``rounding(2)`` (7e-15),
     which exceeds the error of a gap: two angles (``arctan2`` is within
     an ulp of its result, at most pi) and three roundings (2 pi, the wrap
     sum and the difference, each under ulp(3 pi) / 2). It also proves
@@ -448,8 +445,8 @@ def _arc_certificate(centers: np.ndarray, theta: float) -> CoverCertificate:
     """
     angles = np.sort(np.arctan2(centers[:, 1], centers[:, 0]))
     gaps = np.diff(angles, append=angles[0] + 2.0 * math.pi)
-    margin = theta - float(gaps.max()) / 2.0 - _rounding(2)
-    return CoverCertificate("hull", len(gaps), margin, margin >= -DEFAULT_TOL)
+    margin = theta - float(gaps.max()) / 2.0 - rounding(2)
+    return CoverCertificate("hull", len(gaps), margin)
 
 
 def _hull_certificate(centers: np.ndarray, hull: _Hull | None, theta: float) -> CoverCertificate:
@@ -475,14 +472,14 @@ def _hull_certificate(centers: np.ndarray, hull: _Hull | None, theta: float) -> 
        any vector a. Every simplex, flat or not, gets this bound h with
        a the solution of V a = 1 (least squares for a flat simplex; for
        a solid one h = 1/|a|, its offset), divided by max |v| and less
-       ``_rounding(n)``.
+       ``rounding(n)``.
 
     The margin is theta - arccos(smallest h); any failure gives a failed
     certificate with margin theta - pi, as no covering radius below pi
     is then proved.
     """
     n = centers.shape[1]
-    failed = CoverCertificate("hull", 0, theta - math.pi, False)
+    failed = CoverCertificate("hull", 0, theta - math.pi)
     if hull is None:
         return failed
     simplices = hull.labels[hull.facets[hull.live()]]
@@ -498,11 +495,11 @@ def _hull_certificate(centers: np.ndarray, hull: _Hull | None, theta: float) -> 
     a[flat] = np.linalg.pinv(v[flat]).sum(axis=2)
     reach = np.einsum("fij,fj->fi", v, a).min(axis=1)
     scale = np.linalg.norm(a, axis=1) * np.linalg.norm(centers, axis=1).max()
-    offset = float((reach / scale).min()) - _rounding(n)
+    offset = float((reach / scale).min()) - rounding(n)
     if not offset > 0:
         return failed
     margin = theta - math.acos(min(offset, 1.0))
-    return CoverCertificate("hull", len(simplices), margin, margin >= -DEFAULT_TOL)
+    return CoverCertificate("hull", len(simplices), margin)
 
 
 def verify_cover(
@@ -540,7 +537,7 @@ def verify_cover(
         net, exact_delta = sphere_net(cover.dimension, delta)
         worst = _max_gap(net, cover.centers)
         margin = (theta - exact_delta) - worst
-        return CoverCertificate("net", exact_delta, margin, margin >= -DEFAULT_TOL)
+        return CoverCertificate("net", exact_delta, margin)
     if method == "sampled":
         k = _SAMPLES if resolution_or_samples is None else int(resolution_or_samples)
         if k < 1:
@@ -554,9 +551,7 @@ def verify_cover(
             for start in range(0, k, _SAMPLES)
         )
         margin = theta - worst
-        return CoverCertificate(
-            "sampled", k, margin, margin >= -DEFAULT_TOL, undetected_measure=math.log(20.0) / k
-        )
+        return CoverCertificate("sampled", k, margin, undetected_measure=math.log(20.0) / k)
     raise ValueError(f"unknown certification method {method!r}")
 
 

@@ -98,7 +98,7 @@ def far_axes_separated(body, alpha, tol=1e-9):
     norms = np.linalg.norm(v, axis=1)
     far = norms >= 1.0 / math.cos(alpha) - 1e-12
     axes = v[far] / norms[far][:, None]
-    return first_pair_outside(axes, low=2.0 * alpha, angles=True, tol=tol) is None
+    return first_pair_outside(axes, low=2.0 * alpha - tol, angles=True) is None
 
 
 def random_intersecting_family(n, count, seed, max_ratio=None):
@@ -224,11 +224,11 @@ def circle_packing_optimum(theta):
     return math.floor(2.0 * math.pi / theta + 1e-12)
 
 
-def dense_first_pair(rows, low=-math.inf, high=math.inf, angles=False, tol=0.0):
+def dense_first_pair(rows, low=-math.inf, high=math.inf, angles=False):
     """Oracle for ``first_pair_outside``: every distance at once from
-    ``scipy.spatial.distance.cdist``, every window as (limit_i + limit_j)
-    + slack, and the first flagged pair of the upper triangle in
-    row-major order. Memory grows as m^2."""
+    ``scipy.spatial.distance.cdist``, every window as limit_i + limit_j
+    (a scalar limit as it is), and the first flagged pair of the upper
+    triangle in row-major order. Memory grows as m^2."""
     from scipy.spatial.distance import cdist
 
     rows = np.asarray(rows, dtype=float)
@@ -236,26 +236,24 @@ def dense_first_pair(rows, low=-math.inf, high=math.inf, angles=False, tol=0.0):
     if angles:
         d = 2.0 * np.arcsin(np.minimum(0.5 * d, 1.0))
 
-    def window(limit, slack):
+    def window(limit):
         limit = np.asarray(limit, dtype=float)
-        if limit.ndim == 0:
-            return limit + slack
-        return limit[:, None] + limit[None, :] + slack
+        return limit if limit.ndim == 0 else limit[:, None] + limit[None, :]
 
-    bad = np.triu((d < window(low, -tol)) | (d > window(high, tol)), k=1)
+    bad = np.triu((d < window(low)) | (d > window(high)), k=1)
     if not bad.any():
         return None
     return divmod(int(np.argmax(bad)), rows.shape[0])
 
 
-def dense_first_missed(centers, radii, points, tol=0.0):
+def dense_first_missed(centers, limits, points):
     """Oracle for ``verify_piercing``: all ball-point distances at once
-    from ``cdist``; the first ball that no point lies within radius + tol
+    from ``cdist``; the first ball that no point lies within its limit
     of, or None."""
     from scipy.spatial.distance import cdist
 
     gaps = cdist(centers, points)
-    missed = np.flatnonzero(~(gaps <= (radii + tol)[:, None]).any(axis=1))
+    missed = np.flatnonzero(~(gaps <= limits[:, None]).any(axis=1))
     return int(missed[0]) if missed.size else None
 
 

@@ -372,16 +372,15 @@ class TestBlockedPairs:
         for _ in range(40):
             m = int(rng.integers(2, 40))
             c = rng.uniform(-2.0, 2.0, (m, 3))
-            r = rng.uniform(0.2, 1.5, m)
-            want = dense_first_pair(c, high=r, tol=1e-9)
-            assert first_pair_outside(c, high=r, tol=1e-9) == want
+            r = rng.uniform(0.2, 1.5, m) + 0.5e-9
+            assert first_pair_outside(c, high=r) == dense_first_pair(c, high=r)
             u = random_units(int(rng.integers(0, 1 << 30)), m, 3)
-            lo, hi = float(rng.uniform(0.2, 1.0)), float(rng.uniform(1.5, 3.0))
-            want = dense_first_pair(u, lo, hi, angles=True, tol=1e-9)
-            assert first_pair_outside(u, lo, hi, angles=True, tol=1e-9) == want
-            caps = rng.uniform(0.05, 0.6, m)
-            want = dense_first_pair(u, low=caps, angles=True, tol=1e-9)
-            assert first_pair_outside(u, low=caps, angles=True, tol=1e-9) == want
+            lo, hi = float(rng.uniform(0.2, 1.0)) - 1e-9, float(rng.uniform(1.5, 3.0)) + 1e-9
+            want = dense_first_pair(u, lo, hi, angles=True)
+            assert first_pair_outside(u, lo, hi, angles=True) == want
+            caps = rng.uniform(0.05, 0.6, m) - 0.5e-9
+            want = dense_first_pair(u, low=caps, angles=True)
+            assert first_pair_outside(u, low=caps, angles=True) == want
 
     def test_limit_shape_checked(self):
         with pytest.raises(ValueError):
@@ -408,7 +407,7 @@ class TestBlockedPairs:
         d = rng.standard_normal((3000, 3))
         centers = d / np.linalg.norm(d, axis=1)[:, None] * rng.random(3000)[:, None] ** (1 / 3)
         balls = tuple(Ball(c, 1.0) for c in centers)
-        assert clear_hot_rows(centers, np.ones(3000), DEFAULT_TOL).size == 21
+        assert clear_hot_rows(centers, np.full(3000, 1.0 + DEFAULT_TOL / 2)).size == 21
         family, peak = traced_peak(lambda: BallFamily(3, balls))
         assert len(family) == 3000
         assert peak < 8 * 2**20
@@ -416,9 +415,9 @@ class TestBlockedPairs:
     def test_memory_bounded_with_hot_rows(self):
         centers, radii = self.two_clusters(300)
         assert first_non_intersecting_pair(Balls(centers, radii)) is None
-        assert dense_first_pair(centers, high=radii, tol=DEFAULT_TOL) is None
+        assert dense_first_pair(centers, high=radii + DEFAULT_TOL / 2) is None
         centers, radii = self.two_clusters(3000)
-        assert clear_hot_rows(centers, radii, DEFAULT_TOL).size >= 1000
+        assert clear_hot_rows(centers, radii + DEFAULT_TOL / 2).size >= 1000
         balls = Balls(centers, radii)
         family, peak = traced_peak(lambda: BallFamily(3, balls))
         assert len(family) == 3000
@@ -511,21 +510,20 @@ class TestPairKernel:
         for _ in range(400):
             n, m = int(rng.integers(2, 11)), int(rng.integers(2, 24))
             c, scale = self.scaled(rng, m, n)
-            r = scale * rng.uniform(0.2, 2.0, m)
-            tol = float(rng.choice([0.0, 1e-9, 1e-9 * scale]))
+            # Halves with a slack of 0, 1e-9 or 1e-9 scale folded in.
+            r = scale * rng.uniform(0.2, 2.0, m) + float(rng.choice([0.0, 1e-9, 1e-9 * scale])) / 2
             for i, j in on_window_pairs(rng, c, 4):
                 d = float(pair_distances(c[i], c[j]))
-                if d - r[i] - tol > 0:
-                    r[j] = d - r[i] - tol
-            want = dense_first_pair(c, high=r, tol=tol)
-            assert first_pair_outside(c, high=r, tol=tol) == want
+                if d - r[i] > 0:
+                    r[j] = d - r[i]
+            want = dense_first_pair(c, high=r)
+            assert first_pair_outside(c, high=r) == want
             outcomes.add(want is None)
-            assert first_pair_outside(c, low=r, tol=tol) == dense_first_pair(c, low=r, tol=tol)
+            assert first_pair_outside(c, low=r) == dense_first_pair(c, low=r)
             i, j = next(iter(on_window_pairs(rng, c, 1)))
             d = float(pair_distances(c[i], c[j]))
-            for lo, hi in ((d + tol, math.inf), (-math.inf, d - tol), (d + tol, 2 * d)):
-                want = dense_first_pair(c, lo, hi, tol=tol)
-                assert first_pair_outside(c, lo, hi, tol=tol) == want
+            for lo, hi in ((d, math.inf), (-math.inf, d), (d, 2 * d)):
+                assert first_pair_outside(c, lo, hi) == dense_first_pair(c, lo, hi)
         assert outcomes == {True, False}
 
     def test_angles_on_window(self, pair_path):
@@ -537,23 +535,55 @@ class TestPairKernel:
             pick = rng.integers(0, m, 2)
             u[pick[1]] = -u[pick[0]] if rng.random() < 0.5 else u[pick[0]]
             u *= 1.0 + rng.uniform(-1e-9, 1e-9, (m, 1))
-            caps = rng.uniform(0.05, 0.7, m)
-            tol = float(rng.choice([0.0, 1e-9]))
+            # Halves with a slack of 0 or 1e-9 folded in.
+            caps = rng.uniform(0.05, 0.7, m) - float(rng.choice([0.0, 1e-9])) / 2
             for i, j in on_window_pairs(rng, u, 4):
                 d = pair_distances(u[i], u[j])
                 angle = float(2.0 * np.arcsin(np.minimum(0.5 * d, 1.0)))
-                if 0 < angle + tol - caps[i] < math.pi / 2:
-                    caps[j] = angle + tol - caps[i]
-            want = dense_first_pair(u, low=caps, angles=True, tol=tol)
-            assert first_pair_outside(u, low=caps, angles=True, tol=tol) == want
+                if 0 < angle - caps[i] < math.pi / 2:
+                    caps[j] = angle - caps[i]
+            want = dense_first_pair(u, low=caps, angles=True)
+            assert first_pair_outside(u, low=caps, angles=True) == want
             outcomes.add(want is None)
             i, j = next(iter(on_window_pairs(rng, u, 1)))
             d = pair_distances(u[i], u[j])
             angle = float(2.0 * np.arcsin(np.minimum(0.5 * d, 1.0)))
-            for lo, hi in ((angle + tol, math.inf), (-math.inf, angle - tol),
-                           (angle + tol, math.pi), (math.pi / 3, angle - tol)):
-                want = dense_first_pair(u, lo, hi, angles=True, tol=tol)
-                assert first_pair_outside(u, lo, hi, angles=True, tol=tol) == want
+            for lo, hi in ((angle, math.inf), (-math.inf, angle), (angle, math.pi),
+                           (math.pi / 3, angle)):
+                want = dense_first_pair(u, lo, hi, angles=True)
+                assert first_pair_outside(u, lo, hi, angles=True) == want
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("angles", [False, True])
+    def test_slack_as_large_as_the_half(self, angles, monkeypatch):
+        # Halves r - s r with s = 1 - 1e-12, 1 or 1.5, as a folded slack as
+        # large as the half leaves them: tiny, zero or negative. The Gram
+        # filter reads them as given, with no rule of its own that sends
+        # them to the exact formula, and must agree with the oracle. Some
+        # pairs are duplicate rows, at distance 0, and some sit on their
+        # windows.
+        monkeypatch.setattr(geometry, "_EXACT_PAIRS", 0)
+        rng = np.random.default_rng(110 + angles)
+        outcomes = set()
+        for _ in range(300):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(2, 30))
+            if angles:
+                x, r = random_units(int(rng.integers(0, 1 << 30)), m, n), rng.uniform(0.05, 0.7, m)
+            else:
+                x, scale = self.scaled(rng, m, n)
+                r = scale * rng.uniform(0.2, 2.0, m)
+            pick = rng.integers(0, m, 2)
+            x[pick[1]] = x[pick[0]]
+            h = r - rng.choice([1.0 - 1e-12, 1.0, 1.5], m) * r
+            for i, j in on_window_pairs(rng, x, 2):
+                d = float(pair_distances(x[i], x[j]))
+                if angles:
+                    d = 2.0 * math.asin(min(0.5 * d, 1.0))
+                h[j] = d - h[i]
+            for low, high in ((h, math.inf), (-math.inf, h), (h, h + r)):
+                want = dense_first_pair(x, low, high, angles=angles)
+                assert first_pair_outside(x, low, high, angles=angles) == want
+                outcomes.add(want is None)
         assert outcomes == {True, False}
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -579,14 +609,16 @@ class TestPairKernel:
             radii = scale * rng.uniform(1.0, 1.5, m)
             family = BallFamily(n, Balls(centers, radii))
             out = random_units(int(rng.integers(0, 1 << 30)), m, n)
-            # On each sphere, on it grown by the slack, or a slack beyond.
+            # On each sphere grown to its limit r (1 + gamma) + slack, a
+            # slack inside it, or a slack beyond.
             slack = DEFAULT_TOL * float(radii.min())
-            grown = radii + rng.choice([0.0, 1.0, 2.0], m) * slack
+            limits = radii * (1 + geometry.rounding(n)) + slack
+            grown = limits + rng.choice([-1.0, 0.0, 1.0], m) * slack
             points = centers + grown[:, None] * out
             points = points[rng.random(m) < 0.7]
             if points.shape[0] == 0:
                 points = centers[:1] + grown[0] * out[:1]
-            want = dense_first_missed(centers, radii, points, slack)
+            want = dense_first_missed(centers, limits, points)
             assert verify_piercing(family, points) == (want is None, want)
             outcomes.add(want is None)
         assert outcomes == {True, False}
@@ -625,18 +657,18 @@ class TestPairKernel:
                     assert (gap[i, j] > 0) == (true > 0)
 
 
-def clear_hot_rows(c, r, tol):
-    """The rows the anchor bound of ``first_pair_outside`` must call hot:
-    those with e_i = |c_i - o| - r_i (o the row mean) above tol / 2. None
-    if some e_i lies within 1e-6 of the family's scale of tol / 2, where
-    rounding decides, or if some radius is not finite."""
+def clear_hot_rows(c, r):
+    """The rows the anchor bound of ``first_pair_outside`` must call hot
+    for the halves r: those with e_i = |c_i - o| - r_i (o the row mean)
+    above 0. None if some e_i lies within 1e-6 of the family's scale of
+    0, where rounding decides, or if some half is not finite."""
     if not np.isfinite(r).all():
         return None
     d = np.linalg.norm(c - c.mean(axis=0), axis=1)
     e = d - r
-    if (np.abs(e - tol / 2) <= 1e-6 * (d.max() + np.abs(r).max() + abs(tol))).any():
+    if (np.abs(e) <= 1e-6 * (d.max() + np.abs(r).max())).any():
         return None
-    return np.flatnonzero(e > tol / 2)
+    return np.flatnonzero(e > 0)
 
 
 class TestAnchorBound:
@@ -665,7 +697,7 @@ class TestAnchorBound:
         return c, r
 
     @staticmethod
-    def plant(rng, c, r, tol, hot):
+    def plant(rng, c, r, hot):
         """Shrink hot radii so that chosen pairs leave their windows, or,
         half the time, sit exactly on them: one hot-hot pair; a cold row
         and an earlier hot row against the last hot row, so that the first
@@ -676,7 +708,7 @@ class TestAnchorBound:
 
         def shrink(i, j):
             # Radius j on the window of the pair (i, j), or just inside it.
-            w = float(pair_distances(c[i], c[j])) - r[i] - tol
+            w = float(pair_distances(c[i], c[j])) - r[i]
             r[j] = min(r[j], w if tangent else w - 1e-6 * (abs(w) + abs(r[i])))
 
         kinds = ["none"]
@@ -717,21 +749,22 @@ class TestAnchorBound:
         for case in range(900):
             c, r = self.family(rng, ("cold", "few", "hot")[case % 3])
             scale, offset = scale_and_offset(rng, c.shape[1])
-            c, r = offset + scale * c, scale * r
-            tol = float(rng.choice([0.0, 1e-9, 1e-9 * scale]))
-            hot = clear_hot_rows(c, r, tol)
+            # Halves with a slack of 0, 1e-9 or 1e-9 scale folded in.
+            c = offset + scale * c
+            r = scale * r + float(rng.choice([0.0, 1e-9, 1e-9 * scale])) / 2
+            hot = clear_hot_rows(c, r)
             if hot is None:
                 continue
-            planted = self.plant(rng, c, r, tol, hot)
+            planted = self.plant(rng, c, r, hot)
             if rng.random() < 0.1:
                 r[rng.integers(r.size)] = rng.choice([math.inf, -math.inf, math.nan])
-            want = dense_first_pair(c, high=r, tol=tol)
+            want = dense_first_pair(c, high=r)
             kernel_rows.clear()
-            assert first_pair_outside(c, high=r, tol=tol) == want
+            assert first_pair_outside(c, high=r) == want
             # Without a violating pair the kernel takes every hot row as a
             # row and no cold one (the m - 1 rows with a later row when
             # every row is hot).
-            hot_after = clear_hot_rows(c, r, tol)
+            hot_after = clear_hot_rows(c, r)
             if want is None and hot_after is not None:
                 assert sum(kernel_rows) == min(hot_after.size, r.size - 1)
             share = "cold" if hot.size == 0 else "hot" if hot.size == r.size else "few"

@@ -447,8 +447,7 @@ class TestMultiplicityReport:
     @pytest.mark.parametrize("zeros", [(0,), (_SAMPLE_BLOCK - 1,), (2 * _SAMPLE_BLOCK + 2,),
                                        (0, _SAMPLE_BLOCK - 1, 2 * _SAMPLE_BLOCK + 2,
                                         2 * _SAMPLE_BLOCK + 3)])
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_degenerate_rows_are_topped_up_as_unit_vectors_does(self, zeros, cpus, monkeypatch):
+    def test_degenerate_rows_are_topped_up_as_unit_vectors_does(self, zeros, monkeypatch):
         # Exactly-zero rows first in a block, last in a block and as the
         # last planned row; the last case also zeroes the first row drawn
         # to replace them, so the top-up draws twice.
@@ -456,7 +455,6 @@ class TestMultiplicityReport:
         rows = np.random.default_rng(9).standard_normal((samples + 8, 5))
         rows[list(zeros)] = 0.0
         y = symmetrize(construct_separated_set(5, 10, seed=2))
-        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: cpus)
 
         counted = [0]
         real_add = lowerbound._Tally.add
@@ -482,19 +480,14 @@ class TestMultiplicityReport:
         assert counted[0] == samples
 
     @pytest.mark.parametrize("samples", [1, _SAMPLE_BLOCK + 1, 100_000])
-    def test_one_cpu_gives_the_same_report(self, samples, monkeypatch):
-        # On one usable CPU no helper thread starts, and the caller
-        # counts every block.
+    def test_one_block_or_many_match_one_product(self, samples):
+        # One block goes to the helper alone; more are shared between it
+        # and the caller.
         y = symmetrize(construct_separated_set(6, 12, seed=6))
-        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 2)
-        shared = multiplicity_report(y, samples, seed=3)
-        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("thread started"))
-        assert multiplicity_report(y, samples, seed=3) == shared
+        assert multiplicity_report(y, samples, seed=3) == one_product_report(y, samples, seed=3)
 
     def test_no_thread_outlives_the_report(self, monkeypatch):
         y = symmetrize(construct_separated_set(4, 8, seed=4))
-        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 2)
         before = threading.active_count()
         multiplicity_report(y, 5 * _SAMPLE_BLOCK, seed=1)
         assert threading.active_count() == before
@@ -521,9 +514,7 @@ class TestMultiplicityReport:
         # count blocks: each drawn block must be counted exactly once.
         y = symmetrize(construct_separated_set(5, 10, seed=7))
         samples = 12 * _SAMPLE_BLOCK + 5
-        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 1)
-        expected = {seed: multiplicity_report(y, samples, seed=seed) for seed in range(4)}
-        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 2)
+        expected = {seed: one_product_report(y, samples, seed=seed) for seed in range(4)}
         monkeypatch.setattr(lowerbound, "_PENDING", 1)
         counted_by, firsts = [], []
         real_add = lowerbound._Tally.add
@@ -592,7 +583,6 @@ class TestMultiplicityReport:
                     done.set()
                 return self.rng.standard_normal(shape)
 
-        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(lowerbound, "_direction_rng", Stream)
         monkeypatch.setattr(sampling, "normalize_rows", normalize_rows)
         assert multiplicity_report(y, samples, seed=2) == expected
@@ -623,7 +613,6 @@ class TestMultiplicityReport:
                     assert taken.wait(30)
                 return np.random.default_rng(0).standard_normal(shape)
 
-        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(lowerbound, "_direction_rng", lambda seed: Held())
         monkeypatch.setattr(sampling, "normalize_rows", normalize_rows)
         before = threading.active_count()

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gallai import (
 )
 from gallai import PairwiseError, files, geometry, piercing, sphere_cover
 from gallai.geometry import DEFAULT_TOL, pair_distances
+from gallai.piercing import first_non_intersecting_pair
 from gallai.sampling import rng_from
 
 from conftest import (
@@ -68,15 +70,17 @@ def dense_reference_cover(points, radius):
 
 def loop_reference_verify(family, points):
     """One ball at a time: (True, None) or (False, first unpierced index),
-    with ``cdist``'s distances and the slack DEFAULT_TOL * smallest radius."""
+    with ``cdist``'s distances against the limit r (1 + gamma) + DEFAULT_TOL
+    * smallest radius, gamma = ``geometry.rounding(n)``."""
     from scipy.spatial.distance import cdist
 
     if points.shape[0] == 0:
         return False, 0
     tol = DEFAULT_TOL * min(b.radius for b in family.balls)
+    grow = 1 + geometry.rounding(family.dimension)
     for i, b in enumerate(family.balls):
         gaps = cdist(b.center[None, :], points)[0]
-        if not (gaps <= b.radius + tol).any():
+        if not (gaps <= b.radius * grow + tol).any():
             return False, i
     return True, None
 
@@ -704,22 +708,28 @@ class TestVerifyPiercing:
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_point_on_every_sphere_pierces(self, n):
-        # One point at distance exactly radius + slack from the center of
-        # every ball but the first, by the exact formula, which the family
-        # check also uses; one ulp less radius and it misses. Ball 0, the
-        # unit ball at the point, fixes the slack at DEFAULT_TOL. From
-        # n = 8 np.linalg.norm reads some of these distances an ulp larger.
+        # One point at distance exactly the limit r (1 + gamma) + slack
+        # from the center of every ball but the first, by the exact
+        # formula, which the family check also uses; one ulp less radius
+        # and it misses. Ball 0, the unit ball at the point, fixes the
+        # slack at DEFAULT_TOL. From n = 8 np.linalg.norm reads some of
+        # these distances an ulp larger.
         rng = rng_from(1)
         point = rng.standard_normal((1, n))
         out = rng.standard_normal((40, n))
         out /= np.linalg.norm(out, axis=1)[:, None]
         centers = point + rng.uniform(2.0, 3.0, (40, 1)) * out
         reach = pair_distances(centers.T, point.T)
-        radii = reach - DEFAULT_TOL
+        grow = 1 + geometry.rounding(n)
+
+        def limit(radii):
+            return radii * grow + DEFAULT_TOL
+
+        radii = (reach - DEFAULT_TOL) / grow
         for _ in range(4):
-            radii = np.where(radii + DEFAULT_TOL < reach, np.nextafter(radii, np.inf), radii)
-            radii = np.where(radii + DEFAULT_TOL > reach, np.nextafter(radii, 0.0), radii)
-        assert (radii + DEFAULT_TOL == reach).all()
+            radii = np.where(limit(radii) < reach, np.nextafter(radii, np.inf), radii)
+            radii = np.where(limit(radii) > reach, np.nextafter(radii, 0.0), radii)
+        assert (limit(radii) == reach).all()
         for grown, want in ((radii, (True, None)), (np.nextafter(radii, 0.0), (False, 1))):
             family = BallFamily(n, Balls(np.concatenate([point, centers]), np.r_[1.0, grown]))
             assert verify_piercing(family, point) == want
@@ -826,3 +836,51 @@ class TestScaleFree:
             outside = t + 100.0 * s * np.eye(n)[:1]
             assert verify_piercing(one, outside) == (False, 0), case
             assert verify_piercing(one, t[None]) == (True, None), case
+
+    @staticmethod
+    def squared_gap(a, b):
+        """|a - b|^2 in rational arithmetic on the float coordinates."""
+        return sum((Fraction(float(x)) - Fraction(float(y))) ** 2 for x, y in zip(a, b))
+
+    @staticmethod
+    def unit(rng, n):
+        v = rng.standard_normal(n)
+        return v / np.linalg.norm(v)
+
+    def test_points_inside_huge_balls_pierce(self):
+        # A point c + R u on the sphere of radius R = 1e6..1e10 around c,
+        # beside the unit ball at the origin, kept when it lies in the
+        # ball in rational arithmetic (about half). At these radii the
+        # slack, DEFAULT_TOL, is below the rounding of the distance, so
+        # only the rounding bound on each radius lets every one pierce.
+        rng = np.random.default_rng(0)
+        kept = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 11))
+            big = 10.0 ** rng.uniform(6.0, 10.0)
+            c = (big + 0.5) * self.unit(rng, n)
+            p = c + big * self.unit(rng, n)
+            if self.squared_gap(p, c) > Fraction(big) ** 2:
+                continue
+            kept += 1
+            family = BallFamily(n, Balls(np.array([np.zeros(n), c]), np.array([1.0, big])))
+            assert verify_piercing(family, np.array([np.zeros(n), p])) == (True, None)
+        assert kept > 150
+
+    def test_meeting_pairs_at_mixed_scales_are_accepted(self):
+        # The unit ball at T and a ball of radius R = 1e6..1e10 at T + (1 +
+        # R) u, T up to 1e9 per coordinate, kept when the balls meet in
+        # rational arithmetic (about half). The slack alone is below the
+        # rounding of the distance here, as above.
+        rng = np.random.default_rng(0)
+        kept = 0
+        for _ in range(2000):
+            n = int(rng.integers(2, 11))
+            big = 10.0 ** rng.uniform(6.0, 10.0)
+            t = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(6.0, 9.0)
+            c = t + (1.0 + big) * self.unit(rng, n)
+            if self.squared_gap(t, c) > (Fraction(big) + 1) ** 2:
+                continue
+            kept += 1
+            assert first_non_intersecting_pair(Balls(np.array([t, c]), np.array([1.0, big]))) is None
+        assert kept > 900

@@ -20,8 +20,8 @@ from gallai import (
 )
 from gallai.bounds import solve_alpha
 from gallai.errors import BudgetError, PairwiseError
-from gallai import sphere_cover
-from gallai.geometry import first_pair_outside
+from gallai import cli, sphere_cover
+from gallai.geometry import DEFAULT_TOL, first_pair_outside
 from gallai.piercing import cap_overlap_radius
 from gallai.sphere_cover import net_size
 from scipy.spatial import ConvexHull
@@ -182,6 +182,24 @@ class TestVerifyCover:
     def test_single_cap_misses_far_hemisphere(self):
         cover = Cover(3, 1.0, np.array([[1.0, 0.0, 0.0]]))
         assert not verify_cover(cover, "sampled", 1_000, seed=3).passed
+
+    def test_passed_is_derived_from_the_margin(self):
+        with pytest.raises(TypeError):
+            sphere_cover.CoverCertificate("hull", 1, 0.1, passed=True)
+        # Covers that pass and fail on the circle (where the hull method is
+        # the arc certificate) and in R^3, one with no hull at all.
+        arcs = arc_centers([0, 2 * math.pi / 3, 4 * math.pi / 3])
+        caps = greedy_cover(3, 0.987).centers
+        covers = [Cover(2, math.pi / 3 + 0.05, arcs), Cover(2, math.pi / 3 - 0.05, arcs),
+                  Cover(3, 0.987, caps), Cover(3, 0.5, caps), Cover(3, 1.0, caps[:1])]
+        seen = set()
+        for cover in covers:
+            for method, budget in (("hull", None), ("net", 0.02), ("sampled", 2_000)):
+                cert = verify_cover(cover, method, budget)
+                assert cert.passed == (cert.margin >= -DEFAULT_TOL)
+                assert cli._certificate_dict(cert)["passed"] == cert.passed
+                seen.add((cover.dimension, method, cert.passed))
+        assert len(seen) == 12
 
     def test_net_resolution_must_undershoot_theta(self):
         cover = Cover(2, 0.3, arc_centers(np.linspace(0, 2 * math.pi, 30, endpoint=False)))
@@ -827,7 +845,7 @@ class TestMaximalPacking:
         # angle check leaves the verdict to the pairwise one.
         m, theta = 4, math.pi / 2
         rows = (1 - 0.9e-9) * arc_centers(2 * math.pi * np.arange(m) / m)
-        assert first_pair_outside(rows, low=theta, angles=True, tol=1e-9) is not None
+        assert first_pair_outside(rows, low=theta - 1e-9, angles=True) is not None
         assert not sphere_cover._circle_separated(rows, theta)
         with pytest.raises(PairwiseError):
             Packing(2, theta, rows)
